@@ -24,13 +24,11 @@ from .arraymodel import (
     surrogate_f,
 )
 from .baselines import (
+    QPSK,
     Ad11State,
-    CsWindow,
-    LsWindow,
     ad11_probe_index,
     ad11_step,
     cs_estimate,
-    cs_grid,
     cs_probe,
     ls_data_beam,
     ls_estimate,

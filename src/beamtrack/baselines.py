@@ -11,23 +11,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arraymodel import ArrayGeometry, steering_matrix
+from .trackers import SweepDictionary
 
 __all__ = [
     "Ad11State",
     "ad11_probe_index",
     "ad11_step",
-    "LsWindow",
     "ls_estimate",
     "ls_data_beam",
-    "CsWindow",
     "cs_probe",
-    "cs_grid",
     "cs_estimate",
     "CS_DICTIONARY_SIZE",
+    "QPSK",
 ]
 
 CS_DICTIONARY_SIZE = 1024
-_QPSK = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
+QPSK = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])  # random-probe phase alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +38,10 @@ class Ad11State:
     """Sweep-and-refine tracker state.
 
     During 'sweeping' every codebook beam is probed once and the strongest
-    becomes the best beam.  During 'tracking', refinement rounds probe the
-    best beam and its two nearest distinct neighbours (one probe per slot,
-    a round starting every ``period`` slots, ``period >= 3``) and the
-    strongest of the three becomes the new best beam.
+    becomes the best beam.  During 'tracking', back-to-back three-slot
+    refinement rounds probe the best beam and its two nearest distinct
+    neighbours (one probe per slot) and the strongest of the three becomes
+    the new best beam.
     """
 
     num_beams: int
@@ -50,13 +49,10 @@ class Ad11State:
     phase: str = "sweeping"
     probe_cursor: int = 0
     probe_buffer: tuple[float, ...] = field(default_factory=tuple)
-    period: int = 3
 
     def __post_init__(self) -> None:
         if self.num_beams < 3:
             raise ValueError("need at least 3 codebook beams")
-        if self.period < 3:
-            raise ValueError("refinement period must be at least 3 slots")
         if not 0 <= self.best_index < self.num_beams:
             raise ValueError("best beam index out of range")
 
@@ -70,9 +66,7 @@ def ad11_probe_index(state: Ad11State) -> int:
     """Codebook index to probe in the upcoming slot."""
     if state.phase == "sweeping":
         return state.probe_cursor
-    if state.probe_cursor < 3:
-        return state.candidates[state.probe_cursor]
-    return state.best_index  # idle tail of a long period
+    return state.candidates[state.probe_cursor]
 
 
 def ad11_step(
@@ -95,38 +89,18 @@ def ad11_step(
             state = replace(state, probe_cursor=state.probe_cursor + 1, probe_buffer=buf)
         return state, codebook[state.best_index]
 
-    cursor = state.probe_cursor
-    buf = state.probe_buffer
+    buf = state.probe_buffer + (mag,)
     best = state.best_index
-    if cursor < 3:
-        buf = buf + (mag,)
-        if len(buf) == 3:
-            best = state.candidates[int(np.argmax(buf))]
-            buf = ()
-    cursor = (cursor + 1) % state.period
+    if len(buf) == 3:
+        best = state.candidates[int(np.argmax(buf))]
+        buf = ()
+    cursor = (state.probe_cursor + 1) % 3
     state = replace(state, best_index=best, probe_cursor=cursor, probe_buffer=buf)
     return state, codebook[state.best_index]
 
 
 # ---------------------------------------------------------------------------
 # least-squares channel estimation
-
-
-@dataclass(frozen=True)
-class LsWindow:
-    """Ring buffer of (weights, observation) pairs; ``capacity=None`` keeps
-    every pilot (static operation)."""
-
-    capacity: int | None
-    weights: tuple = ()
-    observations: tuple = ()
-
-    def push(self, w: np.ndarray, y: complex) -> "LsWindow":
-        ws = self.weights + (np.asarray(w, dtype=complex),)
-        ys = self.observations + (complex(y),)
-        if self.capacity is not None and len(ws) > self.capacity:
-            ws, ys = ws[1:], ys[1:]
-        return replace(self, weights=ws, observations=ys)
 
 
 def ls_estimate(weights, observations) -> np.ndarray:
@@ -156,33 +130,11 @@ def ls_data_beam(h_hat: np.ndarray) -> np.ndarray:
 # compressed-sensing direction recovery
 
 
-@dataclass(frozen=True)
-class CsWindow:
-    """Ring buffer of random-probe pilots; ``capacity=None`` keeps all."""
-
-    capacity: int | None
-    weights: tuple = ()
-    observations: tuple = ()
-
-    def push(self, w: np.ndarray, y: complex) -> "CsWindow":
-        ws = self.weights + (np.asarray(w, dtype=complex),)
-        ys = self.observations + (complex(y),)
-        if self.capacity is not None and len(ws) > self.capacity:
-            ws, ys = ws[1:], ys[1:]
-        return replace(self, weights=ws, observations=ys)
-
-
 def cs_probe(geom: ArrayGeometry, rng: np.random.Generator) -> np.ndarray:
     """Random probing weights with per-antenna phases from {1, j, -1, -j},
     scaled to modulus 1/sqrt(M)."""
     picks = rng.integers(0, 4, size=geom.num_antennas)
-    return _QPSK[picks] / math.sqrt(geom.num_antennas)
-
-
-def cs_grid(size: int = CS_DICTIONARY_SIZE) -> np.ndarray:
-    """Uniform sine-space dictionary of ``size`` points."""
-    k = np.arange(1, size + 1)
-    return (2 * k - 1 - size) / size
+    return QPSK[picks] / math.sqrt(geom.num_antennas)
 
 
 def cs_estimate(
@@ -199,7 +151,7 @@ def cs_estimate(
     y = np.asarray(observations, dtype=complex)
     if w.ndim != 2 or w.shape[0] == 0:
         raise ValueError("need at least one pilot in the window")
-    grid = cs_grid(dictionary_size)
+    grid = SweepDictionary(dictionary_size).points
     atoms = np.conj(w) @ steering_matrix(geom, grid).T  # (pilots, grid) w^H a(g)
     numer = np.abs(np.conj(atoms).T @ y)
     denom = np.linalg.norm(atoms, axis=0)

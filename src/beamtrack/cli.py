@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +100,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+_FILE_KEYS = {f.name for f in fields(RunConfig)} | {"slots"}
+
+
 def _load_file_config(path: Path | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        file_cfg = json.load(fh)
+    unknown = ", ".join(sorted(set(file_cfg) - _FILE_KEYS))
+    if unknown:
+        raise SystemExit(f"beamtrack: unknown key(s) in config file {path}: {unknown}")
+    return file_cfg
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -113,34 +120,14 @@ def _config_dict(cfg: RunConfig) -> dict:
     return d
 
 
-def _build_config(args, trajectory: Trajectory, out_prefix: str) -> RunConfig:
-    file_cfg = _load_file_config(args.config)
-    kw = dict(
-        trajectory=trajectory,
-        out_dir=str(args.out),
-        out_prefix=out_prefix,
-    )
-    for key in (
-        "num_antennas",
-        "spacing_over_wavelength",
-        "snr_db",
-        "algorithms",
-        "trials",
-        "track_antennas",
-        "sweep_dictionary_size",
-        "step_kind",
-        "step_alpha",
-        "step_n0",
-        "init",
-        "seed",
-        "chunk_size",
-        "jobs",
-        "steady_skip",
-    ):
-        if key in file_cfg:
-            kw[key] = file_cfg[key]
-    if "beta" in file_cfg:
-        re_im = file_cfg["beta"]
+def _build_config(
+    args, file_cfg: dict, trajectory: Trajectory, out_prefix: str
+) -> RunConfig:
+    kw = {f.name: file_cfg[f.name] for f in fields(RunConfig) if f.name in file_cfg}
+    # the subcommand and --out decide these, whatever the file says
+    kw.update(trajectory=trajectory, out_dir=str(args.out), out_prefix=out_prefix)
+    if "beta" in kw:
+        re_im = kw["beta"]
         kw["beta"] = complex(re_im[0], re_im[1])
     if "algorithms" in kw:
         kw["algorithms"] = tuple(kw["algorithms"])
@@ -205,7 +192,7 @@ def _cmd_static(args) -> int:
     file_cfg = _load_file_config(args.config)
     _trials_default(args, "static")
     traj = Trajectory.static(_slots(args, "static", file_cfg))
-    cfg = _build_config(args, traj, out_prefix="static")
+    cfg = _build_config(args, file_cfg, traj, out_prefix="static")
     summaries = run_experiment(cfg)
     out = Path(args.out)
     outputs = [f"static_{name}.csv" for name in cfg.algorithms]
@@ -256,7 +243,7 @@ def _cmd_dynamic(args) -> int:
         traj = Trajectory.sinusoidal(slots)
     else:
         traj = Trajectory.fixed_velocity(slots, omega=args.omega)
-    cfg = _build_config(args, traj, out_prefix="dynamic")
+    cfg = _build_config(args, file_cfg, traj, out_prefix="dynamic")
     summaries = run_experiment(cfg)
     out = Path(args.out)
     outputs = [f"dynamic_{name}.csv" for name in cfg.algorithms]
@@ -318,54 +305,26 @@ def _cmd_sweep_speed(args) -> int:
 
     # recursive runs at each tracking-subarray size; estimate-based baselines
     # need (or are only meaningful with) the full array
-    base_cfg = _build_config(
-        args, Trajectory.fixed_velocity(slots, omega=grid[0]), out_prefix="sweep"
-    )
-    base_cfg = RunConfig(**{**_raw_kw(base_cfg), "out_dir": None})
+    traj0 = Trajectory.fixed_velocity(slots, omega=grid[0])
+    base_cfg = replace(_build_config(args, file_cfg, traj0, "sweep"), out_dir=None)
     if args.track_antennas is not None:
         subsets = [args.track_antennas]
     else:
         subsets = [m for m in (16, 8, 4) if m <= base_cfg.num_antennas]
-    series: list[tuple[str, RunConfig]] = []
-    for mt in subsets:
-        series.append(
-            (
-                f"recursive_m{mt}",
-                RunConfig(
-                    **{
-                        **_raw_kw(base_cfg),
-                        "algorithms": ("recursive",),
-                        "track_antennas": mt,
-                    }
-                ),
-            )
-        )
-    for name in base_cfg.algorithms:
-        if name != "recursive":
-            series.append(
-                (
-                    name,
-                    RunConfig(
-                        **{
-                            **_raw_kw(base_cfg),
-                            "algorithms": (name,),
-                            "track_antennas": None,
-                        }
-                    ),
-                )
-            )
+    rec = replace(base_cfg, algorithms=("recursive",))
+    series = [(f"recursive_m{mt}", replace(rec, track_antennas=mt)) for mt in subsets]
+    series += [
+        (name, replace(base_cfg, algorithms=(name,), track_antennas=None))
+        for name in base_cfg.algorithms
+        if name != "recursive"
+    ]
 
     outputs = []
     for label, cfg in series:
         rows = []
         for omega in grid:
-            cfg_w = RunConfig(
-                **{
-                    **_raw_kw(cfg),
-                    "trajectory": Trajectory.fixed_velocity(slots, omega=omega),
-                }
-            )
-            summary = run_experiment(cfg_w)[cfg.algorithms[0]]
+            traj = Trajectory.fixed_velocity(slots, omega=omega)
+            summary = run_experiment(replace(cfg, trajectory=traj))[cfg.algorithms[0]]
             rows.append(
                 (
                     omega,
@@ -404,13 +363,6 @@ def _cmd_sweep_speed(args) -> int:
     cfg_echo["omega_grid"] = list(map(float, grid))
     _write_manifest(out, "sweep-speed", cfg_echo, outputs)
     return 0
-
-
-def _raw_kw(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["trajectory"] = cfg.trajectory
-    d["algorithms"] = cfg.algorithms
-    return d
 
 
 def _cmd_crlb(args) -> int:

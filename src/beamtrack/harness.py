@@ -35,9 +35,15 @@ from .arraymodel import (
     steering_matrix,
     steering_vector,
 )
-from .baselines import CS_DICTIONARY_SIZE, cs_grid
+from .baselines import CS_DICTIONARY_SIZE, QPSK
 from .scenarios import RngPlan, Trajectory, complex_normal, generate
-from .trackers import SweepDictionary, alpha_star, codebook_directions, dft_codebook
+from .trackers import (
+    StepSizeSchedule,
+    SweepDictionary,
+    alpha_star,
+    codebook_directions,
+    dft_codebook,
+)
 
 __all__ = [
     "ALGORITHMS",
@@ -121,11 +127,14 @@ class RunConfig:
             raise ValueError("need at least one trial")
         if self.init not in ("sweep", "uniform", "mainlobe"):
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.step_kind not in ("auto", "diminishing", "fixed"):
-            raise ValueError(f"unknown step kind {self.step_kind!r}")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be at least 1, got {self.chunk_size}")
+        if self.steady_skip < 0:
+            raise ValueError(f"steady_skip must be nonnegative, got {self.steady_skip}")
         mt = self.track_antennas
         if mt is not None and not 2 <= mt <= self.num_antennas:
             raise ValueError("tracking subarray size out of range")
+        self.step_schedule()  # rejects an unknown kind, alpha <= 0 and n0 < 0
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -145,14 +154,16 @@ class RunConfig:
     def slots(self) -> int:
         return self.trajectory.num_slots
 
-    def resolved_step(self) -> tuple[str, float, float]:
+    def step_schedule(self) -> StepSizeSchedule:
+        """Recursive-tracker steps: ``auto`` is diminishing in static runs and
+        fixed otherwise; ``alpha`` defaults to alpha_star of the tracking array."""
         kind = self.step_kind
         if kind == "auto":
             kind = "diminishing" if self.trajectory.kind == "static" else "fixed"
-        alpha = self.step_alpha if self.step_alpha is not None else alpha_star(
-            self.track_geometry
-        )
-        return kind, alpha, self.step_n0
+        alpha = self.step_alpha
+        if alpha is None:
+            alpha = alpha_star(self.track_geometry)
+        return StepSizeSchedule(kind, alpha, self.step_n0)
 
     def resolved_dictionary_size(self) -> int:
         if self.sweep_dictionary_size is not None:
@@ -168,10 +179,8 @@ class TrialRecord:
     algorithm: str
     x: np.ndarray
     x_hat: np.ndarray
-    sq_err: np.ndarray
     mse_h: np.ndarray
     rate: np.ndarray
-    converged: bool
 
 
 @dataclass
@@ -214,6 +223,15 @@ class _ChunkOut:
 def _inner(phase_step: float, m: int, delta: np.ndarray) -> np.ndarray:
     """Steering inner product a(v)^H a(x) for delta = v - x, elementwise."""
     return np.exp(1j * phase_step * np.multiply.outer(delta, np.arange(m))).sum(axis=1)
+
+
+def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.ndarray:
+    """Batched ``coarse_sweep``: row t of ``pilots`` holds trial t's M codebook
+    pilots; returns each trial's best point of the ``size``-point grid."""
+    points = SweepDictionary(size).points
+    cand = steering_matrix(geom, points)
+    scores = np.abs((pilots @ dft_codebook(geom)) @ np.conj(cand).T)
+    return points[np.argmax(scores, axis=1)]
 
 
 def _simulate_chunk(
@@ -278,12 +296,10 @@ def _simulate_chunk(
 
     # --- algorithm state initialization from the warm-up sweep
     if algorithm == "recursive":
-        kind, alpha, n0 = config.resolved_step()
+        schedule = config.step_schedule()
         if config.init == "sweep":
-            points = SweepDictionary(config.resolved_dictionary_size()).points
-            cand = steering_matrix(track, points)
-            scores = np.abs((pilots_warm @ beams_t) @ np.conj(cand).T)
-            x_hat = points[np.argmax(scores, axis=1)]
+            size = config.resolved_dictionary_size()
+            x_hat = _sweep_estimate(track, size, pilots_warm)
         elif config.init == "uniform":
             x_hat = np.array(
                 [plan.init_rng(t).uniform(-1.0, 1.0) for t in range(lo, hi)]
@@ -305,20 +321,22 @@ def _simulate_chunk(
         combine = np.linalg.pinv(np.conj(beams_t))  # rows of conj(beams) probe h
         h_hat = latest @ combine.T
     elif algorithm == "cs":
-        grid = cs_grid(CS_DICTIONARY_SIZE)
+        grid = SweepDictionary(CS_DICTIONARY_SIZE).points
         atoms_grid = steering_matrix(track, grid)  # (grid, m_t)
         # initial estimate: matched filter over the warm sweep pilots
         phi0 = np.conj(beams_t) @ atoms_grid.T  # (m_t, grid)
         num0 = np.abs(np.conj(phi0).T @ pilots_warm.T).T  # (T, grid)
         den0 = np.linalg.norm(phi0, axis=0)
         x_hat_cs = grid[np.argmax(num0 / den0, axis=1)]
+        atoms_conj_t = np.conj(atoms_grid).T  # (m_t, grid)
         k_win = max(m_t // 2, 1)
         refresh = m_t  # one re-estimate per codebook frame in dynamic mode
+        # running matched-filter sums over the pilot window, and per-slot
+        # buffers for conj(w^H a(g)) and its magnitude, all written in place
         numer = np.zeros((t_chunk, CS_DICTIONARY_SIZE), dtype=complex)
         denom = np.zeros((t_chunk, CS_DICTIONARY_SIZE))
-        ring_n: list[np.ndarray] = []
-        ring_d: list[np.ndarray] = []
-        qpsk = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
+        phi_c = np.empty_like(numer)
+        mag = np.empty_like(denom)
 
     for n in range(1, n_slots + 1):
         x_n = x_traj[:, n]
@@ -329,8 +347,7 @@ def _simulate_chunk(
             ip_t = _inner(k_t, m_t, x_hat - x_n)
             y = ip_t / sqrt_mt + z_n / math.sqrt(rho)
             rate_n = rate_from_direction(x_hat, x_n)
-            a_n = alpha if kind == "fixed" else alpha / (n + n0)
-            x_hat = np.clip(x_hat - a_n * np.imag(y), -1.0, 1.0)
+            x_hat = np.clip(x_hat - schedule.at(n) * np.imag(y), -1.0, 1.0)
             est_dir = x_hat
         elif algorithm == "80211ad":
             rate_n = rate_from_direction(dirs_t[best], x_n)
@@ -367,29 +384,22 @@ def _simulate_chunk(
             mse_n = beta2 * (np.abs(h_hat - a_full_n) ** 2).sum(axis=1)
         else:  # cs
             rate_n = rate_from_direction(x_hat_cs, x_n)
-            w_p = qpsk[probes[:, n - 1, :]] / sqrt_mt
+            w_p = QPSK[probes[:, n - 1, :]] / sqrt_mt
             s_track = steering_matrix(track, x_n)
             y = (np.conj(w_p) * s_track).sum(axis=1) + z_n / math.sqrt(rho)
-            if static_mode:
-                phi = np.conj(w_p) @ atoms_grid.T
-                numer += np.conj(phi) * y[:, None]
-                denom += np.abs(phi) ** 2
+            # static: every pilot so far, scored each slot; dynamic: the last
+            # k_win pilots of each frame, scored at the frame's last slot
+            if static_mode or (n - 1) % refresh >= refresh - k_win:
+                np.matmul(w_p, atoms_conj_t, out=phi_c)
+                denom += np.square(np.abs(phi_c, out=mag), out=mag)
+                phi_c *= y[:, None]
+                numer += phi_c
+            if static_mode or n % refresh == 0:
                 scores = np.abs(numer) / np.sqrt(np.maximum(denom, 1e-300))
                 x_hat_cs = grid[np.argmax(scores, axis=1)]
-            else:
-                # only the window feeding the next refresh needs projecting
-                if n % refresh > refresh - k_win or n % refresh == 0:
-                    phi = np.conj(w_p) @ atoms_grid.T
-                    ring_n.append(np.conj(phi) * y[:, None])
-                    ring_d.append(np.abs(phi) ** 2)
-                    if len(ring_n) > k_win:
-                        ring_n.pop(0)
-                        ring_d.pop(0)
-                if n % refresh == 0:
-                    num = np.sum(ring_n, axis=0)
-                    den = np.sum(ring_d, axis=0)
-                    scores = np.abs(num) / np.sqrt(np.maximum(den, 1e-300))
-                    x_hat_cs = grid[np.argmax(scores, axis=1)]
+                if not static_mode:
+                    numer.fill(0.0)
+                    denom.fill(0.0)
             est_dir = x_hat_cs
 
         if has_direction:
@@ -406,16 +416,12 @@ def _simulate_chunk(
             if has_direction:
                 trace_xh[n - 1] = est_dir[0]
 
-    # pilot-overhead parity: exactly one pilot noise draw per slot plus warm-up
-    assert noise.shape[1] == m_t + n_slots
-
     if has_direction:
         final_err = np.abs(sqerr[:, -1]) ** 0.5
         conv = final_err < 0.5 * hw_track
         conv_count = float(np.count_nonzero(conv))
         sqerr_conv_sum = sqerr[conv].sum(axis=0)
     else:
-        conv = np.zeros(t_chunk, dtype=bool)
         conv_count = math.nan
         sqerr_conv_sum = np.full(n_slots, np.nan)
         final_est = np.full(t_chunk, np.nan)
@@ -426,10 +432,8 @@ def _simulate_chunk(
             algorithm=algorithm,
             x=x_traj[0, 1:].copy(),
             x_hat=trace_xh,
-            sq_err=(trace_xh - x_traj[0, 1:]) ** 2 if has_direction else np.full(n_slots, np.nan),
             mse_h=trace_mse,
             rate=trace_rate,
-            converged=bool(conv[0]) if has_direction else False,
         )
     return _ChunkOut(
         mse_sum,
@@ -552,8 +556,6 @@ def initialization_hit_rate(
     of a uniformly drawn direction."""
     rho = 10.0 ** (snr_db / 10.0)
     beams = dft_codebook(geom)
-    points = SweepDictionary(dictionary_size).points
-    cand = steering_matrix(geom, points)
     hw = mainlobe_halfwidth(geom)
     plan = RngPlan(seed)
     m = geom.num_antennas
@@ -565,8 +567,7 @@ def initialization_hit_rate(
             [complex_normal(plan.observation_rng(t), m) for t in range(lo, hi)]
         )
         pilots = steering_matrix(geom, x) @ np.conj(beams).T + z / math.sqrt(rho)
-        scores = np.abs((pilots @ beams) @ np.conj(cand).T)
-        x0 = points[np.argmax(scores, axis=1)]
+        x0 = _sweep_estimate(geom, dictionary_size, pilots)
         hits += int(np.count_nonzero(np.abs(x0 - x) < hw))
     return hits / trials
 

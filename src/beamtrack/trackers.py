@@ -120,9 +120,8 @@ class SweepDictionary:
 
 
 def codebook_directions(geom: ArrayGeometry) -> np.ndarray:
-    """The M uniformly spaced sweep directions ``(2m - M - 1)/M``, m = 1..M."""
-    m = geom.num_antennas
-    return (2 * np.arange(1, m + 1) - m - 1) / m
+    """The M uniformly spaced sweep directions: the M-point sine grid."""
+    return SweepDictionary(geom.num_antennas).points
 
 
 def dft_codebook(geom: ArrayGeometry) -> np.ndarray:

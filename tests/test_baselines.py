@@ -7,12 +7,10 @@ from beamtrack import (
     Ad11State,
     ArrayGeometry,
     ChannelState,
-    CsWindow,
-    LsWindow,
+    SweepDictionary,
     ad11_probe_index,
     ad11_step,
     cs_estimate,
-    cs_grid,
     cs_probe,
     codebook_directions,
     dft_codebook,
@@ -94,8 +92,6 @@ class TestAd11:
     def test_validation(self):
         with pytest.raises(ValueError):
             Ad11State(num_beams=2)
-        with pytest.raises(ValueError):
-            Ad11State(num_beams=8, period=2)
 
 
 class TestLsEstimate:
@@ -137,17 +133,10 @@ class TestLsEstimate:
         with pytest.raises(np.linalg.LinAlgError):
             ls_estimate(weights, np.ones(16, dtype=complex))
 
-    def test_window_capacity(self):
-        win = LsWindow(capacity=3)
-        for k in range(5):
-            win = win.push(np.ones(4), complex(k))
-        assert len(win.weights) == 3
-        assert win.observations == (2.0 + 0j, 3.0 + 0j, 4.0 + 0j)
-
 
 class TestCsEstimate:
     def test_noiseless_on_grid_exact(self):
-        grid = cs_grid()
+        grid = SweepDictionary(1024).points
         x = grid[700]
         rng = np.random.default_rng(3)
         weights = np.stack([cs_probe(G16, rng) for _ in range(8)])
@@ -182,9 +171,3 @@ class TestCsEstimate:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             cs_estimate(G16, np.empty((0, 16), dtype=complex), np.empty(0, dtype=complex))
-
-    def test_window_capacity(self):
-        win = CsWindow(capacity=2)
-        for k in range(4):
-            win = win.push(np.ones(4), complex(k))
-        assert len(win.weights) == 2

@@ -187,3 +187,14 @@ class TestErrors:
     def test_missing_subcommand(self):
         res = run_cli()
         assert res.returncode != 0
+
+    def test_unknown_config_key(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_antenas": 8, "slots": 5, "trials": 2}))
+        res = run_cli(
+            "static", "--config", str(cfg_path), "--algorithms", "recursive",
+            "--out", str(tmp_path / "o"),
+        )
+        assert res.returncode != 0
+        assert "num_antenas" in res.stderr
+        assert not (tmp_path / "o").exists()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from beamtrack import (
+    QPSK,
+    Ad11State,
     ArrayGeometry,
     ChannelState,
     RngPlan,
@@ -13,11 +15,15 @@ from beamtrack import (
     SweepDictionary,
     Trajectory,
     achievable_rate,
+    ad11_probe_index,
+    ad11_step,
     alpha_star,
     channel_mse_limit,
     coarse_sweep,
+    codebook_directions,
     complex_normal,
     conjugate_beam,
+    cs_estimate,
     dft_codebook,
     generate,
     h_prime_norm_sq,
@@ -114,6 +120,119 @@ class TestEngineAgainstLibraryOps:
             assert trace.mse_h[n - 1] == pytest.approx(
                 mse_h(G16, state.x_hat, xs[n], cfg.beta), rel=1e-9, abs=1e-12
             )
+
+    def test_80211ad_dynamic_trace(self):
+        slots = 90
+        cfg = RunConfig(
+            trajectory=Trajectory.sinusoidal(slots),
+            trials=1,
+            algorithms=("80211ad",),
+            seed=41,
+        )
+        trace = run_single_trial(cfg, "80211ad", trial=0)
+
+        plan = RngPlan(41)
+        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
+        noise = complex_normal(plan.observation_rng(0, 2), 16 + slots)
+        rho = cfg.rho
+        beams = dft_codebook(G16)
+        dirs = codebook_directions(G16)
+        state = Ad11State(num_beams=16)
+        chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
+        for m in range(16):  # warm-up sweep
+            assert ad11_probe_index(state) == m
+            y = observe(G16, chan0, beams[m], noise[m])
+            state, beam = ad11_step(state, y, beams)
+        assert state.phase == "tracking"
+        visited = set()
+        for n in range(1, slots + 1):
+            chan = ChannelState(xs[n], beta=cfg.beta, snr=rho)
+            expected_rate = achievable_rate(G16, beam, xs[n], rho)
+            y = observe(G16, chan, beams[ad11_probe_index(state)], noise[16 + n - 1])
+            state, beam = ad11_step(state, y, beams)
+            visited.add(state.best_index)
+            assert trace.x_hat[n - 1] == dirs[state.best_index]
+            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
+            assert trace.mse_h[n - 1] == pytest.approx(
+                mse_h(G16, dirs[state.best_index], xs[n], cfg.beta), rel=1e-9, abs=1e-12
+            )
+        assert len(visited) > 1  # the refinement rounds did move the beam
+
+    @staticmethod
+    def _cs_replay(cfg):
+        """Truth, probe weights, pilots and warm-up estimate of trial 0, from
+        the engine's substreams: the probe stream's int8 QPSK picks and
+        exactly 16 + slots observation-noise draws."""
+        plan = RngPlan(cfg.seed)
+        slots = cfg.slots
+        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
+        noise = complex_normal(plan.observation_rng(0, 4), 16 + slots)
+        picks = plan.probe_rng(0, 4).integers(0, 4, size=(slots, 16), dtype=np.int8)
+        weights = QPSK[picks] / 4.0
+        beams = dft_codebook(G16)
+        chan0 = ChannelState(xs[0], beta=cfg.beta, snr=cfg.rho)
+        warm = [observe(G16, chan0, beams[m], noise[m]) for m in range(16)]
+        obs = np.array(
+            [
+                observe(G16, ChannelState(xs[n], beta=cfg.beta, snr=cfg.rho),
+                        weights[n - 1], noise[16 + n - 1])
+                for n in range(1, slots + 1)
+            ]
+        )
+        return xs, weights, obs, cs_estimate(G16, beams, warm)
+
+    def _check_cs_trace(self, cfg, trace, xs, estimates):
+        """``estimates[n]`` is the direction estimate after slot n (index 0:
+        after the warm-up sweep)."""
+        for n in range(1, len(estimates)):
+            expected_rate = achievable_rate(
+                G16, conjugate_beam(G16, estimates[n - 1]), xs[n], cfg.rho
+            )
+            assert trace.x_hat[n - 1] == estimates[n]
+            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
+            assert trace.mse_h[n - 1] == pytest.approx(
+                mse_h(G16, estimates[n], xs[n], cfg.beta), rel=1e-9, abs=1e-12
+            )
+
+    def test_cs_static_trace(self):
+        # static: re-estimate every slot from all pilots received so far
+        slots = 40
+        cfg = RunConfig(
+            trajectory=Trajectory.static(slots),
+            trials=1,
+            algorithms=("cs",),
+            seed=43,
+        )
+        trace = run_single_trial(cfg, "cs", trial=0)
+        xs, weights, obs, x_warm = self._cs_replay(cfg)
+        # one pilot scores every grid point |y_1|, a tie that rounding breaks,
+        # so slot 1 only has to pick a grid point
+        assert trace.x_hat[0] in SweepDictionary(1024).points
+        estimates = [x_warm, trace.x_hat[0]] + [
+            cs_estimate(G16, weights[:n], obs[:n]) for n in range(2, slots + 1)
+        ]
+        self._check_cs_trace(cfg, trace, xs, estimates)
+
+    def test_cs_sinusoidal_trace(self):
+        # dynamic: once per 16-slot codebook frame, from the frame's last
+        # 8 pilots; the estimate is held in between
+        slots = 80
+        cfg = RunConfig(
+            trajectory=Trajectory.sinusoidal(slots),
+            trials=1,
+            algorithms=("cs",),
+            seed=44,
+        )
+        trace = run_single_trial(cfg, "cs", trial=0)
+        xs, weights, obs, x_warm = self._cs_replay(cfg)
+        estimates = [x_warm]
+        for n in range(1, slots + 1):
+            if n % 16 == 0:
+                estimates.append(cs_estimate(G16, weights[n - 8 : n], obs[n - 8 : n]))
+            else:
+                estimates.append(estimates[-1])
+        assert len(set(estimates)) > 2  # refreshes moved the estimate
+        self._check_cs_trace(cfg, trace, xs, estimates)
 
     def test_single_trial_matches_batched_run(self):
         cfg = RunConfig(
@@ -232,8 +351,18 @@ class TestSummaryContents:
         assert s.mean_rate[-1] > math.log2(1 + 1000 * 4) + 1.5
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            RunConfig(trajectory=Trajectory.static(5), algorithms=("sorcery",))
+        for bad in (
+            {"algorithms": ("sorcery",)},
+            {"step_kind": "sorcery"},
+            {"step_alpha": -0.1},
+            {"step_alpha": 0.0},
+            {"step_n0": -1.0},
+            {"step_kind": "fixed", "step_n0": -1.0},
+            {"chunk_size": 0},
+            {"steady_skip": -1},
+        ):
+            with pytest.raises(ValueError):
+                RunConfig(trajectory=Trajectory.static(5), **bad)
         with pytest.raises(ValueError):
             run_experiment(
                 RunConfig(
