@@ -14,14 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .arraymodel import (
-    ArrayGeometry,
     channel_mse_limit,
     crlb_min,
     i_max,
@@ -39,21 +39,41 @@ from .harness import (
 from .scenarios import Trajectory
 from .trackers import alpha_star
 
-_DEF_TRIALS = {"static": 10000, "dynamic": 1000, "sweep-speed": 200}
-_DEF_SLOTS = {"static": 1000, "dynamic": 1000, "sweep-speed": 2000}
+# per-command defaults: the config file overrides them, and the flags override both
+_CORES = os.cpu_count() or 1
+_COMMAND_DEFAULTS = {
+    "static": {"trials": 10000, "slots": 1000, "jobs": _CORES},
+    "dynamic": {"trials": 1000, "slots": 1000, "jobs": _CORES},
+    "sweep-speed": {"trials": 200, "slots": 2000, "jobs": _CORES},
+    "crlb": {},
+    "analyze-stable-points": {"num_antennas": 8},
+    "init-quality": {"trials": 10000},
+}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON config mirroring RunConfig")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--slots", type=int)
-    p.add_argument("--snr-db", type=float)
-    p.add_argument("--antennas", type=int)
-    p.add_argument("--track-antennas", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
-    p.add_argument("--algorithms", help="comma list from: " + ",".join(ALGORITHMS))
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+# run-setting flags; each dest is the RunConfig field (or "slots") it sets
+_SETTING_FLAGS = {
+    "--seed": dict(type=int, help="master seed"),
+    "--trials": dict(type=int),
+    "--slots": dict(type=int),
+    "--snr-db": dict(type=float),
+    "--antennas": dict(type=int, dest="num_antennas", metavar="ANTENNAS"),
+    "--track-antennas": dict(type=int),
+    "--jobs": dict(type=int, help="worker processes (default: all cores)"),
+    "--algorithms": dict(type=_words, help="comma list from: " + ",".join(ALGORITHMS)),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -64,11 +84,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("static", help="fixed-direction convergence benchmark")
-    _add_common(sp)
+    def command(name: str, summary: str, flags=tuple(_SETTING_FLAGS)):
+        # a setting flag that is not given leaves no attribute behind
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", type=Path, default=None,
+                        help="JSON config mirroring RunConfig")
+        sp.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+        for flag in flags:
+            sp.add_argument(flag, **_SETTING_FLAGS[flag])
+        return sp
 
-    dp = sub.add_parser("dynamic", help="moving-direction tracking benchmark")
-    _add_common(dp)
+    command("static", "fixed-direction convergence benchmark")
+
+    dp = command("dynamic", "moving-direction tracking benchmark")
     dp.add_argument(
         "--trajectory",
         choices=("sinusoidal", "fixed-velocity"),
@@ -76,31 +104,35 @@ def _parser() -> argparse.ArgumentParser:
     )
     dp.add_argument("--omega", type=float, default=0.01, help="rad/slot")
 
-    wp = sub.add_parser("sweep-speed", help="rate/MSE versus angular velocity")
-    _add_common(wp)
-    wp.add_argument("--omega-grid", help="comma list of rad/slot values")
+    wp = command("sweep-speed", "rate/MSE versus angular velocity")
     wp.add_argument(
-        "--grid-points", type=int, default=20, help="log-spaced grid size"
+        "--omega-grid",
+        type=_floats,
+        default=list(np.geomspace(1e-3, 0.3, 20)),
+        help="comma list of rad/slot values (default: 20 log-spaced from 1e-3 to 0.3)",
     )
-    wp.add_argument("--omega-min", type=float, default=1e-3)
-    wp.add_argument("--omega-max", type=float, default=0.3)
 
-    cp = sub.add_parser("crlb", help="print bound tables for a configuration")
-    _add_common(cp)
+    command("crlb", "print bound tables for a configuration", ("--antennas", "--snr-db"))
 
-    ap = sub.add_parser("analyze-stable-points", help="drift-function analysis")
-    _add_common(ap)
+    ap = command("analyze-stable-points", "drift-function analysis", ("--antennas",))
     ap.add_argument("--x", type=float, default=0.5, help="true direction sine")
     ap.add_argument("--samples", type=int, default=2001)
 
-    ip = sub.add_parser("init-quality", help="coarse-sweep hit probability")
-    _add_common(ip)
-    ip.add_argument("--snr-grid", default="0,5,10", help="comma list of dB values")
-    ip.add_argument("--m0-factors", default="1,2,4", help="dictionary size / antennas")
+    ip = command(
+        "init-quality",
+        "coarse-sweep hit probability",
+        ("--antennas", "--trials", "--seed"),
+    )
+    ip.add_argument("--snr-grid", type=_floats, default="0,5,10",
+                    help="comma list of dB values")
+    ip.add_argument("--m0-factors", type=_ints, default="1,2,4",
+                    help="dictionary size / antennas")
     return p
 
 
 _FILE_KEYS = {f.name for f in fields(RunConfig)} | {"slots"}
+# the subcommand and --out decide these, whatever the file says
+_SETTINGS = _FILE_KEYS - {"trajectory", "out_dir", "out_prefix"}
 
 
 def _load_file_config(path: Path | None) -> dict:
@@ -114,54 +146,33 @@ def _load_file_config(path: Path | None) -> dict:
     return file_cfg
 
 
+def _settings(args) -> dict:
+    """The run settings: command default, then config file, then flag."""
+    settings = dict(_COMMAND_DEFAULTS[args.command])
+    for layer in (_load_file_config(args.config), vars(args)):
+        settings.update((k, v) for k, v in layer.items() if k in _SETTINGS)
+    return settings
+
+
+def _run_config(
+    args, settings: dict, trajectory=Trajectory.static, **overrides
+) -> RunConfig:
+    """The RunConfig of ``settings`` on ``trajectory(slots)``.  A rejected
+    setting ends the run with one ``beamtrack: <reason>`` line on stderr."""
+    kw = {"out_dir": str(args.out), **settings, **overrides}
+    try:
+        if "beta" in kw:
+            kw["beta"] = complex(*kw["beta"])
+        kw["algorithms"] = tuple(kw.get("algorithms", ALGORITHMS))
+        return RunConfig(trajectory(kw.pop("slots", 1)), **kw)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"beamtrack: {exc}") from None
+
+
 def _config_dict(cfg: RunConfig) -> dict:
     d = asdict(cfg)
     d["beta"] = [cfg.beta.real, cfg.beta.imag]
     return d
-
-
-def _build_config(
-    args, file_cfg: dict, trajectory: Trajectory, out_prefix: str
-) -> RunConfig:
-    kw = {f.name: file_cfg[f.name] for f in fields(RunConfig) if f.name in file_cfg}
-    # the subcommand and --out decide these, whatever the file says
-    kw.update(trajectory=trajectory, out_dir=str(args.out), out_prefix=out_prefix)
-    if "beta" in kw:
-        re_im = kw["beta"]
-        kw["beta"] = complex(re_im[0], re_im[1])
-    if "algorithms" in kw:
-        kw["algorithms"] = tuple(kw["algorithms"])
-    # command-line overrides win over the config file
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if args.trials is not None:
-        kw["trials"] = args.trials
-    if getattr(args, "snr_db", None) is not None:
-        kw["snr_db"] = args.snr_db
-    if args.antennas is not None:
-        kw["num_antennas"] = args.antennas
-    if args.track_antennas is not None:
-        kw["track_antennas"] = args.track_antennas
-    if args.jobs is not None:
-        kw["jobs"] = args.jobs
-    elif "jobs" not in kw:
-        kw["jobs"] = os.cpu_count() or 1
-    if args.algorithms:
-        kw["algorithms"] = tuple(args.algorithms.split(","))
-    return RunConfig(**kw)
-
-
-def _slots(args, command: str, file_cfg: dict) -> int:
-    if args.slots is not None:
-        return args.slots
-    if "slots" in file_cfg:
-        return file_cfg["slots"]
-    return _DEF_SLOTS[command]
-
-
-def _trials_default(args, command: str) -> None:
-    if args.trials is None and args.config is None:
-        args.trials = _DEF_TRIALS[command]
 
 
 def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> None:
@@ -188,11 +199,8 @@ def _write_gnuplot(out: Path, name: str, lines: list[str]) -> str:
 # subcommands
 
 
-def _cmd_static(args) -> int:
-    file_cfg = _load_file_config(args.config)
-    _trials_default(args, "static")
-    traj = Trajectory.static(_slots(args, "static", file_cfg))
-    cfg = _build_config(args, file_cfg, traj, out_prefix="static")
+def _cmd_static(args, settings: dict) -> int:
+    cfg = _run_config(args, settings, out_prefix="static")
     summaries = run_experiment(cfg)
     out = Path(args.out)
     outputs = [f"static_{name}.csv" for name in cfg.algorithms]
@@ -235,15 +243,12 @@ def _trace_csv(path: Path, record) -> None:
             )
 
 
-def _cmd_dynamic(args) -> int:
-    file_cfg = _load_file_config(args.config)
-    _trials_default(args, "dynamic")
-    slots = _slots(args, "dynamic", file_cfg)
+def _cmd_dynamic(args, settings: dict) -> int:
     if args.trajectory == "sinusoidal":
-        traj = Trajectory.sinusoidal(slots)
+        traj = Trajectory.sinusoidal
     else:
-        traj = Trajectory.fixed_velocity(slots, omega=args.omega)
-    cfg = _build_config(args, file_cfg, traj, out_prefix="dynamic")
+        traj = partial(Trajectory.fixed_velocity, omega=args.omega)
+    cfg = _run_config(args, settings, traj, out_prefix="dynamic")
     summaries = run_experiment(cfg)
     out = Path(args.out)
     outputs = [f"dynamic_{name}.csv" for name in cfg.algorithms]
@@ -290,44 +295,42 @@ def _cmd_dynamic(args) -> int:
     return 0
 
 
-def _cmd_sweep_speed(args) -> int:
-    file_cfg = _load_file_config(args.config)
-    _trials_default(args, "sweep-speed")
-    slots = _slots(args, "sweep-speed", file_cfg)
-    if args.omega_grid:
-        grid = [float(v) for v in args.omega_grid.split(",")]
-    else:
-        grid = list(
-            np.geomspace(args.omega_min, args.omega_max, args.grid_points)
-        )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+def _cmd_sweep_speed(args, settings: dict) -> int:
+    grid = args.omega_grid
     # recursive runs at each tracking-subarray size; estimate-based baselines
     # need (or are only meaningful with) the full array
-    traj0 = Trajectory.fixed_velocity(slots, omega=grid[0])
-    base_cfg = replace(_build_config(args, file_cfg, traj0, "sweep"), out_dir=None)
-    if args.track_antennas is not None:
-        subsets = [args.track_antennas]
+    subset = settings.pop("track_antennas", None)
+
+    def config(omega: float, **kw) -> RunConfig:
+        traj = partial(Trajectory.fixed_velocity, omega=omega)
+        return _run_config(args, settings, traj, out_dir=None, out_prefix="sweep", **kw)
+
+    base_cfg = config(grid[0])
+    if subset is not None:
+        subsets = [subset]
     else:
         subsets = [m for m in (16, 8, 4) if m <= base_cfg.num_antennas]
-    rec = replace(base_cfg, algorithms=("recursive",))
-    series = [(f"recursive_m{mt}", replace(rec, track_antennas=mt)) for mt in subsets]
-    series += [
-        (name, replace(base_cfg, algorithms=(name,), track_antennas=None))
+    runs = [
+        (f"recursive_m{mt}", {"algorithms": ("recursive",), "track_antennas": mt})
+        for mt in subsets
+    ]
+    runs += [
+        (name, {"algorithms": (name,)})
         for name in base_cfg.algorithms
         if name != "recursive"
     ]
+    series = [(label, [config(omega, **kw) for omega in grid]) for label, kw in runs]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     outputs = []
-    for label, cfg in series:
+    for label, cfgs in series:
         rows = []
-        for omega in grid:
-            traj = Trajectory.fixed_velocity(slots, omega=omega)
-            summary = run_experiment(replace(cfg, trajectory=traj))[cfg.algorithms[0]]
+        for cfg in cfgs:
+            summary = run_experiment(cfg)[cfg.algorithms[0]]
             rows.append(
                 (
-                    omega,
+                    cfg.trajectory.omega,
                     summary.steady_mean_mse_h,
                     summary.steady_mean_rate,
                     summary.conv_frac[-1],
@@ -365,14 +368,9 @@ def _cmd_sweep_speed(args) -> int:
     return 0
 
 
-def _cmd_crlb(args) -> int:
-    file_cfg = _load_file_config(args.config)
-    geom = ArrayGeometry(
-        args.antennas or file_cfg.get("num_antennas", 16),
-        file_cfg.get("spacing_over_wavelength", 0.5),
-    )
-    snr_db = args.snr_db if args.snr_db is not None else file_cfg.get("snr_db", 10.0)
-    rho = 10.0 ** (snr_db / 10.0)
+def _cmd_crlb(args, settings: dict) -> int:
+    cfg = _run_config(args, settings)
+    geom, snr_db, rho = cfg.geometry, cfg.snr_db, cfg.rho
     sigma2 = 1.0 / rho  # unit-magnitude gain
     imax = i_max(geom, rho)
     limit = channel_mse_limit(geom, sigma2)
@@ -402,12 +400,8 @@ def _cmd_crlb(args) -> int:
     return 0
 
 
-def _cmd_stable_points(args) -> int:
-    file_cfg = _load_file_config(args.config)
-    geom = ArrayGeometry(
-        args.antennas or file_cfg.get("num_antennas", 8),
-        file_cfg.get("spacing_over_wavelength", 0.5),
-    )
+def _cmd_stable_points(args, settings: dict) -> int:
+    geom = _run_config(args, settings).geometry
     x = args.x
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -454,14 +448,10 @@ def _cmd_stable_points(args) -> int:
     return 0
 
 
-def _cmd_init_quality(args) -> int:
-    file_cfg = _load_file_config(args.config)
-    m = args.antennas or file_cfg.get("num_antennas", 16)
-    geom = ArrayGeometry(m, file_cfg.get("spacing_over_wavelength", 0.5))
-    trials = args.trials or file_cfg.get("trials", 10000)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    snrs = [float(v) for v in args.snr_grid.split(",")]
-    factors = [int(v) for v in args.m0_factors.split(",")]
+def _cmd_init_quality(args, settings: dict) -> int:
+    cfg = _run_config(args, settings)
+    geom, m, trials, seed = cfg.geometry, cfg.num_antennas, cfg.trials, cfg.seed
+    snrs, factors = args.snr_grid, args.m0_factors
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = "init_quality.csv"
@@ -503,7 +493,7 @@ def main(argv=None) -> int:
         "analyze-stable-points": _cmd_stable_points,
         "init-quality": _cmd_init_quality,
     }
-    return handlers[args.command](args)
+    return handlers[args.command](args, _settings(args))
 
 
 if __name__ == "__main__":

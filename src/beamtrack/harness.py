@@ -131,9 +131,11 @@ class RunConfig:
             raise ValueError(f"chunk_size must be at least 1, got {self.chunk_size}")
         if self.steady_skip < 0:
             raise ValueError(f"steady_skip must be nonnegative, got {self.steady_skip}")
-        mt = self.track_antennas
-        if mt is not None and not 2 <= mt <= self.num_antennas:
-            raise ValueError("tracking subarray size out of range")
+        track = self.track_geometry  # rejects < 2 antennas and a subarray out of range
+        if "ls" in self.algorithms and track != self.geometry:
+            raise ValueError("least-squares baseline needs the full array")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         self.step_schedule()  # rejects an unknown kind, alpha <= 0 and n0 < 0
 
     @property
@@ -312,8 +314,6 @@ def _simulate_chunk(
     elif algorithm == "80211ad":
         best = np.argmax(np.abs(pilots_warm), axis=1)
     elif algorithm == "ls":
-        if m_t != m_full:
-            raise ValueError("least-squares baseline needs the full array")
         if static_mode:
             dir_sums = pilots_warm.copy().astype(complex)
             dir_counts = np.ones(m_t)

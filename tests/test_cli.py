@@ -3,9 +3,18 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beamtrack import cli
+from beamtrack.harness import RunConfig
 
 
 def run_cli(*args, cwd=None):
@@ -147,6 +156,21 @@ class TestSweepSpeedCommand:
         assert (tmp_path / "sweep_recursive_m8.csv").exists()
         assert not (tmp_path / "sweep_recursive_m16.csv").exists()
 
+    def test_track_antennas_from_config_file(self, tmp_path):
+        # the baselines run on the full array, so ls may join a subarray sweep
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"track_antennas": 8}))
+        res = run_cli(
+            "sweep-speed", "--config", str(cfg_path), "--trials", "2",
+            "--slots", "30", "--omega-grid", "0.02", "--out", str(tmp_path / "o"),
+        )
+        assert res.returncode == 0, res.stderr
+        written = sorted(p.name for p in (tmp_path / "o").glob("sweep_*.csv"))
+        assert written == [
+            "sweep_80211ad.csv", "sweep_cs.csv", "sweep_ls.csv",
+            "sweep_recursive_m8.csv",
+        ]
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
@@ -171,6 +195,68 @@ class TestConfigFile:
         rows = read_csv(tmp_path / "o" / "static_recursive.csv")
         assert len(rows) == 12
 
+    def test_command_default_applies_with_config_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3}))
+        res = run_cli(
+            "static", "--config", str(cfg_path), "--slots", "2",
+            "--algorithms", "recursive", "--jobs", "1", "--out", str(tmp_path / "o"),
+        )
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((tmp_path / "o" / "run.json").read_text())
+        assert manifest["config"]["trials"] == 10000
+        assert manifest["config"]["seed"] == 3
+
+
+# run setting -> (flag, values a run may take); num_antennas >= 8 >= track_antennas
+_LAYERED = {
+    "seed": ("--seed", st.integers(0, 2**31 - 1)),
+    "trials": ("--trials", st.integers(1, 6)),
+    "slots": ("--slots", st.integers(1, 5)),
+    "snr_db": ("--snr-db", st.sampled_from([0.0, 5.0, 12.5])),
+    "num_antennas": ("--antennas", st.integers(8, 12)),
+    "track_antennas": ("--track-antennas", st.integers(2, 8)),
+    "jobs": ("--jobs", st.sampled_from([1, 2])),
+}
+_RUNCONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layers=st.fixed_dictionaries(
+        {
+            key: st.tuples(st.none() | values, st.none() | values)
+            for key, (_, values) in _LAYERED.items()
+        }
+    )
+)
+def test_flag_beats_file_beats_command_default(layers):
+    """Each run setting comes from the flag if given, else the config file,
+    else the command default, else RunConfig's default.  Small command
+    defaults keep every run a single in-process chunk."""
+    small = {"trials": 3, "slots": 4, "jobs": cli._COMMAND_DEFAULTS["static"]["jobs"]}
+    file_cfg = {k: file for k, (file, _) in layers.items() if file is not None}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(
+        cli._COMMAND_DEFAULTS["static"], small
+    ):
+        argv = ["static", "--algorithms", "recursive", "--out", tmp]
+        if file_cfg:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(file_cfg))
+            argv += ["--config", str(cfg_path)]
+        for key, (_, flag) in layers.items():
+            if flag is not None:
+                argv += [_LAYERED[key][0], str(flag)]
+        assert cli.main(argv) == 0
+        echo = json.loads((Path(tmp) / "run.json").read_text())["config"]
+    echo["slots"] = echo["trajectory"]["num_slots"]
+    for key, (file, flag) in layers.items():
+        expected = next(
+            (v for v in (flag, file) if v is not None),
+            small.get(key, _RUNCONFIG_DEFAULTS.get(key)),
+        )
+        assert echo[key] == expected, key
+
 
 class TestErrors:
     def test_unknown_flag_usage_error(self):
@@ -180,9 +266,31 @@ class TestErrors:
     def test_unknown_algorithm(self, tmp_path):
         res = run_cli(
             "static", "--algorithms", "magic", "--trials", "2", "--slots", "3",
-            "--out", str(tmp_path),
+            "--out", str(tmp_path / "o"),
         )
-        assert res.returncode != 0
+        assert res.returncode == 1
+        assert res.stderr == "beamtrack: unknown algorithm 'magic'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("static", "--slots", "0"),
+            ("init-quality", "--trials", "0"),
+            ("crlb", "--snr-db", "nan"),
+            ("analyze-stable-points", "--antennas", "1"),
+        ],
+    )
+    def test_rejected_setting_one_line(self, tmp_path, argv):
+        res = run_cli(*argv, "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("beamtrack: ")
+        assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_flag_of_another_command_usage_error(self, tmp_path):
+        res = run_cli("crlb", "--trials", "5", "--out", str(tmp_path))
+        assert res.returncode == 2
 
     def test_missing_subcommand(self):
         res = run_cli()
