@@ -403,6 +403,8 @@ def _cmd_crlb(args, settings: dict) -> int:
 def _cmd_stable_points(args, settings: dict) -> int:
     geom = _run_config(args, settings).geometry
     x = args.x
+    if not -1.0 <= x <= 1.0:
+        raise SystemExit(f"beamtrack: --x must lie in [-1, 1], got {x}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vs = np.linspace(-1.0, 1.0, args.samples)
@@ -452,6 +454,10 @@ def _cmd_init_quality(args, settings: dict) -> int:
     cfg = _run_config(args, settings)
     geom, m, trials, seed = cfg.geometry, cfg.num_antennas, cfg.trials, cfg.seed
     snrs, factors = args.snr_grid, args.m0_factors
+    if not all(map(math.isfinite, snrs)):
+        raise SystemExit(f"beamtrack: --snr-grid values must be finite, got {snrs}")
+    if min(factors) < 1:
+        raise SystemExit(f"beamtrack: --m0-factors must be at least 1, got {factors}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = "init_quality.csv"

@@ -2,9 +2,14 @@
 
 Wires trajectories, noise streams and algorithms together, aggregates per-slot
 metrics across trials, and writes the benchmark CSV files.  Trials are
-advanced in vectorized chunks; every trial draws its noise from its own
-substream, so results are bit-identical regardless of chunking or worker
-count.
+advanced in vectorized chunks by one batch tracker per algorithm
+(``_Recursive``, ``_SweepRefine``, ``_LeastSquares``, ``_CompressedSensing``).
+Every trial draws its trajectory, noise, probes and initial state from its
+own substreams, so a run's results are bit-identical for any worker count.
+The chunk size only changes rounding (batch-size-dependent matrix products
+and the summation order), at the 1e-12 relative level, except for static
+``cs`` at slot 1: one random probe scores every grid point alike, so its
+slot-1 estimate (and slot-2 rate) is a tie that rounding breaks.
 
 Per-slot conventions, uniform across algorithms:
   * the data beam of slot n is set from the algorithm state at the end of
@@ -131,6 +136,11 @@ class RunConfig:
             raise ValueError(f"chunk_size must be at least 1, got {self.chunk_size}")
         if self.steady_skip < 0:
             raise ValueError(f"steady_skip must be nonnegative, got {self.steady_skip}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        size = self.sweep_dictionary_size
+        if size is not None and size < 1:
+            raise ValueError(f"sweep_dictionary_size must be at least 1, got {size}")
         track = self.track_geometry  # rejects < 2 antennas and a subarray out of range
         if "ls" in self.algorithms and track != self.geometry:
             raise ValueError("least-squares baseline needs the full array")
@@ -206,7 +216,7 @@ class RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# vectorized chunk engine
+# vectorized chunk engine: one batch tracker per algorithm over (T,) arrays
 
 
 @dataclass
@@ -216,10 +226,9 @@ class _ChunkOut:
     lock_sum: np.ndarray
     sqerr_conv_sum: np.ndarray
     conv_count: float
-    trials: int
     final_x: np.ndarray
     final_est: np.ndarray
-    trace: TrialRecord | None
+    trace: TrialRecord  # the chunk's first trial
 
 
 def _inner(phase_step: float, m: int, delta: np.ndarray) -> np.ndarray:
@@ -236,215 +245,218 @@ def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.nd
     return points[np.argmax(scores, axis=1)]
 
 
-def _simulate_chunk(
-    config: RunConfig, algorithm: str, lo: int, hi: int, want_trace: bool
-) -> _ChunkOut:
-    geom = config.geometry
-    track = config.track_geometry
-    m_full = geom.num_antennas
-    m_t = track.num_antennas
-    k_full = geom.phase_step
-    k_t = track.phase_step
-    rho = config.rho
-    beta = config.beta
-    beta2 = abs(beta) ** 2
-    n_slots = config.slots
-    t_chunk = hi - lo
-    plan = RngPlan(config.seed)
-    tag = _ALG_TAGS[algorithm]
-    static_mode = config.trajectory.kind == "static"
+class _DirectionTracker:
+    """Base of the trackers with a direction estimate ``direction``: a slot's
+    rate uses the conjugate full-array beam toward the estimate before the
+    slot's ``update``, its channel MSE the estimate after it."""
 
-    # per-trial substreams, stacked into chunk arrays
-    x_traj = np.empty((t_chunk, n_slots + 1))
-    noise = np.empty((t_chunk, m_t + n_slots), dtype=complex)
-    for t in range(lo, hi):
-        x_traj[t - lo] = generate(config.trajectory, plan.trajectory_rng(t))
-        noise[t - lo] = complex_normal(plan.observation_rng(t, tag), m_t + n_slots)
-    probes = None
-    if algorithm == "cs":
-        probes = np.empty((t_chunk, n_slots, m_t), dtype=np.int8)
-        for t in range(lo, hi):
-            probes[t - lo] = plan.probe_rng(t, tag).integers(
-                0, 4, size=(n_slots, m_t), dtype=np.int8
-            )
+    def __init__(self, config: RunConfig):
+        self.track = config.track_geometry
+        self.m, self.k = config.num_antennas, config.geometry.phase_step
+        self.rho, self.beta2 = config.rho, abs(config.beta) ** 2
 
-    beams_t = dft_codebook(track)  # (m_t, m_t) rows are sweep beams
-    dirs_t = codebook_directions(track)
-    x0 = x_traj[:, 0]
+    def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
+        ip = _inner(self.k, self.m, self.direction - x_n)
+        rate = np.log2(1.0 + self.rho * np.abs(ip) ** 2 / self.m)
+        self.update(n, x_n, noise)
+        ip = _inner(self.k, self.m, self.direction - x_n)
+        return rate, self.beta2 * (2.0 * self.m - 2.0 * np.real(ip)), self.direction
 
-    # warm-up: one full codebook sweep against the anchored direction
-    s0 = steering_matrix(track, x0)
-    pilots_warm = s0 @ np.conj(beams_t).T + noise[:, :m_t] / math.sqrt(rho)
+    def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
+        """Pilots of conjugate tracking-subarray beams toward ``probe_dir``."""
+        m_t = self.track.num_antennas
+        ip = _inner(self.track.phase_step, m_t, probe_dir - x_n)
+        return ip / math.sqrt(m_t) + noise
 
-    sqrt_mt = math.sqrt(m_t)
-    hw_track = mainlobe_halfwidth(track)
-    mse_sum = np.zeros(n_slots)
-    rate_sum = np.zeros(n_slots)
-    lock_sum = np.zeros(n_slots)
-    sqerr = np.zeros((t_chunk, n_slots))
-    has_direction = algorithm != "ls"
 
-    trace_xh = np.full(n_slots, np.nan) if want_trace else None
-    trace_rate = np.zeros(n_slots) if want_trace else None
-    trace_mse = np.zeros(n_slots) if want_trace else None
+class _Recursive(_DirectionTracker):
+    """The recursive tracker: probe along the estimate, step against Im(y)."""
 
-    def rate_from_direction(x_hat_dir, x_n):
-        ip = _inner(k_full, m_full, x_hat_dir - x_n)
-        return np.log2(1.0 + rho * np.abs(ip) ** 2 / m_full)
-
-    def mse_from_direction(x_hat_dir, x_n):
-        ip = _inner(k_full, m_full, x_hat_dir - x_n)
-        return beta2 * (2.0 * m_full - 2.0 * np.real(ip))
-
-    # --- algorithm state initialization from the warm-up sweep
-    if algorithm == "recursive":
-        schedule = config.step_schedule()
+    def __init__(self, config: RunConfig, trials: range, x0, warm):
+        super().__init__(config)
+        self.schedule = config.step_schedule()
+        plan = RngPlan(config.seed)
         if config.init == "sweep":
             size = config.resolved_dictionary_size()
-            x_hat = _sweep_estimate(track, size, pilots_warm)
+            self.direction = _sweep_estimate(self.track, size, warm)
         elif config.init == "uniform":
-            x_hat = np.array(
-                [plan.init_rng(t).uniform(-1.0, 1.0) for t in range(lo, hi)]
-            )
+            draws = [plan.init_rng(t).uniform(-1.0, 1.0) for t in trials]
+            self.direction = np.array(draws)
         else:  # mainlobe
-            offs = np.array(
-                [plan.init_rng(t).uniform(-hw_track, hw_track) for t in range(lo, hi)]
-            )
-            x_hat = np.clip(x0 + offs, -1.0, 1.0)
-    elif algorithm == "80211ad":
-        best = np.argmax(np.abs(pilots_warm), axis=1)
-    elif algorithm == "ls":
-        if static_mode:
-            dir_sums = pilots_warm.copy().astype(complex)
-            dir_counts = np.ones(m_t)
-        latest = pilots_warm.copy()
-        combine = np.linalg.pinv(np.conj(beams_t))  # rows of conj(beams) probe h
-        h_hat = latest @ combine.T
-    elif algorithm == "cs":
-        grid = SweepDictionary(CS_DICTIONARY_SIZE).points
-        atoms_grid = steering_matrix(track, grid)  # (grid, m_t)
-        # initial estimate: matched filter over the warm sweep pilots
-        phi0 = np.conj(beams_t) @ atoms_grid.T  # (m_t, grid)
-        num0 = np.abs(np.conj(phi0).T @ pilots_warm.T).T  # (T, grid)
-        den0 = np.linalg.norm(phi0, axis=0)
-        x_hat_cs = grid[np.argmax(num0 / den0, axis=1)]
-        atoms_conj_t = np.conj(atoms_grid).T  # (m_t, grid)
-        k_win = max(m_t // 2, 1)
-        refresh = m_t  # one re-estimate per codebook frame in dynamic mode
+            hw = mainlobe_halfwidth(self.track)
+            offs = np.array([plan.init_rng(t).uniform(-hw, hw) for t in trials])
+            self.direction = np.clip(x0 + offs, -1.0, 1.0)
+
+    def update(self, n, x_n, noise):
+        y = self.pilot(self.direction, x_n, noise)
+        step = self.schedule.at(n) * np.imag(y)
+        self.direction = np.clip(self.direction - step, -1.0, 1.0)
+
+
+class _SweepRefine(_DirectionTracker):
+    """Sweep-and-refine: back-to-back three-slot rounds probe the best codebook
+    beam and its two neighbours; the strongest becomes the best beam."""
+
+    def __init__(self, config: RunConfig, trials: range, x0, warm):
+        super().__init__(config)
+        self.dirs = codebook_directions(self.track)
+        self.best = np.argmax(np.abs(warm), axis=1)
+        self.mags = np.empty((len(trials), 3))
+
+    @property
+    def direction(self) -> np.ndarray:
+        return self.dirs[self.best]
+
+    def update(self, n, x_n, noise):
+        cursor = (n - 1) % 3
+        cand = np.clip(self.best, 1, len(self.dirs) - 2)[:, None] + np.array([-1, 0, 1])
+        y = self.pilot(self.dirs[cand[:, cursor]], x_n, noise)
+        self.mags[:, cursor] = np.abs(y)
+        if cursor == 2:
+            self.best = cand[np.arange(len(cand)), np.argmax(self.mags, axis=1)]
+
+
+class _LeastSquares:
+    """Least-squares channel estimate and its phase-only data beam.  With the
+    square DFT codebook the estimate is the per-beam mean pilot times
+    ``pinv(conj(codebook))``: static runs average every pilot so far and
+    re-estimate each slot; dynamic runs keep each beam's latest pilot and
+    re-estimate at each codebook frame's last slot."""
+
+    def __init__(self, config: RunConfig, trials: range, x0, warm):
+        self.geom = config.geometry
+        self.rho, self.beta2 = config.rho, abs(config.beta) ** 2
+        self.static = config.trajectory.kind == "static"
+        self.beams = dft_codebook(self.geom)  # rows of conj(beams) probe h
+        self.combine = np.linalg.pinv(np.conj(self.beams)).T
+        self.sums, self.counts = warm.copy(), np.ones(len(self.beams))
+        self.h_hat = self.sums @ self.combine
+
+    def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
+        m = len(self.beams)
+        a = steering_matrix(self.geom, x_n)
+        w = np.exp(-1j * np.angle(self.h_hat)) / math.sqrt(m)
+        rate = np.log2(1.0 + self.rho * np.abs((w * a).sum(axis=1)) ** 2)
+        d = (n - 1) % m
+        y = (np.conj(self.beams[d]) * a).sum(axis=1) + noise
+        if self.static:
+            self.sums[:, d] += y
+            self.counts[d] += 1.0
+        else:
+            self.sums[:, d] = y
+        if self.static or n % m == 0:
+            self.h_hat = (self.sums / self.counts) @ self.combine
+        # h_hat estimates the gain-normalized response; scale by |beta|^2
+        return rate, self.beta2 * (np.abs(self.h_hat - a) ** 2).sum(axis=1), None
+
+
+class _CompressedSensing(_DirectionTracker):
+    """Sparse recovery from random QPSK probes: the normalized matched-filter
+    argmax over the CS sine grid (sparsity-one OMP).  Static runs score every
+    pilot so far each slot; dynamic runs score the last half of each codebook
+    frame's pilots at the frame's last slot."""
+
+    def __init__(self, config: RunConfig, trials: range, x0, warm):
+        super().__init__(config)
+        m_t, slots = self.track.num_antennas, config.slots
+        plan, tag = RngPlan(config.seed), _ALG_TAGS["cs"]
+        self.probes = np.empty((len(trials), slots, m_t), dtype=np.int8)
+        for k, t in enumerate(trials):
+            rng = plan.probe_rng(t, tag)
+            self.probes[k] = rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
+        self.static = config.trajectory.kind == "static"
+        self.k_win = max(m_t // 2, 1)
+        self.grid = SweepDictionary(CS_DICTIONARY_SIZE).points
+        atoms = steering_matrix(self.track, self.grid)  # (grid, m_t)
+        self.atoms_conj_t = np.conj(atoms).T
         # running matched-filter sums over the pilot window, and per-slot
         # buffers for conj(w^H a(g)) and its magnitude, all written in place
-        numer = np.zeros((t_chunk, CS_DICTIONARY_SIZE), dtype=complex)
-        denom = np.zeros((t_chunk, CS_DICTIONARY_SIZE))
-        phi_c = np.empty_like(numer)
-        mag = np.empty_like(denom)
+        self.numer = np.zeros((len(trials), CS_DICTIONARY_SIZE), dtype=complex)
+        self.denom = np.zeros((len(trials), CS_DICTIONARY_SIZE))
+        self.phi_c = np.empty_like(self.numer)
+        self.mag = np.empty_like(self.denom)
+        # initial estimate: matched filter over the warm-up sweep pilots
+        phi0 = np.conj(dft_codebook(self.track)) @ atoms.T  # (m_t, grid)
+        np.abs(np.matmul(warm, np.conj(phi0), out=self.phi_c), out=self.mag)
+        self.mag /= np.linalg.norm(phi0, axis=0)
+        self.direction = self.grid[np.argmax(self.mag, axis=1)]
 
+    def update(self, n, x_n, noise):
+        m_t = self.track.num_antennas
+        w_p = QPSK[self.probes[:, n - 1, :]] / math.sqrt(m_t)
+        y = (np.conj(w_p) * steering_matrix(self.track, x_n)).sum(axis=1) + noise
+        if self.static or (n - 1) % m_t >= m_t - self.k_win:
+            np.matmul(w_p, self.atoms_conj_t, out=self.phi_c)
+            self.denom += np.square(np.abs(self.phi_c, out=self.mag), out=self.mag)
+            self.phi_c *= y[:, None]
+            self.numer += self.phi_c
+        if self.static or n % m_t == 0:
+            scores = np.abs(self.numer) / np.sqrt(np.maximum(self.denom, 1e-300))
+            self.direction = self.grid[np.argmax(scores, axis=1)]
+            if not self.static:
+                self.numer.fill(0.0)
+                self.denom.fill(0.0)
+
+
+# built from (config, trials, anchor directions, warm-up pilots); step(n, x_n,
+# noise) consumes slot n's pilot and returns (rate, MSE, direction or None)
+_TRACKERS = dict(
+    zip(ALGORITHMS, (_Recursive, _SweepRefine, _LeastSquares, _CompressedSensing))
+)
+
+
+def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _ChunkOut:
+    track = config.track_geometry
+    m_t = track.num_antennas
+    n_slots = config.slots
+    sqrt_rho = math.sqrt(config.rho)
+    trials = range(lo, hi)
+    plan, tag = RngPlan(config.seed), _ALG_TAGS[algorithm]
+
+    # per-trial substreams, stacked into chunk arrays
+    x_traj = np.empty((len(trials), n_slots + 1))
+    noise = np.empty((len(trials), m_t + n_slots), dtype=complex)
+    for k, t in enumerate(trials):
+        x_traj[k] = generate(config.trajectory, plan.trajectory_rng(t))
+        noise[k] = complex_normal(plan.observation_rng(t, tag), m_t + n_slots)
+
+    # warm-up: one full codebook sweep against the anchored direction
+    x0 = x_traj[:, 0]
+    warm = steering_matrix(track, x0) @ np.conj(dft_codebook(track)).T
+    warm += noise[:, :m_t] / sqrt_rho
+    tracker = _TRACKERS[algorithm](config, trials, x0, warm)
+
+    hw_track = mainlobe_halfwidth(track)
+    mse_sum, rate_sum, lock_sum = np.zeros((3, n_slots))
+    sqerr = np.zeros((len(trials), n_slots))
+    trace = TrialRecord(
+        algorithm, x_traj[0, 1:].copy(), np.full(n_slots, np.nan),
+        np.zeros(n_slots), np.zeros(n_slots),
+    )
     for n in range(1, n_slots + 1):
         x_n = x_traj[:, n]
-        z_n = noise[:, m_t + n - 1]
-
-        if algorithm == "recursive":
-            # data beam and probe share the direction from the previous slot
-            ip_t = _inner(k_t, m_t, x_hat - x_n)
-            y = ip_t / sqrt_mt + z_n / math.sqrt(rho)
-            rate_n = rate_from_direction(x_hat, x_n)
-            x_hat = np.clip(x_hat - schedule.at(n) * np.imag(y), -1.0, 1.0)
-            est_dir = x_hat
-        elif algorithm == "80211ad":
-            rate_n = rate_from_direction(dirs_t[best], x_n)
-            cursor = (n - 1) % 3
-            base = np.clip(best, 1, m_t - 2)
-            cand = base[:, None] + np.array([-1, 0, 1])
-            probe_dir = dirs_t[cand[:, cursor]]
-            ip_t = _inner(k_t, m_t, probe_dir - x_n)
-            y = ip_t / sqrt_mt + z_n / math.sqrt(rho)
-            if cursor == 0:
-                buf = np.empty((t_chunk, 3))
-            buf[:, cursor] = np.abs(y)
-            if cursor == 2:
-                best = cand[np.arange(t_chunk), np.argmax(buf, axis=1)]
-            est_dir = dirs_t[best]
-        elif algorithm == "ls":
-            a_full_n = steering_matrix(geom, x_n)
-            w_phases = np.exp(-1j * np.angle(h_hat)) / math.sqrt(m_full)
-            g = np.abs((w_phases * a_full_n).sum(axis=1)) ** 2
-            rate_n = np.log2(1.0 + rho * g)
-            d = (n - 1) % m_t
-            y = (np.conj(beams_t[d]) * a_full_n).sum(axis=1) + z_n / math.sqrt(rho)
-            if static_mode:
-                dir_sums[:, d] += y
-                dir_counts[d] += 1.0
-                gram = (beams_t.T * dir_counts) @ np.conj(beams_t)
-                rhs = dir_sums @ beams_t
-                h_hat = np.linalg.solve(gram, rhs.T).T
-            else:
-                latest[:, d] = y
-                if n % m_t == 0:
-                    h_hat = latest @ combine.T
-            # h_hat estimates the gain-normalized response; scale by |beta|^2
-            mse_n = beta2 * (np.abs(h_hat - a_full_n) ** 2).sum(axis=1)
-        else:  # cs
-            rate_n = rate_from_direction(x_hat_cs, x_n)
-            w_p = QPSK[probes[:, n - 1, :]] / sqrt_mt
-            s_track = steering_matrix(track, x_n)
-            y = (np.conj(w_p) * s_track).sum(axis=1) + z_n / math.sqrt(rho)
-            # static: every pilot so far, scored each slot; dynamic: the last
-            # k_win pilots of each frame, scored at the frame's last slot
-            if static_mode or (n - 1) % refresh >= refresh - k_win:
-                np.matmul(w_p, atoms_conj_t, out=phi_c)
-                denom += np.square(np.abs(phi_c, out=mag), out=mag)
-                phi_c *= y[:, None]
-                numer += phi_c
-            if static_mode or n % refresh == 0:
-                scores = np.abs(numer) / np.sqrt(np.maximum(denom, 1e-300))
-                x_hat_cs = grid[np.argmax(scores, axis=1)]
-                if not static_mode:
-                    numer.fill(0.0)
-                    denom.fill(0.0)
-            est_dir = x_hat_cs
-
-        if has_direction:
-            mse_n = mse_from_direction(est_dir, x_n)
-            err = est_dir - x_n
-            sqerr[:, n - 1] = err**2
-            lock_sum[n - 1] = np.count_nonzero(np.abs(err) < 0.5 * hw_track)
-            final_est = np.asarray(est_dir, dtype=float)
+        rate_n, mse_n, est = tracker.step(n, x_n, noise[:, m_t + n - 1] / sqrt_rho)
         mse_sum[n - 1] = mse_n.sum()
         rate_sum[n - 1] = rate_n.sum()
-        if want_trace:
-            trace_rate[n - 1] = rate_n[0]
-            trace_mse[n - 1] = mse_n[0]
-            if has_direction:
-                trace_xh[n - 1] = est_dir[0]
+        trace.mse_h[n - 1], trace.rate[n - 1] = mse_n[0], rate_n[0]
+        if est is not None:
+            err = est - x_n
+            sqerr[:, n - 1] = err**2
+            lock_sum[n - 1] = np.count_nonzero(np.abs(err) < 0.5 * hw_track)
+            trace.x_hat[n - 1] = est[0]
 
-    if has_direction:
-        final_err = np.abs(sqerr[:, -1]) ** 0.5
-        conv = final_err < 0.5 * hw_track
-        conv_count = float(np.count_nonzero(conv))
-        sqerr_conv_sum = sqerr[conv].sum(axis=0)
-    else:
+    if est is None:  # no direction estimate
         conv_count = math.nan
         sqerr_conv_sum = np.full(n_slots, np.nan)
-        final_est = np.full(t_chunk, np.nan)
-
-    trace = None
-    if want_trace:
-        trace = TrialRecord(
-            algorithm=algorithm,
-            x=x_traj[0, 1:].copy(),
-            x_hat=trace_xh,
-            mse_h=trace_mse,
-            rate=trace_rate,
-        )
+        final_est = np.full(len(trials), np.nan)
+    else:
+        conv = np.abs(sqerr[:, -1]) ** 0.5 < 0.5 * hw_track
+        conv_count = float(np.count_nonzero(conv))
+        sqerr_conv_sum = sqerr[conv].sum(axis=0)
+        final_est = np.asarray(est, dtype=float)
     return _ChunkOut(
-        mse_sum,
-        rate_sum,
-        lock_sum,
-        sqerr_conv_sum,
-        conv_count,
-        t_chunk,
-        x_traj[:, -1].copy(),
-        final_est,
-        trace,
+        mse_sum, rate_sum, lock_sum, sqerr_conv_sum, conv_count,
+        x_traj[:, -1].copy(), final_est, trace,
     )
 
 
@@ -456,25 +468,18 @@ def _chunks(trials: int, chunk_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk_size, trials)) for lo in range(0, trials, chunk_size)]
 
 
-def _run_algorithm(
-    config: RunConfig, algorithm: str, want_trace: bool = True
-) -> RunSummary:
+def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
     spans = _chunks(config.trials, config.chunk_size)
     outs: list[_ChunkOut] = []
     if config.jobs > 1 and len(spans) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [
-                pool.submit(
-                    _simulate_chunk, config, algorithm, lo, hi, want_trace and lo == 0
-                )
+                pool.submit(_simulate_chunk, config, algorithm, lo, hi)
                 for lo, hi in spans
             ]
             outs = [f.result() for f in futures]  # fixed chunk order
     else:
-        outs = [
-            _simulate_chunk(config, algorithm, lo, hi, want_trace and lo == 0)
-            for lo, hi in spans
-        ]
+        outs = [_simulate_chunk(config, algorithm, lo, hi) for lo, hi in spans]
 
     n_slots = config.slots
     mse_sum = np.zeros(n_slots)
@@ -540,8 +545,7 @@ def run_experiment(config: RunConfig) -> dict[str, RunSummary]:
 
 def run_single_trial(config: RunConfig, algorithm: str, trial: int = 0) -> TrialRecord:
     """Per-slot trace of one trial, identical to that trial inside a full run."""
-    out = _simulate_chunk(config, algorithm, trial, trial + 1, want_trace=True)
-    return out.trace
+    return _simulate_chunk(config, algorithm, trial, trial + 1).trace
 
 
 def initialization_hit_rate(

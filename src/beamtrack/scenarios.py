@@ -52,6 +52,8 @@ class Trajectory:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.num_slots < 1:
             raise ValueError("need at least one slot")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"angular velocity must be finite, got {self.omega}")
         if self.kind == "fixed_velocity":
             if self.omega < 0:
                 raise ValueError("angular velocity must be nonnegative")

@@ -279,6 +279,14 @@ class TestErrors:
             ("init-quality", "--trials", "0"),
             ("crlb", "--snr-db", "nan"),
             ("analyze-stable-points", "--antennas", "1"),
+            ("dynamic", "--trajectory", "fixed-velocity", "--omega", "nan",
+             "--trials", "2", "--slots", "5"),
+            ("sweep-speed", "--omega-grid", "0.01,nan", "--trials", "2", "--slots", "5"),
+            ("static", "--jobs", "0", "--trials", "2", "--slots", "5"),
+            ("init-quality", "--snr-grid", "0,nan", "--trials", "5"),
+            ("init-quality", "--m0-factors", "2,0", "--trials", "5"),
+            ("analyze-stable-points", "--x", "1.5"),
+            ("analyze-stable-points", "--x", "nan"),
         ],
     )
     def test_rejected_setting_one_line(self, tmp_path, argv):

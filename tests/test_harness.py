@@ -287,15 +287,26 @@ class TestDeterminism:
         for a, b in zip(files[:n], files[n:]):
             assert a.read_bytes() == b.read_bytes()
 
-    def test_chunking_only_reorders_rounding(self):
+    # static cs is left out: its slot-1 estimate is a tie (one random probe
+    # scores every grid point |y_1|) that the batch size's rounding breaks
+    @pytest.mark.parametrize(
+        "algorithm, trajectory",
+        [
+            (alg, kind)
+            for alg in ("recursive", "80211ad", "ls")
+            for kind in ("static", "sinusoidal")
+        ]
+        + [("cs", "sinusoidal")],
+    )
+    def test_chunking_only_reorders_rounding(self, algorithm, trajectory):
         base = dict(
-            trajectory=Trajectory.static(20),
+            trajectory=getattr(Trajectory, trajectory)(40),
             trials=10,
-            algorithms=("recursive",),
+            algorithms=(algorithm,),
             seed=13,
         )
-        s1 = run_experiment(RunConfig(**base, chunk_size=10))["recursive"]
-        s2 = run_experiment(RunConfig(**base, chunk_size=3))["recursive"]
+        s1 = run_experiment(RunConfig(**base, chunk_size=10))[algorithm]
+        s2 = run_experiment(RunConfig(**base, chunk_size=3))[algorithm]
         np.testing.assert_allclose(s1.mean_mse_h, s2.mean_mse_h, rtol=1e-12)
         np.testing.assert_allclose(s1.mean_rate, s2.mean_rate, rtol=1e-12)
 
@@ -360,6 +371,9 @@ class TestSummaryContents:
             {"step_kind": "fixed", "step_n0": -1.0},
             {"chunk_size": 0},
             {"steady_skip": -1},
+            {"jobs": 0},
+            {"jobs": -2},
+            {"sweep_dictionary_size": 0},
             {"snr_db": math.nan},
             {"snr_db": math.inf},
             {"num_antennas": 1, "step_alpha": 0.5},
@@ -476,3 +490,39 @@ class TestLsAgainstLibraryEstimator:
                 np.abs(h_hat - steering_vector(G16, xs[n])) ** 2
             )
             assert trace.mse_h[n - 1] == pytest.approx(float(expected), rel=1e-8)
+
+    def test_dynamic_engine_holds_each_frame_estimate(self):
+        # dynamic: one estimate per 16-slot codebook frame from that frame's
+        # 16 pilots, held until the next frame's last slot
+        from beamtrack import ls_data_beam, ls_estimate
+
+        slots = 56
+        cfg = RunConfig(
+            trajectory=Trajectory.sinusoidal(slots),
+            trials=1,
+            algorithms=("ls",),
+            seed=32,
+        )
+        trace = run_single_trial(cfg, "ls", trial=0)
+
+        plan = RngPlan(32)
+        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
+        noise = complex_normal(plan.observation_rng(0, 3), 16 + slots)
+        beams = dft_codebook(G16)
+        chan = ChannelState(xs[0], beta=cfg.beta, snr=cfg.rho)
+        warm = [observe(G16, chan, beams[m], noise[m]) for m in range(16)]
+        h_hat = ls_estimate(beams, warm)
+        frame = []
+        for n in range(1, slots + 1):
+            expected_rate = achievable_rate(G16, ls_data_beam(h_hat), xs[n], cfg.rho)
+            chan = ChannelState(xs[n], beta=cfg.beta, snr=cfg.rho)
+            frame.append(observe(G16, chan, beams[(n - 1) % 16], noise[16 + n - 1]))
+            if n % 16 == 0:
+                h_hat = ls_estimate(beams, frame)
+                frame = []
+            expected = abs(cfg.beta) ** 2 * np.sum(
+                np.abs(h_hat - steering_vector(G16, xs[n])) ** 2
+            )
+            assert trace.mse_h[n - 1] == pytest.approx(float(expected), rel=1e-8)
+            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-9)
+        assert np.isnan(trace.x_hat).all()

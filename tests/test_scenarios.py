@@ -57,6 +57,11 @@ class TestFixedVelocity:
         with pytest.raises(ValueError):
             Trajectory("wobbly", 10)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory.fixed_velocity(10, omega=omega)
+
 
 class TestRngPlan:
     def test_reproducible(self):
