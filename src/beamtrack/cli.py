@@ -405,6 +405,8 @@ def _cmd_stable_points(args, settings: dict) -> int:
     x = args.x
     if not -1.0 <= x <= 1.0:
         raise SystemExit(f"beamtrack: --x must lie in [-1, 1], got {x}")
+    if args.samples < 2:
+        raise SystemExit(f"beamtrack: --samples must be at least 2, got {args.samples}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vs = np.linspace(-1.0, 1.0, args.samples)

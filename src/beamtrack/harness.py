@@ -141,6 +141,12 @@ class RunConfig:
         size = self.sweep_dictionary_size
         if size is not None and size < 1:
             raise ValueError(f"sweep_dictionary_size must be at least 1, got {size}")
+        d = self.spacing_over_wavelength
+        if not 0.0 < d <= 0.5:
+            # beyond half a wavelength the manifold's period lambda/d drops
+            # below 2, so grating lobes alias directions inside [-1, 1] and
+            # the DFT codebook is no longer orthogonal
+            raise ValueError(f"spacing_over_wavelength must lie in (0, 0.5], got {d}")
         track = self.track_geometry  # rejects < 2 antennas and a subarray out of range
         if "ls" in self.algorithms and track != self.geometry:
             raise ValueError("least-squares baseline needs the full array")
@@ -232,8 +238,25 @@ class _ChunkOut:
 
 
 def _inner(phase_step: float, m: int, delta: np.ndarray) -> np.ndarray:
-    """Steering inner product a(v)^H a(x) for delta = v - x, elementwise."""
-    return np.exp(1j * phase_step * np.multiply.outer(delta, np.arange(m))).sum(axis=1)
+    """Steering inner product a(v)^H a(x) for delta = v - x, elementwise: the
+    Dirichlet kernel ``e^{j phi (m-1)/2} sin(m phi/2) / sin(phi/2)`` of
+    ``phi = phase_step * delta``, which is the sum of ``e^{j phi i}`` over
+    i < m.  The sum is 2*pi-periodic in phi, so phi is first wrapped into
+    [-pi, pi]: ``sin(m phi/2)`` then keeps its relative accuracy next to the
+    zero at phi = +-2*pi (delta = +-2 at half-wavelength spacing), where
+    ``m * phi/2`` would otherwise round away the small remainder.  Where
+    ``|sin(phi/2)| < 1e-8`` the ratio is its limit ``m cos(m phi/2)/cos(phi/2)``."""
+    half = (0.5 * phase_step) * delta
+    half -= np.pi * np.round(half / np.pi)
+    s = np.sin(half)
+    ratio = np.sin(m * half)
+    near_zero = np.abs(s) < 1e-8
+    if near_zero.any():
+        s[near_zero] = 1.0
+        h = half[near_zero]
+        ratio[near_zero] = m * np.cos(m * h) / np.cos(h)
+    ratio /= s
+    return np.exp((1j * (m - 1)) * half) * ratio
 
 
 def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.ndarray:
@@ -248,7 +271,8 @@ def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.nd
 class _DirectionTracker:
     """Base of the trackers with a direction estimate ``direction``: a slot's
     rate uses the conjugate full-array beam toward the estimate before the
-    slot's ``update``, its channel MSE the estimate after it."""
+    slot's ``update``, its channel MSE the estimate after it.  ``update``
+    also gets ``ip``, the full-array kernel at the pre-update estimate."""
 
     def __init__(self, config: RunConfig):
         self.track = config.track_geometry
@@ -258,7 +282,7 @@ class _DirectionTracker:
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         ip = _inner(self.k, self.m, self.direction - x_n)
         rate = np.log2(1.0 + self.rho * np.abs(ip) ** 2 / self.m)
-        self.update(n, x_n, noise)
+        self.update(n, x_n, noise, ip)
         ip = _inner(self.k, self.m, self.direction - x_n)
         return rate, self.beta2 * (2.0 * self.m - 2.0 * np.real(ip)), self.direction
 
@@ -287,8 +311,13 @@ class _Recursive(_DirectionTracker):
             offs = np.array([plan.init_rng(t).uniform(-hw, hw) for t in trials])
             self.direction = np.clip(x0 + offs, -1.0, 1.0)
 
-    def update(self, n, x_n, noise):
-        y = self.pilot(self.direction, x_n, noise)
+    def update(self, n, x_n, noise, ip):
+        # on the full array the probe is the data beam, so the rate's kernel
+        # value ``ip`` is also the pilot's
+        if self.track.num_antennas == self.m:
+            y = ip / math.sqrt(self.m) + noise
+        else:
+            y = self.pilot(self.direction, x_n, noise)
         step = self.schedule.at(n) * np.imag(y)
         self.direction = np.clip(self.direction - step, -1.0, 1.0)
 
@@ -307,7 +336,7 @@ class _SweepRefine(_DirectionTracker):
     def direction(self) -> np.ndarray:
         return self.dirs[self.best]
 
-    def update(self, n, x_n, noise):
+    def update(self, n, x_n, noise, ip):
         cursor = (n - 1) % 3
         cand = np.clip(self.best, 1, len(self.dirs) - 2)[:, None] + np.array([-1, 0, 1])
         y = self.pilot(self.dirs[cand[:, cursor]], x_n, noise)
@@ -381,7 +410,7 @@ class _CompressedSensing(_DirectionTracker):
         self.mag /= np.linalg.norm(phi0, axis=0)
         self.direction = self.grid[np.argmax(self.mag, axis=1)]
 
-    def update(self, n, x_n, noise):
+    def update(self, n, x_n, noise, ip):
         m_t = self.track.num_antennas
         w_p = QPSK[self.probes[:, n - 1, :]] / math.sqrt(m_t)
         y = (np.conj(w_p) * steering_matrix(self.track, x_n)).sum(axis=1) + noise

@@ -287,12 +287,23 @@ class TestErrors:
             ("init-quality", "--m0-factors", "2,0", "--trials", "5"),
             ("analyze-stable-points", "--x", "1.5"),
             ("analyze-stable-points", "--x", "nan"),
+            ("analyze-stable-points", "--samples", "-1"),
+            ("analyze-stable-points", "--samples", "1"),
         ],
     )
     def test_rejected_setting_one_line(self, tmp_path, argv):
         res = run_cli(*argv, "--out", str(tmp_path / "o"))
         assert res.returncode == 1
         assert res.stderr.startswith("beamtrack: ")
+        assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_rejected_spacing_in_config_one_line(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"spacing_over_wavelength": 0.6}))
+        res = run_cli("crlb", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("beamtrack: spacing_over_wavelength")
         assert res.stderr.count("\n") == 1
         assert not (tmp_path / "o").exists()
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamtrack import (
     QPSK,
@@ -36,6 +38,7 @@ from beamtrack import (
     steering_vector,
     write_summary_csv,
 )
+from beamtrack.harness import _inner
 
 G16 = ArrayGeometry(16)
 
@@ -82,6 +85,33 @@ class TestMetrics:
         )
 
 
+# the kernel's singular set under d/lambda <= 0.5 and |delta| <= 2
+_KERNEL_EDGES = (0.0, 2.0, -2.0)
+
+
+class TestKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 64),
+        d=st.floats(0.0, 0.5, exclude_min=True),
+        free=st.lists(st.floats(-2.0, 2.0), max_size=20),
+        offsets=st.lists(st.floats(-1e-9, 1e-9), min_size=3, max_size=3),
+    )
+    # just outside the guard band next to delta = +-2, where m * phi/2 rounds
+    @example(m=63, d=0.5, free=[2 - 1e-7, -2 + 1e-6], offsets=[1e-9, -1e-9, 1e-9])
+    @example(m=64, d=0.5, free=[], offsets=[-1e-9, 1e-9, -1e-9])
+    def test_closed_form_matches_direct_sum(self, m, d, free, offsets):
+        edges = np.array(_KERNEL_EDGES)
+        near = np.clip(edges + np.array(offsets), -2.0, 2.0)
+        delta = np.concatenate([edges, near, free])
+        k = 2.0 * math.pi * d
+        direct = np.exp(1j * k * np.outer(delta, np.arange(m))).sum(axis=1)
+        # the direct sum's phases reach 2*pi*m and each is rounded, about
+        # 7e-16 m^2 in all; the guard band's limit drops an m^3 sin^2 term,
+        # at most 2.2e-15 m^2 for m <= 64; so 1e-14 m^2 bounds both
+        np.testing.assert_allclose(_inner(k, m, delta), direct, rtol=0, atol=1e-14 * m**2)
+
+
 class TestEngineAgainstLibraryOps:
     """The vectorized runner must reproduce a slot-by-slot loop built from the
     public scalar operations, noise draw for noise draw."""
@@ -114,6 +144,42 @@ class TestEngineAgainstLibraryOps:
                 G16, conjugate_beam(G16, state.x_hat), xs[n], rho
             )
             y = observe(G16, chan, state.probe_weights, noise[16 + n - 1])
+            state = recursive_step(state, y)
+            assert trace.x_hat[n - 1] == pytest.approx(state.x_hat, abs=1e-12)
+            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
+            assert trace.mse_h[n - 1] == pytest.approx(
+                mse_h(G16, state.x_hat, xs[n], cfg.beta), rel=1e-9, abs=1e-12
+            )
+
+    def test_recursive_subarray_trace(self):
+        # 8 tracking antennas probe on their own; rate and MSE use all 16
+        slots = 60
+        cfg = RunConfig(
+            trajectory=Trajectory.sinusoidal(slots),
+            trials=1,
+            algorithms=("recursive",),
+            track_antennas=8,
+            step_kind="fixed",
+            seed=78,
+        )
+        trace = run_single_trial(cfg, "recursive", trial=0)
+
+        g8 = G16.subset(8)
+        plan = RngPlan(78)
+        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
+        noise = complex_normal(plan.observation_rng(0, 1), 8 + slots)
+        rho = cfg.rho
+        chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
+        beams = dft_codebook(g8)
+        pilots = np.array([observe(g8, chan0, beams[m], noise[m]) for m in range(8)])
+        x0 = coarse_sweep(g8, SweepDictionary(16), pilots)
+        state = SineTrackerState(x0, StepSizeSchedule.fixed(alpha_star(g8)), g8)
+        for n in range(1, slots + 1):
+            chan = ChannelState(xs[n], beta=cfg.beta, snr=rho)
+            expected_rate = achievable_rate(
+                G16, conjugate_beam(G16, state.x_hat), xs[n], rho
+            )
+            y = observe(g8, chan, state.probe_weights, noise[8 + n - 1])
             state = recursive_step(state, y)
             assert trace.x_hat[n - 1] == pytest.approx(state.x_hat, abs=1e-12)
             assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
@@ -379,11 +445,14 @@ class TestSummaryContents:
             {"num_antennas": 1, "step_alpha": 0.5},
             {"track_antennas": 17},
             {"algorithms": ("ls",), "track_antennas": 8},
+            {"spacing_over_wavelength": 0.6},
         ):
             with pytest.raises(ValueError):
                 RunConfig(trajectory=Trajectory.static(5), **bad)
         # the least-squares baseline may name the full array as its subarray
         RunConfig(trajectory=Trajectory.static(5), algorithms=("ls",), track_antennas=16)
+        # half-wavelength spacing is the largest without grating lobes
+        RunConfig(trajectory=Trajectory.static(5), spacing_over_wavelength=0.5)
 
 
 @pytest.fixture(scope="module")
