@@ -85,10 +85,6 @@ class TestMetrics:
         )
 
 
-# the kernel's singular set under d/lambda <= 0.5 and |delta| <= 2
-_KERNEL_EDGES = (0.0, 2.0, -2.0)
-
-
 class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -101,7 +97,7 @@ class TestKernel:
     @example(m=63, d=0.5, free=[2 - 1e-7, -2 + 1e-6], offsets=[1e-9, -1e-9, 1e-9])
     @example(m=64, d=0.5, free=[], offsets=[-1e-9, 1e-9, -1e-9])
     def test_closed_form_matches_direct_sum(self, m, d, free, offsets):
-        edges = np.array(_KERNEL_EDGES)
+        edges = np.array([0.0, 2.0, -2.0])  # singular under d/lambda <= 0.5
         near = np.clip(edges + np.array(offsets), -2.0, 2.0)
         delta = np.concatenate([edges, near, free])
         k = 2.0 * math.pi * d
