@@ -15,7 +15,6 @@ from .arraymodel import (
     i_max,
     log_likelihood,
     mainlobe_halfwidth,
-    mainlobe_interval,
     observe,
     stable_point_spacing,
     stable_points,
@@ -29,7 +28,6 @@ from .baselines import (
     ad11_probe_index,
     ad11_step,
     cs_estimate,
-    cs_probe,
     ls_data_beam,
     ls_estimate,
 )
@@ -48,12 +46,10 @@ from .harness import (
 )
 from .scenarios import RngPlan, Trajectory, complex_normal, generate
 from .trackers import (
-    AoATrackerState,
     SineTrackerState,
     StepSizeSchedule,
     SweepDictionary,
     alpha_star,
-    aoa_step,
     coarse_sweep,
     codebook_directions,
     dft_codebook,

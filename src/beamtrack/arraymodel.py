@@ -27,7 +27,6 @@ __all__ = [
     "surrogate_f",
     "stable_points",
     "stable_point_spacing",
-    "mainlobe_interval",
     "mainlobe_halfwidth",
     "channel_mse_limit",
     "DEFAULT_BETA",
@@ -211,13 +210,6 @@ def stable_points(geom: ArrayGeometry, x: float) -> np.ndarray:
 def mainlobe_halfwidth(geom: ArrayGeometry) -> float:
     """Half-width of the mainlobe in sine space, lambda/(M d)."""
     return 1.0 / (geom.num_antennas * geom.spacing_over_wavelength)
-
-
-def mainlobe_interval(geom: ArrayGeometry, x0: float) -> tuple[float, float]:
-    """Open mainlobe interval around ``x0``, clipped to [-1, 1]."""
-    _check_direction(x0)
-    hw = mainlobe_halfwidth(geom)
-    return max(x0 - hw, -1.0), min(x0 + hw, 1.0)
 
 
 def channel_mse_limit(geom: ArrayGeometry, noise_power: float) -> float:

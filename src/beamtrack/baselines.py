@@ -19,7 +19,6 @@ __all__ = [
     "ad11_step",
     "ls_estimate",
     "ls_data_beam",
-    "cs_probe",
     "cs_estimate",
     "CS_DICTIONARY_SIZE",
     "QPSK",
@@ -128,13 +127,6 @@ def ls_data_beam(h_hat: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # compressed-sensing direction recovery
-
-
-def cs_probe(geom: ArrayGeometry, rng: np.random.Generator) -> np.ndarray:
-    """Random probing weights with per-antenna phases from {1, j, -1, -j},
-    scaled to modulus 1/sqrt(M)."""
-    picks = rng.integers(0, 4, size=geom.num_antennas)
-    return QPSK[picks] / math.sqrt(geom.num_antennas)
 
 
 def cs_estimate(

@@ -41,7 +41,15 @@ from .arraymodel import (
     steering_vector,
 )
 from .baselines import CS_DICTIONARY_SIZE, QPSK
-from .scenarios import RngPlan, Trajectory, complex_normal, generate
+from .scenarios import (
+    STREAM_INIT,
+    STREAM_OBSERVATION,
+    STREAM_PROBE,
+    STREAM_TRAJECTORY,
+    RngPlan,
+    Trajectory,
+    generate,
+)
 from .trackers import (
     StepSizeSchedule,
     SweepDictionary,
@@ -130,6 +138,8 @@ class RunConfig:
                 raise ValueError(f"unknown algorithm {name!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in ("sweep", "uniform", "mainlobe"):
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.chunk_size < 1:
@@ -299,16 +309,16 @@ class _Recursive(_DirectionTracker):
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
         self.schedule = config.step_schedule()
-        plan = RngPlan(config.seed)
         if config.init == "sweep":
             size = config.resolved_dictionary_size()
             self.direction = _sweep_estimate(self.track, size, warm)
-        elif config.init == "uniform":
-            draws = [plan.init_rng(t).uniform(-1.0, 1.0) for t in trials]
-            self.direction = np.array(draws)
+            return
+        rngs = RngPlan(config.seed).batch(trials, STREAM_INIT)
+        if config.init == "uniform":
+            self.direction = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
         else:  # mainlobe
             hw = mainlobe_halfwidth(self.track)
-            offs = np.array([plan.init_rng(t).uniform(-hw, hw) for t in trials])
+            offs = np.array([rng.uniform(-hw, hw) for rng in rngs])
             self.direction = np.clip(x0 + offs, -1.0, 1.0)
 
     def update(self, n, x_n, noise, ip):
@@ -388,11 +398,10 @@ class _CompressedSensing(_DirectionTracker):
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
         m_t, slots = self.track.num_antennas, config.slots
-        plan, tag = RngPlan(config.seed), _ALG_TAGS["cs"]
         self.probes = np.empty((len(trials), slots, m_t), dtype=np.int8)
-        for k, t in enumerate(trials):
-            rng = plan.probe_rng(t, tag)
-            self.probes[k] = rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
+        rngs = RngPlan(config.seed).batch(trials, STREAM_PROBE, _ALG_TAGS["cs"])
+        for probes, rng in zip(self.probes, rngs):
+            probes[:] = rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
         self.static = config.trajectory.kind == "static"
         self.k_win = max(m_t // 2, 1)
         self.grid = SweepDictionary(CS_DICTIONARY_SIZE).points
@@ -434,20 +443,30 @@ _TRACKERS = dict(
 )
 
 
+def _observation_noise(plan: RngPlan, trials: range, tag: int, size: int) -> np.ndarray:
+    """Row k is ``complex_normal(plan.observation_rng(trials[k], tag), size)``,
+    drawn in place."""
+    noise = np.empty((len(trials), size), dtype=complex)
+    pairs = noise.view(float).reshape(len(trials), size, 2)
+    for pair, rng in zip(pairs, plan.batch(trials, STREAM_OBSERVATION, tag)):
+        rng.standard_normal(out=pair)
+    noise *= math.sqrt(0.5)
+    return noise
+
+
 def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _ChunkOut:
     track = config.track_geometry
     m_t = track.num_antennas
     n_slots = config.slots
     sqrt_rho = math.sqrt(config.rho)
     trials = range(lo, hi)
-    plan, tag = RngPlan(config.seed), _ALG_TAGS[algorithm]
+    plan = RngPlan(config.seed)
 
     # per-trial substreams, stacked into chunk arrays
     x_traj = np.empty((len(trials), n_slots + 1))
-    noise = np.empty((len(trials), m_t + n_slots), dtype=complex)
-    for k, t in enumerate(trials):
-        x_traj[k] = generate(config.trajectory, plan.trajectory_rng(t))
-        noise[k] = complex_normal(plan.observation_rng(t, tag), m_t + n_slots)
+    for x, rng in zip(x_traj, plan.batch(trials, STREAM_TRAJECTORY)):
+        x[:] = generate(config.trajectory, rng)
+    noise = _observation_noise(plan, trials, _ALG_TAGS[algorithm], m_t + n_slots)
 
     # warm-up: one full codebook sweep against the anchored direction
     x0 = x_traj[:, 0]
@@ -594,11 +613,11 @@ def initialization_hit_rate(
     m = geom.num_antennas
     hits = 0
     for lo in range(0, trials, chunk_size):
-        hi = min(lo + chunk_size, trials)
-        x = np.array([plan.trajectory_rng(t).uniform(-1.0, 1.0) for t in range(lo, hi)])
-        z = np.stack(
-            [complex_normal(plan.observation_rng(t), m) for t in range(lo, hi)]
+        span = range(lo, min(lo + chunk_size, trials))
+        x = np.array(
+            [rng.uniform(-1.0, 1.0) for rng in plan.batch(span, STREAM_TRAJECTORY)]
         )
+        z = _observation_noise(plan, span, 0, m)
         pilots = steering_matrix(geom, x) @ np.conj(beams).T + z / math.sqrt(rho)
         x0 = _sweep_estimate(geom, dictionary_size, pilots)
         hits += int(np.count_nonzero(np.abs(x0 - x) < hw))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,32 @@ class RngPlan:
         ss = np.random.SeedSequence((self.master_seed, trial, stream_id, tag))
         return np.random.Generator(np.random.PCG64(ss))
 
+    def batch(
+        self, trials: range, stream_id: int, tag: int = 0
+    ) -> Iterator[np.random.Generator]:
+        """``stream(t, stream_id, tag)`` for each t of ``trials`` in turn, draw
+        for draw, as one reused Generator whose state is set per trial; use
+        each before advancing.  The seed hash runs once per 2**32-aligned
+        span of trials, vectorized, instead of once per trial."""
+        if trials.step != 1:
+            raise ValueError(f"trials must be a range with step 1, got {trials}")
+        rng = np.random.Generator(np.random.PCG64())
+        bit_generator = rng.bit_generator
+        lo = trials.start
+        while lo < trials.stop:
+            # below the next multiple of 2**32 only the trial's low word varies
+            hi = min(trials.stop, (lo | _MASK32) + 1)
+            low, *high = _words(lo)
+            columns = [
+                *_words(self.master_seed),
+                np.arange(low, low + (hi - lo), dtype=np.uint32),
+                *high, *_words(stream_id), *_words(tag),
+            ]
+            for words in _pcg64_seed_words(columns).tolist():
+                bit_generator.state = _pcg64_state(*words)
+                yield rng
+            lo = hi
+
     def trajectory_rng(self, trial: int) -> np.random.Generator:
         return self.stream(trial, STREAM_TRAJECTORY)
 
@@ -125,6 +152,85 @@ class RngPlan:
 
     def init_rng(self, trial: int) -> np.random.Generator:
         return self.stream(trial, STREAM_INIT)
+
+
+# numpy's SeedSequence entropy hash (pool of 4 uint32 words) and the seeding
+# of PCG64 from its state words (O'Neill 2014)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's coercion of an entropy integer: its 32-bit words, least
+    significant first."""
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_pool(entropy: list) -> list:
+    """``SeedSequence(entropy).pool`` of entropy words, each a uint32 or a
+    column of one word per trial; returns the 4 pool words (columns)."""
+    u32 = np.uint32
+    hash_const = u32(_INIT_A)
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = hash_const ^ value
+        hash_const *= u32(_MULT_A)
+        value = value * hash_const
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    padded = entropy + [u32(0)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg64_seed_words(entropy: list) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` per trial, as a
+    (trials, 4) uint64 array."""
+    with np.errstate(over="ignore"):
+        pool = _seed_pool([np.asarray(word, dtype=np.uint32) for word in entropy])
+        state = np.empty((np.broadcast(*pool).size, 2 * _POOL_SIZE), dtype=np.uint32)
+        hash_const = np.uint32(_INIT_B)  # generate_state cycles through the pool
+        for i in range(2 * _POOL_SIZE):
+            value = pool[i % _POOL_SIZE] ^ hash_const
+            hash_const *= np.uint32(_MULT_B)
+            value = value * hash_const
+            state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8")
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    """``PCG64`` state seeded from 4 SeedSequence words: ``srandom`` sets
+    inc = 2*initseq + 1, then steps the LCG from 0, adds the seed, steps."""
+    inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
+    state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def complex_normal(rng: np.random.Generator, size) -> np.ndarray:

@@ -1,9 +1,5 @@
-"""Recursive beam trackers: coarse sweep initialization plus per-slot updates.
-
-Two variants are provided: the main tracker estimates the sine of the arrival
-angle and is stable over the whole range; the angle-domain variant divides by
-``cos(theta_hat)`` and needs a guard near endfire.
-"""
+"""Recursive beam tracker: coarse sweep initialization plus per-slot updates
+of the sine of the arrival angle."""
 
 from __future__ import annotations
 
@@ -17,18 +13,13 @@ from .arraymodel import ArrayGeometry, conjugate_beam, steering_matrix
 __all__ = [
     "StepSizeSchedule",
     "SineTrackerState",
-    "AoATrackerState",
     "SweepDictionary",
     "codebook_directions",
     "dft_codebook",
     "coarse_sweep",
     "recursive_step",
-    "aoa_step",
     "alpha_star",
 ]
-
-_COS_GUARD = 1e-6
-
 
 @dataclass(frozen=True)
 class StepSizeSchedule:
@@ -83,20 +74,6 @@ class SineTrackerState:
     @property
     def probe_weights(self) -> np.ndarray:
         return conjugate_beam(self.geom, self.x_hat)
-
-
-@dataclass(frozen=True)
-class AoATrackerState:
-    """State of the angle-domain tracker (kept in [-pi/2, pi/2])."""
-
-    theta_hat: float
-    schedule: StepSizeSchedule
-    geom: ArrayGeometry
-    slot: int = 1
-
-    @property
-    def probe_weights(self) -> np.ndarray:
-        return conjugate_beam(self.geom, math.sin(self.theta_hat))
 
 
 @dataclass(frozen=True)
@@ -159,17 +136,3 @@ def recursive_step(state: SineTrackerState, y: complex) -> SineTrackerState:
     x_new = min(max(state.x_hat - a_n * float(np.imag(y)), -1.0), 1.0)
     return replace(state, x_hat=x_new, slot=state.slot + 1)
 
-
-def aoa_step(state: AoATrackerState, y: complex) -> AoATrackerState:
-    """Advance the angle tracker by one slot.
-
-    The update divides the step by ``cos(theta_hat)``; when the estimate sits
-    within 1e-6 of endfire the update is skipped to keep the state bounded.
-    """
-    c = math.cos(state.theta_hat)
-    if abs(c) < _COS_GUARD:
-        return replace(state, slot=state.slot + 1)
-    a_n = state.schedule.at(state.slot)
-    t_new = state.theta_hat - a_n / c * float(np.imag(y))
-    t_new = min(max(t_new, -math.pi / 2), math.pi / 2)
-    return replace(state, theta_hat=t_new, slot=state.slot + 1)

@@ -12,7 +12,7 @@ from beamtrack import (
     fisher_information,
     i_max,
     log_likelihood,
-    mainlobe_interval,
+    mainlobe_halfwidth,
     observe,
     stable_point_spacing,
     stable_points,
@@ -217,17 +217,15 @@ class TestStablePoints:
 
 
 class TestMainlobe:
-    def test_broadside_interval(self):
-        assert mainlobe_interval(G16, 0.0) == pytest.approx((-0.125, 0.125))
-
-    def test_clipped_at_boundary(self):
-        lo, hi = mainlobe_interval(G16, 1.0)
-        assert (lo, hi) == pytest.approx((0.875, 1.0))
-
-    def test_width_bound(self):
-        for x0 in (-1.0, -0.5, 0.0, 0.99):
-            lo, hi = mainlobe_interval(G16, x0)
-            assert hi - lo <= 2 / (16 * 0.5) + 1e-12
+    @pytest.mark.parametrize("m,d", [(16, 0.5), (8, 0.5), (16, 0.25)])
+    def test_halfwidth_is_first_null(self, m, d):
+        # lambda/(M d) from broadside is the beam's first zero
+        geom = ArrayGeometry(m, d)
+        hw = mainlobe_halfwidth(geom)
+        assert hw == pytest.approx(1.0 / (m * d))
+        a0 = steering_vector(geom, 0.0)
+        assert abs(np.vdot(a0, steering_vector(geom, hw))) < 1e-12
+        assert abs(np.vdot(a0, steering_vector(geom, 0.9 * hw))) > 0.1
 
 
 class TestLogLikelihood:

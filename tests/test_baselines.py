@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamtrack import (
+    QPSK,
     Ad11State,
     ArrayGeometry,
     ChannelState,
@@ -11,7 +12,6 @@ from beamtrack import (
     ad11_probe_index,
     ad11_step,
     cs_estimate,
-    cs_probe,
     codebook_directions,
     dft_codebook,
     ls_data_beam,
@@ -134,33 +134,37 @@ class TestLsEstimate:
             ls_estimate(weights, np.ones(16, dtype=complex))
 
 
+def _qpsk_probes(rng, pilots):
+    """Random four-phase probes of modulus 1/sqrt(16), one pilot per row."""
+    return QPSK[rng.integers(0, 4, (pilots, 16))] / 4
+
+
 class TestCsEstimate:
     def test_noiseless_on_grid_exact(self):
         grid = SweepDictionary(1024).points
         x = grid[700]
         rng = np.random.default_rng(3)
-        weights = np.stack([cs_probe(G16, rng) for _ in range(8)])
+        weights = _qpsk_probes(rng, 8)
         obs = np.conj(weights) @ steering_vector(G16, x)
         assert cs_estimate(G16, weights, obs) == pytest.approx(x)
 
     def test_off_grid_quantization(self):
         rng = np.random.default_rng(6)
         for x in rng.uniform(-0.9, 0.9, 10):
-            weights = np.stack([cs_probe(G16, rng) for _ in range(8)])
+            weights = _qpsk_probes(rng, 8)
             obs = np.conj(weights) @ steering_vector(G16, x)
             assert abs(cs_estimate(G16, weights, obs) - x) <= 1 / 1024 + 1e-12
 
     def test_probe_alphabet(self):
-        rng = np.random.default_rng(0)
-        w = cs_probe(G16, rng)
-        scaled = w * 4.0
-        for entry in scaled:
-            assert min(abs(entry - c) for c in (1, 1j, -1, -1j)) < 1e-12
+        # the engine's int8 picks index the four phases {1, j, -1, -j}
+        np.testing.assert_array_equal(QPSK, [1, 1j, -1, -1j])
+        w = _qpsk_probes(np.random.default_rng(0), 1)
+        np.testing.assert_allclose(np.abs(w), 0.25, rtol=1e-15)
 
     def test_deterministic_given_seed(self):
         def one(seed):
             rng = np.random.default_rng(seed)
-            weights = np.stack([cs_probe(G16, rng) for _ in range(8)])
+            weights = _qpsk_probes(rng, 8)
             obs = np.conj(weights) @ steering_vector(G16, 0.123) + complex_normal(
                 rng, 8
             ) * 0.3

@@ -289,6 +289,8 @@ class TestErrors:
             ("analyze-stable-points", "--x", "nan"),
             ("analyze-stable-points", "--samples", "-1"),
             ("analyze-stable-points", "--samples", "1"),
+            ("static", "--seed", "-1", "--trials", "2", "--slots", "3"),
+            ("init-quality", "--seed", "-5", "--trials", "10"),
         ],
     )
     def test_rejected_setting_one_line(self, tmp_path, argv):
@@ -305,6 +307,14 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stderr.startswith("beamtrack: spacing_over_wavelength")
         assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_rejected_seed_in_config_one_line(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1, "trials": 2, "slots": 3}))
+        res = run_cli("static", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr == "beamtrack: seed must be a nonnegative integer, got -1\n"
         assert not (tmp_path / "o").exists()
 
     def test_flag_of_another_command_usage_error(self, tmp_path):

@@ -30,6 +30,7 @@ from beamtrack import (
     generate,
     h_prime_norm_sq,
     i_max,
+    mainlobe_halfwidth,
     mse_h,
     observe,
     recursive_step,
@@ -112,25 +113,34 @@ class TestEngineAgainstLibraryOps:
     """The vectorized runner must reproduce a slot-by-slot loop built from the
     public scalar operations, noise draw for noise draw."""
 
-    def test_recursive_static_trace(self):
+    @pytest.mark.parametrize("init", ["sweep", "uniform", "mainlobe"])
+    @pytest.mark.parametrize("trial", [0, 5])
+    def test_recursive_static_trace(self, trial, init):
         cfg = RunConfig(
             trajectory=Trajectory.static(40),
-            trials=1,
+            trials=trial + 1,
             algorithms=("recursive",),
+            init=init,
             seed=77,
         )
-        trace = run_single_trial(cfg, "recursive", trial=0)
+        trace = run_single_trial(cfg, "recursive", trial=trial)
 
         plan = RngPlan(77)
-        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 1), 16 + 40)
+        xs = generate(cfg.trajectory, plan.trajectory_rng(trial))
+        noise = complex_normal(plan.observation_rng(trial, 1), 16 + 40)
         rho = cfg.rho
-        chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
-        beams = dft_codebook(G16)
-        pilots = np.array(
-            [observe(G16, chan0, beams[m], noise[m]) for m in range(16)]
-        )
-        x0 = coarse_sweep(G16, SweepDictionary(32), pilots)
+        if init == "sweep":
+            chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
+            beams = dft_codebook(G16)
+            pilots = np.array(
+                [observe(G16, chan0, beams[m], noise[m]) for m in range(16)]
+            )
+            x0 = coarse_sweep(G16, SweepDictionary(32), pilots)
+        elif init == "uniform":
+            x0 = plan.init_rng(trial).uniform(-1.0, 1.0)
+        else:
+            hw = mainlobe_halfwidth(G16)
+            x0 = min(max(xs[0] + plan.init_rng(trial).uniform(-hw, hw), -1.0), 1.0)
         state = SineTrackerState(
             x0, StepSizeSchedule.diminishing(alpha_star(G16)), G16
         )
@@ -442,6 +452,10 @@ class TestSummaryContents:
             {"track_antennas": 17},
             {"algorithms": ("ls",), "track_antennas": 8},
             {"spacing_over_wavelength": 0.6},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"seed": True},
+            {"seed": "7"},
         ):
             with pytest.raises(ValueError):
                 RunConfig(trajectory=Trajectory.static(5), **bad)
@@ -507,8 +521,6 @@ class TestTrackingProperties:
             seed=17,
         )
         s = run_experiment(cfg)["recursive"]
-        from beamtrack import mainlobe_halfwidth
-
         frac = np.mean(np.abs(s.final_estimate - s.final_x) < mainlobe_halfwidth(G16))
         assert frac >= 0.98
 

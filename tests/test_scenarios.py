@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamtrack import RngPlan, Trajectory, complex_normal, generate
 
@@ -75,6 +77,45 @@ class TestRngPlan:
         for trial, sid, tag in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
             other = plan.stream(trial, sid, tag).standard_normal(8)
             assert not np.allclose(base, other)
+
+    # word boundaries of SeedSequence's integer coercion: a seed of 2**32 or
+    # more takes several entropy words and overflows the 4-word pool
+    EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**70 + 12345)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**80)),
+        start=st.one_of(st.just(0), st.integers(1, 10**6), st.just(2**32 - 2)),
+        count=st.integers(1, 5),
+        stream_id=st.integers(0, 3),
+        tag=st.integers(0, 4),
+    )
+    @example(seed=0, start=0, count=3, stream_id=0, tag=0)
+    @example(seed=2**32 - 1, start=500, count=2, stream_id=1, tag=4)
+    @example(seed=2**32, start=0, count=2, stream_id=2, tag=1)
+    @example(seed=2**70 + 12345, start=2**32 - 2, count=4, stream_id=3, tag=2)
+    def test_batch_matches_stream(self, seed, start, count, stream_id, tag):
+        plan = RngPlan(seed)
+        trials = range(start, start + count)
+        batch = plan.batch(trials, stream_id, tag)
+        seen = 0
+        for trial, rng in zip(trials, batch):
+            ref = plan.stream(trial, stream_id, tag)
+            normals = np.empty((3, 2))
+            rng.standard_normal(out=normals)
+            np.testing.assert_array_equal(normals, ref.standard_normal((3, 2)))
+            assert rng.uniform(-1.0, 1.0) == ref.uniform(-1.0, 1.0)
+            np.testing.assert_array_equal(
+                rng.integers(0, 4, 7, dtype=np.int8),
+                ref.integers(0, 4, 7, dtype=np.int8),
+            )
+            seen += 1
+        assert seen == count
+        assert next(batch, None) is None
+
+    def test_batch_needs_unit_step(self):
+        with pytest.raises(ValueError, match="step"):
+            next(RngPlan(0).batch(range(0, 4, 2), 0))
 
     def test_trajectories_shared_across_algorithms(self):
         plan = RngPlan(7)

@@ -5,13 +5,11 @@ import pytest
 
 from beamtrack import (
     ArrayGeometry,
-    AoATrackerState,
     ChannelState,
     SineTrackerState,
     StepSizeSchedule,
     SweepDictionary,
     alpha_star,
-    aoa_step,
     coarse_sweep,
     codebook_directions,
     dft_codebook,
@@ -163,74 +161,3 @@ class TestRecursiveStep:
         for _ in range(100):
             state = recursive_step(state, complex(rng.normal(), rng.normal()))
             assert -1.0 <= state.x_hat <= 1.0
-
-
-class TestAoAStep:
-    def test_noiseless_fixed_point(self):
-        theta = 0.5
-        chan = ChannelState(math.sin(theta), snr=10.0)
-        state = AoATrackerState(theta, StepSizeSchedule.fixed(alpha_star(G8)), G8)
-        y = observe(G8, chan, state.probe_weights, 0j)
-        assert aoa_step(state, y).theta_hat == pytest.approx(theta, abs=1e-12)
-
-    def test_endfire_guard_skips_update(self):
-        state = AoATrackerState(math.pi / 2, StepSizeSchedule.fixed(0.01), G8)
-        new = aoa_step(state, 1.0 + 1.0j)
-        assert new.theta_hat == state.theta_hat
-        assert new.slot == state.slot + 1
-
-    def test_step_amplification_near_endfire(self):
-        # same observation, angle-domain step is 1/cos(theta) larger
-        theta = math.radians(88.0)
-        sched = StepSizeSchedule.fixed(0.001)
-        s_sine = SineTrackerState(math.sin(theta), sched, G8)
-        s_aoa = AoATrackerState(theta, sched, G8)
-        y = 0.3j
-        d_sine = abs(recursive_step(s_sine, y).x_hat - s_sine.x_hat)
-        d_aoa = abs(aoa_step(s_aoa, y).theta_hat - s_aoa.theta_hat)
-        assert d_aoa / d_sine == pytest.approx(1 / math.cos(theta), rel=1e-9)
-        assert d_aoa / d_sine == pytest.approx(28.65, rel=1e-3)
-
-    def test_sine_tracking_beats_angle_tracking_at_endfire(self):
-        # near endfire the 1/cos step blows up: the angle tracker drifts into
-        # the clip where the cosine guard absorbs it, while the sine tracker
-        # keeps tracking (deterministic seed, fixed-point comparison)
-        theta = math.radians(88.0)
-        chan = ChannelState(math.sin(theta), snr=10.0)
-        sched = StepSizeSchedule.fixed(alpha_star(G8) / 10)
-        rng = np.random.default_rng(0)
-        s_sine = SineTrackerState(math.sin(math.radians(80.0)), sched, G8)
-        s_aoa = AoATrackerState(math.radians(80.0), sched, G8)
-        err_sine = []
-        err_aoa = []
-        for _ in range(2000):
-            z = complex_normal(rng, 2)
-            s_sine = recursive_step(
-                s_sine, observe(G8, chan, s_sine.probe_weights, complex(z[0]))
-            )
-            s_aoa = aoa_step(
-                s_aoa, observe(G8, chan, s_aoa.probe_weights, complex(z[1]))
-            )
-            err_sine.append(abs(math.asin(s_sine.x_hat) - theta))
-            err_aoa.append(abs(s_aoa.theta_hat - theta))
-        assert np.mean(err_sine[1000:]) < np.mean(err_aoa[1000:])
-
-    def test_first_order_agreement_with_sine_tracker(self):
-        # one noiseless step from theta_hat = theta + eps: the two trackers'
-        # sine estimates differ by o(eps)
-        theta = 0.4
-        x = math.sin(theta)
-        sched = StepSizeSchedule.fixed(alpha_star(G8))
-        gaps = []
-        for eps in (1e-2, 1e-3, 1e-4):
-            th_hat = theta + eps
-            s_sine = SineTrackerState(math.sin(th_hat), sched, G8)
-            s_aoa = AoATrackerState(th_hat, sched, G8)
-            y = observe(G8, ChannelState(x), s_sine.probe_weights, 0j)
-            gap = abs(
-                math.sin(aoa_step(s_aoa, y).theta_hat)
-                - recursive_step(s_sine, y).x_hat
-            )
-            gaps.append(gap / eps)
-        assert gaps[1] < 0.2 * gaps[0]
-        assert gaps[2] < 0.2 * gaps[1]
