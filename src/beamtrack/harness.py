@@ -9,7 +9,9 @@ own substreams, so a run's results are bit-identical for any worker count.
 The chunk size only changes rounding (batch-size-dependent matrix products
 and the summation order), at the 1e-12 relative level, except for static
 ``cs`` at slot 1: one random probe scores every grid point alike, so its
-slot-1 estimate (and slot-2 rate) is a tie that rounding breaks.
+slot-1 estimate (and slot-2 rate) is a tie that rounding breaks.  Dynamic
+``cs`` on a subarray of at most 5 antennas has windows of one or two probes,
+which can tie in the same way.
 
 Per-slot conventions, uniform across algorithms:
   * the data beam of slot n is set from the algorithm state at the end of
@@ -20,7 +22,11 @@ Per-slot conventions, uniform across algorithms:
     after the slot's update.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
-re-estimate every slot from all pilots received so far.
+re-estimate every slot from all pilots received so far.  Dynamic sparse
+recovery scores each frame from its pilot window's sufficient statistics,
+two M-value sums, so it takes only the window's pilots.  Static sparse
+recovery keeps the per-slot (T, 1024) matched filter: its slot-1 tie makes
+the results depend on the evaluation order, and another order would move them.
 """
 
 from __future__ import annotations
@@ -108,6 +114,13 @@ def h_prime_norm_sq(geom: ArrayGeometry, beta: complex) -> float:
 # configuration and results
 
 
+# counts and sizes: a float or a bool here would fail deep inside a run
+_INT_FIELDS = (
+    "num_antennas", "trials", "track_antennas", "sweep_dictionary_size",
+    "seed", "chunk_size", "jobs", "steady_skip",
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one Monte Carlo experiment."""
@@ -136,9 +149,13 @@ class RunConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in ("sweep", "uniform", "mainlobe"):
             raise ValueError(f"unknown init mode {self.init!r}")
@@ -162,7 +179,7 @@ class RunConfig:
             raise ValueError("least-squares baseline needs the full array")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        self.step_schedule()  # rejects an unknown kind, alpha <= 0 and n0 < 0
+        self.step_schedule()  # rejects an unknown kind and a bad alpha or n0
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -389,11 +406,49 @@ class _LeastSquares:
         return rate, self.beta2 * (np.abs(self.h_hat - a) ** 2).sum(axis=1), None
 
 
+def _cs_lag_atoms(atoms: np.ndarray) -> np.ndarray:
+    """``atoms.T`` with rows d >= 1 doubled: row d weights the lag sum ``c_d``
+    in ``_cs_window_score``'s energy."""
+    lag = atoms.T.copy()
+    lag[1:] *= 2.0
+    return lag
+
+
+def _cs_window_score(
+    r: np.ndarray,
+    c: np.ndarray,
+    atoms_conj_t: np.ndarray,
+    lag_atoms: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter magnitude ``|sum_n y_n w_n^T conj(a(g))|`` and energy
+    ``sum_n |w_n^T conj(a(g))|^2`` of every grid atom for a window of pilots
+    ``y_n`` taken with probes ``w_n``, from the window's sufficient statistics
+    ``r = sum_n y_n w_n`` and lag sums ``c_d = sum_n sum_q w_nq conj(w_n,q+d)``
+    (d = 0..M-1).  Since ``a_0 = 1``, ``conj(a_q) a_(q+d) = a_d``, so the
+    energy is ``Re(c_0 + 2 sum_(d>=1) c_d a_d(g))``, with ``lag_atoms`` from
+    ``_cs_lag_atoms``.  ``scratch`` holds complex, real and real (T, grid)
+    arrays for the matched filter, the magnitude and the energy; the last two
+    are returned."""
+    filt, numer, denom = scratch
+    np.copyto(denom, np.matmul(c, lag_atoms, out=filt).real)
+    np.abs(np.matmul(r, atoms_conj_t, out=filt), out=numer)
+    return numer, denom
+
+
 class _CompressedSensing(_DirectionTracker):
     """Sparse recovery from random QPSK probes: the normalized matched-filter
-    argmax over the CS sine grid (sparsity-one OMP).  Static runs score every
-    pilot so far each slot; dynamic runs score the last half of each codebook
-    frame's pilots at the frame's last slot."""
+    argmax over the CS sine grid (sparsity-one OMP).
+
+    Static runs re-score every slot from all pilots so far, keeping the
+    (T, grid) matched-filter sums in place.  Their slot-1 score is a tie (one
+    probe scores every grid point |y_1|) that rounding breaks, so any other
+    evaluation order would move the recorded static results.  Dynamic runs
+    score once per codebook frame, at its last slot, from the last ``k_win``
+    pilots: ``_cs_window_score`` needs only the window's M-value sums ``r``
+    and ``c``, so between slots a trial keeps just the window's pilots, and
+    the pilots of the other slots, which no score uses, are not taken.  The
+    frame's (T, grid) score is computed in scratch reused across frames."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
@@ -407,33 +462,67 @@ class _CompressedSensing(_DirectionTracker):
         self.grid = SweepDictionary(CS_DICTIONARY_SIZE).points
         atoms = steering_matrix(self.track, self.grid)  # (grid, m_t)
         self.atoms_conj_t = np.conj(atoms).T
-        # running matched-filter sums over the pilot window, and per-slot
-        # buffers for conj(w^H a(g)) and its magnitude, all written in place
-        self.numer = np.zeros((len(trials), CS_DICTIONARY_SIZE), dtype=complex)
-        self.denom = np.zeros((len(trials), CS_DICTIONARY_SIZE))
-        self.phi_c = np.empty_like(self.numer)
-        self.mag = np.empty_like(self.denom)
+        grid_shape = (len(trials), CS_DICTIONARY_SIZE)
+        if self.static:
+            # running matched-filter sums over all pilots, and per-slot
+            # buffers for conj(w^H a(g)) and its magnitude, written in place
+            self.numer = np.zeros(grid_shape, dtype=complex)
+            self.denom = np.zeros(grid_shape)
+            self.phi_c = np.empty_like(self.numer)
+            self.mag = np.empty_like(self.denom)
+            filt, mag = self.phi_c, self.mag
+        else:
+            self.window = np.empty((len(trials), self.k_win), dtype=complex)
+            # lag_pick[q*m_t + p, p - q] = 1 for p >= q: one product sums
+            # every superdiagonal of a flattened (m_t, m_t) matrix
+            q, p = np.triu_indices(m_t)
+            self.lag_pick = np.zeros((m_t * m_t, m_t), dtype=complex)
+            self.lag_pick[q * m_t + p, p - q] = 1.0
+            # the frame score's scratch, reused: fresh (T, grid) arrays every
+            # frame cost page faults when the allocator hands memory back
+            self.scratch = (
+                np.empty(grid_shape, dtype=complex), np.empty(grid_shape), np.empty(grid_shape)
+            )
+            filt, mag = self.scratch[:2]
         # initial estimate: matched filter over the warm-up sweep pilots
         phi0 = np.conj(dft_codebook(self.track)) @ atoms.T  # (m_t, grid)
-        np.abs(np.matmul(warm, np.conj(phi0), out=self.phi_c), out=self.mag)
-        self.mag /= np.linalg.norm(phi0, axis=0)
-        self.direction = self.grid[np.argmax(self.mag, axis=1)]
+        np.abs(np.matmul(warm, np.conj(phi0), out=filt), out=mag)
+        mag /= np.linalg.norm(phi0, axis=0)
+        self.direction = self.grid[np.argmax(mag, axis=1)]
+        if not self.static:  # built after phi0 is freed, to keep the peak down
+            self.lag_atoms = _cs_lag_atoms(atoms)
+
+    def _pilot(self, n: int, x_n: np.ndarray, noise: np.ndarray):
+        """Slot n's probe weights and the pilot taken with them."""
+        w_p = QPSK[self.probes[:, n - 1, :]] / math.sqrt(self.track.num_antennas)
+        return w_p, (np.conj(w_p) * steering_matrix(self.track, x_n)).sum(axis=1) + noise
 
     def update(self, n, x_n, noise, ip):
         m_t = self.track.num_antennas
-        w_p = QPSK[self.probes[:, n - 1, :]] / math.sqrt(m_t)
-        y = (np.conj(w_p) * steering_matrix(self.track, x_n)).sum(axis=1) + noise
-        if self.static or (n - 1) % m_t >= m_t - self.k_win:
+        if self.static:
+            w_p, y = self._pilot(n, x_n, noise)
             np.matmul(w_p, self.atoms_conj_t, out=self.phi_c)
             self.denom += np.square(np.abs(self.phi_c, out=self.mag), out=self.mag)
             self.phi_c *= y[:, None]
             self.numer += self.phi_c
-        if self.static or n % m_t == 0:
             scores = np.abs(self.numer) / np.sqrt(np.maximum(self.denom, 1e-300))
             self.direction = self.grid[np.argmax(scores, axis=1)]
-            if not self.static:
-                self.numer.fill(0.0)
-                self.denom.fill(0.0)
+            return
+        pos = (n - 1) % m_t - (m_t - self.k_win)  # place in the frame's window
+        if pos < 0:
+            return
+        self.window[:, pos] = self._pilot(n, x_n, noise)[1]
+        if pos == self.k_win - 1:  # the frame's last slot
+            w = QPSK[self.probes[:, n - self.k_win : n, :]] / math.sqrt(m_t)
+            r = np.matmul(self.window[:, None, :], w)[:, 0, :]
+            # gram[t, q, p] = sum_n w_nq conj(w_np); c_d sums its d-th superdiagonal
+            gram = np.matmul(w.transpose(0, 2, 1), np.conj(w))
+            c = gram.reshape(len(gram), m_t * m_t) @ self.lag_pick
+            numer, denom = _cs_window_score(
+                r, c, self.atoms_conj_t, self.lag_atoms, self.scratch
+            )
+            numer /= np.sqrt(np.maximum(denom, 1e-300, out=denom), out=denom)
+            self.direction = self.grid[np.argmax(numer, axis=1)]
 
 
 # built from (config, trials, anchor directions, warm-up pilots); step(n, x_n,

@@ -51,6 +51,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         if self.kind not in ("static", "sinusoidal", "fixed_velocity"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        if isinstance(self.num_slots, bool) or not isinstance(self.num_slots, int):
+            raise ValueError(f"num_slots must be an integer, got {self.num_slots!r}")
         if self.num_slots < 1:
             raise ValueError("need at least one slot")
         if not math.isfinite(self.omega):

@@ -32,10 +32,10 @@ class StepSizeSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("diminishing", "fixed"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.n0 < 0:
-            raise ValueError("n0 must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (math.isfinite(self.n0) and self.n0 >= 0):
+            raise ValueError(f"n0 must be nonnegative and finite, got {self.n0}")
 
     def at(self, n: int) -> float:
         if self.kind == "fixed":

@@ -221,7 +221,7 @@ _LAYERED = {
 _RUNCONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     layers=st.fixed_dictionaries(
         {
@@ -315,6 +315,23 @@ class TestErrors:
         res = run_cli("static", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert res.returncode == 1
         assert res.stderr == "beamtrack: seed must be a nonnegative integer, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"step_alpha": math.nan}, "alpha must be positive and finite, got nan"),
+            ({"slots": 2.5}, "num_slots must be an integer, got 2.5"),
+        ],
+        ids=["trials", "step_alpha", "slots"],
+    )
+    def test_rejected_count_or_step_in_config_one_line(self, tmp_path, setting, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 2, "slots": 3, **setting}))
+        res = run_cli("dynamic", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr == f"beamtrack: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_flag_of_another_command_usage_error(self, tmp_path):

@@ -36,10 +36,12 @@ from beamtrack import (
     recursive_step,
     run_experiment,
     run_single_trial,
+    steering_matrix,
     steering_vector,
     write_summary_csv,
 )
-from beamtrack.harness import _inner
+from beamtrack.baselines import CS_DICTIONARY_SIZE
+from beamtrack.harness import _cs_lag_atoms, _cs_window_score, _inner
 
 G16 = ArrayGeometry(16)
 
@@ -87,7 +89,7 @@ class TestMetrics:
 
 
 class TestKernel:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         m=st.integers(2, 64),
         d=st.floats(0.0, 0.5, exclude_min=True),
@@ -107,6 +109,43 @@ class TestKernel:
         # 7e-16 m^2 in all; the guard band's limit drops an m^3 sin^2 term,
         # at most 2.2e-15 m^2 for m <= 64; so 1e-14 m^2 bounds both
         np.testing.assert_allclose(_inner(k, m, delta), direct, rtol=0, atol=1e-14 * m**2)
+
+
+def _cs_direct_score(geom, weights, obs, g):
+    """Normalized matched filter of one grid point, straight from its definition."""
+    u = np.conj(weights) @ steering_vector(geom, g)  # w_n^H a(g)
+    return abs(np.vdot(u, obs)) / np.linalg.norm(u)
+
+
+class TestCsWindowScore:
+    @given(
+        m=st.integers(2, 32),
+        d=st.floats(0.0, 0.5, exclude_min=True),
+        data=st.data(),
+    )
+    def test_sufficient_statistics_match_direct_sums(self, m, d, data):
+        k = data.draw(st.integers(1, m), label="window")
+        picks = np.frombuffer(data.draw(st.binary(min_size=k * m, max_size=k * m)), np.uint8)
+        pilot = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+        y = np.array(data.draw(st.lists(pilot, min_size=k, max_size=k)), dtype=complex)
+        w = QPSK[(picks % 4).reshape(k, m)] / math.sqrt(m)
+        atoms = steering_matrix(ArrayGeometry(m, d), SweepDictionary(CS_DICTIONARY_SIZE).points)
+        atoms_conj_t = np.conj(atoms).T
+        r = y @ w
+        c = np.array([np.sum(w[:, : m - lag] * np.conj(w[:, lag:])) for lag in range(m)])
+        scratch = (np.empty((1, len(atoms)), dtype=complex), np.empty((1, len(atoms))),
+                   np.empty((1, len(atoms))))
+        numer, denom = _cs_window_score(
+            r[None], c[None], atoms_conj_t, _cs_lag_atoms(atoms), scratch
+        )
+        filt = w @ atoms_conj_t  # (k, grid): w_n^T conj(a(g))
+        # every term is at most sqrt(m) (|y| sqrt(m) for the numerator), and
+        # the two orders round each of the k m products differently
+        scale = 1e-14 * k * m * max(1.0, np.abs(y).max(initial=0.0))
+        np.testing.assert_allclose(numer[0], np.abs(y @ filt), rtol=1e-12, atol=scale)
+        np.testing.assert_allclose(
+            denom[0], (np.abs(filt) ** 2).sum(axis=0), rtol=1e-12, atol=1e-14 * k * m
+        )
 
 
 class TestEngineAgainstLibraryOps:
@@ -234,24 +273,26 @@ class TestEngineAgainstLibraryOps:
     def _cs_replay(cfg):
         """Truth, probe weights, pilots and warm-up estimate of trial 0, from
         the engine's substreams: the probe stream's int8 QPSK picks and
-        exactly 16 + slots observation-noise draws."""
+        exactly m_t + slots observation-noise draws on the tracking subarray."""
+        track = cfg.track_geometry
+        m_t = track.num_antennas
         plan = RngPlan(cfg.seed)
         slots = cfg.slots
         xs = generate(cfg.trajectory, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 4), 16 + slots)
-        picks = plan.probe_rng(0, 4).integers(0, 4, size=(slots, 16), dtype=np.int8)
-        weights = QPSK[picks] / 4.0
-        beams = dft_codebook(G16)
+        noise = complex_normal(plan.observation_rng(0, 4), m_t + slots)
+        picks = plan.probe_rng(0, 4).integers(0, 4, size=(slots, m_t), dtype=np.int8)
+        weights = QPSK[picks] / math.sqrt(m_t)
+        beams = dft_codebook(track)
         chan0 = ChannelState(xs[0], beta=cfg.beta, snr=cfg.rho)
-        warm = [observe(G16, chan0, beams[m], noise[m]) for m in range(16)]
+        warm = [observe(track, chan0, beams[m], noise[m]) for m in range(m_t)]
         obs = np.array(
             [
-                observe(G16, ChannelState(xs[n], beta=cfg.beta, snr=cfg.rho),
-                        weights[n - 1], noise[16 + n - 1])
+                observe(track, ChannelState(xs[n], beta=cfg.beta, snr=cfg.rho),
+                        weights[n - 1], noise[m_t + n - 1])
                 for n in range(1, slots + 1)
             ]
         )
-        return xs, weights, obs, cs_estimate(G16, beams, warm)
+        return xs, weights, obs, cs_estimate(track, beams, warm)
 
     def _check_cs_trace(self, cfg, trace, xs, estimates):
         """``estimates[n]`` is the direction estimate after slot n (index 0:
@@ -303,6 +344,40 @@ class TestEngineAgainstLibraryOps:
                 estimates.append(cs_estimate(G16, weights[n - 8 : n], obs[n - 8 : n]))
             else:
                 estimates.append(estimates[-1])
+        assert len(set(estimates)) > 2  # refreshes moved the estimate
+        self._check_cs_trace(cfg, trace, xs, estimates)
+
+    @pytest.mark.parametrize(
+        "track_antennas, slots, seed",
+        # 60 and 83 slots end inside a frame, whose window is never scored
+        [(8, 60, 45), (5, 83, 46)],
+    )
+    def test_cs_sinusoidal_subarray_trace(self, track_antennas, slots, seed):
+        # frames of m_t slots, each scored from its last m_t // 2 pilots on
+        # the subarray; rate and MSE use all 16 antennas
+        cfg = RunConfig(
+            trajectory=Trajectory.sinusoidal(slots),
+            trials=1,
+            algorithms=("cs",),
+            track_antennas=track_antennas,
+            seed=seed,
+        )
+        trace = run_single_trial(cfg, "cs", trial=0)
+        xs, weights, obs, x_warm = self._cs_replay(cfg)
+        track, m_t, k_win = cfg.track_geometry, track_antennas, track_antennas // 2
+        estimates = [x_warm]
+        for n in range(1, slots + 1):
+            if n % m_t:
+                estimates.append(estimates[-1])
+                continue
+            win = slice(n - k_win, n)
+            ref, got = cs_estimate(track, weights[win], obs[win]), trace.x_hat[n - 1]
+            if got != ref:
+                # two probes can score two grid points exactly alike, a tie
+                # that rounding breaks either way
+                tie = [_cs_direct_score(track, weights[win], obs[win], g) for g in (got, ref)]
+                assert tie[0] == pytest.approx(tie[1], rel=1e-12)
+            estimates.append(got)
         assert len(set(estimates)) > 2  # refreshes moved the estimate
         self._check_cs_trace(cfg, trace, xs, estimates)
 
@@ -456,6 +531,21 @@ class TestSummaryContents:
             {"seed": 1.0},
             {"seed": True},
             {"seed": "7"},
+            {"trials": 2.5},
+            {"trials": True},
+            {"chunk_size": 4.0},
+            {"jobs": 1.5},
+            {"jobs": True},
+            {"steady_skip": 10.0},
+            {"num_antennas": 16.0},
+            {"num_antennas": True, "step_alpha": 0.5},
+            {"track_antennas": 8.0},
+            {"track_antennas": False},
+            {"sweep_dictionary_size": 32.0},
+            {"step_alpha": math.nan},
+            {"step_alpha": math.inf},
+            {"step_n0": math.nan},
+            {"step_n0": math.inf},
         ):
             with pytest.raises(ValueError):
                 RunConfig(trajectory=Trajectory.static(5), **bad)

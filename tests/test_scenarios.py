@@ -58,6 +58,9 @@ class TestFixedVelocity:
             Trajectory.fixed_velocity(10, omega=2.0)
         with pytest.raises(ValueError):
             Trajectory("wobbly", 10)
+        for slots in (2.5, 10.0, True):
+            with pytest.raises(ValueError):
+                Trajectory.static(slots)
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
     def test_non_finite_omega_rejected(self, omega):
@@ -82,7 +85,7 @@ class TestRngPlan:
     # more takes several entropy words and overflows the 4-word pool
     EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**70 + 12345)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**80)),
         start=st.one_of(st.just(0), st.integers(1, 10**6), st.just(2**32 - 2)),

@@ -43,6 +43,11 @@ class TestStepSizeSchedule:
             StepSizeSchedule.diminishing(0.0)
         with pytest.raises(ValueError):
             StepSizeSchedule.diminishing(0.1, n0=-1.0)
+        for alpha, n0 in ((math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(ValueError):
+                StepSizeSchedule.diminishing(alpha, n0)
+        with pytest.raises(ValueError):
+            StepSizeSchedule.fixed(math.nan)
 
 
 class TestAlphaStar:
