@@ -120,9 +120,14 @@ def ls_estimate(weights, observations) -> np.ndarray:
 
 def ls_data_beam(h_hat: np.ndarray) -> np.ndarray:
     """Phase-only beam aligned with the channel estimate: entries
-    ``exp(1j*angle(h_m))/sqrt(M)``."""
-    m = len(h_hat)
-    return np.exp(1j * np.angle(h_hat)) / math.sqrt(m)
+    ``h_m / (|h_m| sqrt(M))``, which is ``exp(1j*angle(h_m))/sqrt(M)``, and
+    ``1/sqrt(M)`` for a zero entry.  A stack of estimates gives one beam per
+    row (M is the last axis)."""
+    h_hat = np.asarray(h_hat, dtype=complex)
+    scale = math.sqrt(h_hat.shape[-1])
+    mag = np.abs(h_hat)
+    out = np.full(h_hat.shape, 1.0 / scale, dtype=complex)
+    return np.divide(h_hat, mag * scale, out=out, where=mag > 0)
 
 
 # ---------------------------------------------------------------------------

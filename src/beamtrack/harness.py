@@ -46,7 +46,7 @@ from .arraymodel import (
     steering_matrix,
     steering_vector,
 )
-from .baselines import CS_DICTIONARY_SIZE, QPSK
+from .baselines import CS_DICTIONARY_SIZE, QPSK, ls_data_beam
 from .scenarios import (
     STREAM_INIT,
     STREAM_OBSERVATION,
@@ -299,7 +299,9 @@ class _DirectionTracker:
     """Base of the trackers with a direction estimate ``direction``: a slot's
     rate uses the conjugate full-array beam toward the estimate before the
     slot's ``update``, its channel MSE the estimate after it.  ``update``
-    also gets ``ip``, the full-array kernel at the pre-update estimate."""
+    also gets ``ip``, the full-array kernel at the pre-update estimate.  An
+    ``update`` that keeps the estimate leaves ``direction`` the same object,
+    and the MSE then reuses ``ip``."""
 
     def __init__(self, config: RunConfig):
         self.track = config.track_geometry
@@ -307,10 +309,12 @@ class _DirectionTracker:
         self.rho, self.beta2 = config.rho, abs(config.beta) ** 2
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
-        ip = _inner(self.k, self.m, self.direction - x_n)
+        before = self.direction
+        ip = _inner(self.k, self.m, before - x_n)
         rate = np.log2(1.0 + self.rho * np.abs(ip) ** 2 / self.m)
         self.update(n, x_n, noise, ip)
-        ip = _inner(self.k, self.m, self.direction - x_n)
+        if self.direction is not before:  # an update that keeps it reuses ip
+            ip = _inner(self.k, self.m, self.direction - x_n)
         return rate, self.beta2 * (2.0 * self.m - 2.0 * np.real(ip)), self.direction
 
     def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
@@ -357,11 +361,8 @@ class _SweepRefine(_DirectionTracker):
         super().__init__(config)
         self.dirs = codebook_directions(self.track)
         self.best = np.argmax(np.abs(warm), axis=1)
+        self.direction = self.dirs[self.best]
         self.mags = np.empty((len(trials), 3))
-
-    @property
-    def direction(self) -> np.ndarray:
-        return self.dirs[self.best]
 
     def update(self, n, x_n, noise, ip):
         cursor = (n - 1) % 3
@@ -370,6 +371,7 @@ class _SweepRefine(_DirectionTracker):
         self.mags[:, cursor] = np.abs(y)
         if cursor == 2:
             self.best = cand[np.arange(len(cand)), np.argmax(self.mags, axis=1)]
+            self.direction = self.dirs[self.best]
 
 
 class _LeastSquares:
@@ -377,7 +379,12 @@ class _LeastSquares:
     square DFT codebook the estimate is the per-beam mean pilot times
     ``pinv(conj(codebook))``: static runs average every pilot so far and
     re-estimate each slot; dynamic runs keep each beam's latest pilot and
-    re-estimate at each codebook frame's last slot."""
+    re-estimate at each codebook frame's last slot.  The probes are the fixed
+    codebook, so a slot computes only what changed.  A static run's ``a(x)``
+    and noiseless codebook pilots are computed once per chunk (``x`` never
+    moves), and a slot adds its noise to one of them.  The conjugate data
+    beam ``conj(ls_data_beam(h_hat))`` is built with each estimate and kept
+    beside it: every slot in static runs, once per frame in dynamic runs."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         self.geom = config.geometry
@@ -386,22 +393,29 @@ class _LeastSquares:
         self.beams = dft_codebook(self.geom)  # rows of conj(beams) probe h
         self.combine = np.linalg.pinv(np.conj(self.beams)).T
         self.sums, self.counts = warm.copy(), np.ones(len(self.beams))
-        self.h_hat = self.sums @ self.combine
+        if self.static:
+            self.a = steering_matrix(self.geom, x0)
+            # row d: beam d's noiseless pilots, summed as a dynamic slot sums them
+            self.clean = np.stack([(np.conj(b) * self.a).sum(axis=1) for b in self.beams])
+        self._estimate()
+
+    def _estimate(self) -> None:
+        self.h_hat = (self.sums / self.counts) @ self.combine
+        self.w_conj = np.conj(ls_data_beam(self.h_hat))
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         m = len(self.beams)
-        a = steering_matrix(self.geom, x_n)
-        w = np.exp(-1j * np.angle(self.h_hat)) / math.sqrt(m)
-        rate = np.log2(1.0 + self.rho * np.abs((w * a).sum(axis=1)) ** 2)
         d = (n - 1) % m
-        y = (np.conj(self.beams[d]) * a).sum(axis=1) + noise
         if self.static:
-            self.sums[:, d] += y
+            a = self.a
+            self.sums[:, d] += self.clean[d] + noise
             self.counts[d] += 1.0
         else:
-            self.sums[:, d] = y
+            a = steering_matrix(self.geom, x_n)
+            self.sums[:, d] = (np.conj(self.beams[d]) * a).sum(axis=1) + noise
+        rate = np.log2(1.0 + self.rho * np.abs((self.w_conj * a).sum(axis=1)) ** 2)
         if self.static or n % m == 0:
-            self.h_hat = (self.sums / self.counts) @ self.combine
+            self._estimate()
         # h_hat estimates the gain-normalized response; scale by |beta|^2
         return rate, self.beta2 * (np.abs(self.h_hat - a) ** 2).sum(axis=1), None
 
@@ -551,10 +565,18 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     trials = range(lo, hi)
     plan = RngPlan(config.seed)
 
-    # per-trial substreams, stacked into chunk arrays
+    # per-trial substreams, stacked into chunk arrays; static rows are filled
+    # in place with ``generate``'s value: its x0, or its one uniform draw
+    traj = config.trajectory
     x_traj = np.empty((len(trials), n_slots + 1))
-    for x, rng in zip(x_traj, plan.batch(trials, STREAM_TRAJECTORY)):
-        x[:] = generate(config.trajectory, rng)
+    if traj.kind != "static":
+        for x, rng in zip(x_traj, plan.batch(trials, STREAM_TRAJECTORY)):
+            x[:] = generate(traj, rng)
+    elif traj.x0 is not None:
+        x_traj[:] = traj.x0
+    else:
+        rngs = plan.batch(trials, STREAM_TRAJECTORY)
+        x_traj[:] = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])[:, None]
     noise = _observation_noise(plan, trials, _ALG_TAGS[algorithm], m_t + n_slots)
 
     # warm-up: one full codebook sweep against the anchored direction

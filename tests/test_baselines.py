@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from beamtrack import (
     QPSK,
@@ -126,6 +128,32 @@ class TestLsEstimate:
         w = ls_data_beam(h)
         np.testing.assert_allclose(np.abs(w), 1 / 4)
         assert abs(np.vdot(w, steering_vector(G16, 0.7))) ** 2 == pytest.approx(16.0)
+
+    # entries of modulus up to 1e6 and down to the smallest normal float, with
+    # exact zeros mixed in, as +0j (np.angle(-0.0) is pi); each row is one
+    # estimate
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0j),
+                st.complex_numbers(
+                    max_magnitude=1e6, allow_nan=False, allow_infinity=False,
+                    allow_subnormal=False,
+                ).map(lambda z: z if z != 0 else 0j),
+            ),
+            min_size=2,
+            max_size=32,
+        ),
+        st.integers(1, 3),
+    )
+    @example([0j, 0j], 1)
+    @example([1.0 + 0j, 0j, -2.5j, 0j], 2)
+    def test_phase_only_beam_matches_angle_form(self, entries, rows):
+        h = np.tile(np.array(entries), (rows, 1))
+        expected = np.exp(1j * np.angle(h)) / math.sqrt(len(entries))
+        w = ls_data_beam(h)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(ls_data_beam(h[0]), w[0])
 
     def test_singular_system_rejected(self):
         w = dft_codebook(G16)[3]

@@ -629,7 +629,9 @@ class TestTrackingProperties:
 
 class TestLsAgainstLibraryEstimator:
     def test_engine_matches_lstsq_solution(self):
-        from beamtrack import ls_estimate
+        # static: re-estimated every slot from every pilot so far; slot n's
+        # rate uses the phase-only beam of the estimate before it
+        from beamtrack import ls_data_beam, ls_estimate
 
         cfg = RunConfig(
             trajectory=Trajectory.static(16),
@@ -647,7 +649,9 @@ class TestLsAgainstLibraryEstimator:
         chan = ChannelState(xs[0], beta=cfg.beta, snr=rho)
         weights = [beams[m] for m in range(16)]
         obs = [observe(G16, chan, beams[m], noise[m]) for m in range(16)]
+        h_hat = ls_estimate(np.stack(weights), np.array(obs))
         for n in range(1, 17):
+            expected_rate = achievable_rate(G16, ls_data_beam(h_hat), xs[n], rho)
             d = (n - 1) % 16
             weights.append(beams[d])
             obs.append(observe(G16, ChannelState(xs[n], beta=cfg.beta, snr=rho),
@@ -657,6 +661,56 @@ class TestLsAgainstLibraryEstimator:
                 np.abs(h_hat - steering_vector(G16, xs[n])) ** 2
             )
             assert trace.mse_h[n - 1] == pytest.approx(float(expected), rel=1e-8)
+            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-9)
+
+    @settings(max_examples=60)
+    @given(
+        m=st.integers(2, 16),
+        slots=st.integers(1, 40),
+        kind=st.sampled_from(["static", "sinusoidal", "fixed_velocity"]),
+        omega=st.floats(0.0, 0.1),
+        seed=st.integers(0, 2**40),
+    )
+    def test_engine_matches_scalar_replay(self, m, slots, kind, omega, seed):
+        # slots not a multiple of m end inside a codebook frame, whose
+        # estimate a dynamic run never takes
+        from beamtrack import ls_data_beam, ls_estimate
+
+        if kind == "fixed_velocity":
+            traj = Trajectory.fixed_velocity(slots, omega=omega)
+        else:
+            traj = getattr(Trajectory, kind)(slots)
+        cfg = RunConfig(
+            trajectory=traj, num_antennas=m, trials=1, algorithms=("ls",), seed=seed
+        )
+        trace = run_single_trial(cfg, "ls", trial=0)
+
+        geom = ArrayGeometry(m)
+        plan = RngPlan(seed)
+        xs = generate(traj, plan.trajectory_rng(0))
+        noise = complex_normal(plan.observation_rng(0, 3), m + slots)
+        beams = dft_codebook(geom)
+
+        def pilot(x, d, z):
+            return observe(geom, ChannelState(x, beta=cfg.beta, snr=cfg.rho), beams[d], z)
+
+        weights = list(beams)
+        obs = [pilot(xs[0], d, noise[d]) for d in range(m)]
+        h_hat = ls_estimate(weights, obs)
+        rates, mses = [], []
+        for n in range(1, slots + 1):
+            rates.append(achievable_rate(geom, ls_data_beam(h_hat), xs[n], cfg.rho))
+            d = (n - 1) % m
+            weights.append(beams[d])
+            obs.append(pilot(xs[n], d, noise[m + n - 1]))
+            if kind == "static":
+                h_hat = ls_estimate(weights, obs)
+            elif n % m == 0:
+                h_hat = ls_estimate(weights[-m:], obs[-m:])
+            err = h_hat - steering_vector(geom, xs[n])
+            mses.append(abs(cfg.beta) ** 2 * np.sum(np.abs(err) ** 2))
+        np.testing.assert_allclose(trace.mse_h, mses, rtol=1e-9)
+        np.testing.assert_allclose(trace.rate, rates, rtol=1e-9)
 
     def test_dynamic_engine_holds_each_frame_estimate(self):
         # dynamic: one estimate per 16-slot codebook frame from that frame's
