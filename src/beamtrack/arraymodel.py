@@ -79,15 +79,6 @@ class ChannelState:
         if self.snr <= 0:
             raise ValueError("SNR must be positive")
 
-    @property
-    def theta(self) -> float:
-        """Arrival angle in radians."""
-        return math.asin(self.x)
-
-    @property
-    def noise_power(self) -> float:
-        return abs(self.beta) ** 2 / self.snr
-
 
 def _check_direction(x: float) -> None:
     if not -1.0 <= x <= 1.0:

@@ -4,7 +4,7 @@ Subcommands map to the benchmark experiments (static convergence, dynamic
 tracking, angular-speed sweep) and to the closed-form analytics (bound
 tables, drift-function analysis, initialization quality).  Every run writes
 CSV files, a small gnuplot script per figure, and a ``run.json`` manifest
-echoing the configuration and seed.
+echoing the configuration and seed, all through one ``_Output`` per run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, harness
 from .arraymodel import (
     channel_mse_limit,
     crlb_min,
@@ -131,8 +131,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 _FILE_KEYS = {f.name for f in fields(RunConfig)} | {"slots"}
-# the subcommand and --out decide these, whatever the file says
-_SETTINGS = _FILE_KEYS - {"trajectory", "out_dir", "out_prefix"}
+# the subcommand decides the trajectory, whatever the file says
+_SETTINGS = _FILE_KEYS - {"trajectory"}
 
 
 def _load_file_config(path: Path | None) -> dict:
@@ -154,12 +154,10 @@ def _settings(args) -> dict:
     return settings
 
 
-def _run_config(
-    args, settings: dict, trajectory=Trajectory.static, **overrides
-) -> RunConfig:
+def _run_config(settings: dict, trajectory=Trajectory.static, **overrides) -> RunConfig:
     """The RunConfig of ``settings`` on ``trajectory(slots)``.  A rejected
     setting ends the run with one ``beamtrack: <reason>`` line on stderr."""
-    kw = {"out_dir": str(args.out), **settings, **overrides}
+    kw = {**settings, **overrides}
     try:
         if "beta" in kw:
             kw["beta"] = complex(*kw["beta"])
@@ -175,24 +173,58 @@ def _config_dict(cfg: RunConfig) -> dict:
     return d
 
 
-def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "tool": "beamtrack",
-        "version": __version__,
-        "command": command,
-        "seed": config.get("seed"),
-        "config": config,
-        "outputs": sorted(outputs),
-    }
-    with open(out / "run.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _cell(value) -> str:
+    return str(value) if isinstance(value, int) else f"{value:.12g}"
 
 
-def _write_gnuplot(out: Path, name: str, lines: list[str]) -> str:
-    path = out / name
-    path.write_text("\n".join(lines) + "\n")
-    return name
+class _Output:
+    """The files of one run in its ``--out`` directory: CSV tables, gnuplot
+    scripts and summary CSVs, then ``run.json``, whose ``outputs`` lists every
+    name written.  Create it only after the run's settings are checked and its
+    results computed, so that a rejected run writes nothing."""
+
+    def __init__(self, directory: Path, command: str):
+        directory.mkdir(parents=True, exist_ok=True)
+        self._dir = directory
+        self._command = command
+        self._names: list[str] = []
+
+    def _path(self, name: str) -> Path:
+        self._names.append(name)
+        return self._dir / name
+
+    def table(self, name: str, header: str, rows) -> None:
+        """A CSV table: ints as written, every other value ``.12g``."""
+        with open(self._path(name), "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(map(_cell, row)) + "\n")
+
+    def summary(self, name: str, summary) -> None:
+        # looked up on the module, so perfbench's tracer, which rebinds the
+        # harness attribute, times every summary CSV
+        harness.write_summary_csv(self._path(name), summary)
+
+    def plot(self, name: str, clauses, xlabel: str, ylabel=None, logscale=None) -> None:
+        """A gnuplot script plotting ``clauses`` from the run's CSV files."""
+        lines = [f"set logscale {logscale}"] if logscale else []
+        lines.append(f'set xlabel "{xlabel}"')
+        if ylabel:
+            lines.append(f'set ylabel "{ylabel}"')
+        lines += ["set datafile separator ','", "plot " + ", ".join(clauses)]
+        self._path(name).write_text("\n".join(lines) + "\n")
+
+    def manifest(self, config: dict) -> None:
+        manifest = {
+            "tool": "beamtrack",
+            "version": __version__,
+            "command": self._command,
+            "seed": config.get("seed"),
+            "config": config,
+            "outputs": sorted(self._names),
+        }
+        with open(self._dir / "run.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -200,47 +232,38 @@ def _write_gnuplot(out: Path, name: str, lines: list[str]) -> str:
 
 
 def _cmd_static(args, settings: dict) -> int:
-    cfg = _run_config(args, settings, out_prefix="static")
+    cfg = _run_config(settings)
     summaries = run_experiment(cfg)
-    out = Path(args.out)
-    outputs = [f"static_{name}.csv" for name in cfg.algorithms]
-    outputs.append(
-        _write_gnuplot(
-            out,
-            "static_mse.gp",
-            [
-                "set logscale xy",
-                'set xlabel "slot n"',
-                'set ylabel "n * MSE_h"',
-                "set datafile separator ','",
-                "plot "
-                + ", ".join(
-                    f"'static_{name}.csv' using 1:($1*$2) with lines title '{name}'"
-                    for name in cfg.algorithms
-                )
-                + ", 'static_recursive.csv' using 1:($1*$6) with lines dt 2 title 'bound'",
-            ],
-        )
-    )
-    _write_manifest(out, "static", _config_dict(cfg), outputs)
+    out = _Output(args.out, "static")
     for name, s in summaries.items():
+        out.summary(f"static_{name}.csv", s)
         final = s.mean_mse_h[-1] * s.slots[-1]
         print(f"{name}: n*MSE_h at n={s.slots[-1]} = {final:.6g}")
+    out.plot(
+        "static_mse.gp",
+        [
+            f"'static_{name}.csv' using 1:($1*$2) with lines title '{name}'"
+            for name in cfg.algorithms
+        ]
+        + ["'static_recursive.csv' using 1:($1*$6) with lines dt 2 title 'bound'"],
+        "slot n",
+        "n * MSE_h",
+        logscale="xy",
+    )
+    out.manifest(_config_dict(cfg))
     return 0
 
 
-def _trace_csv(path: Path, record) -> None:
-    with open(path, "w") as fh:
-        fh.write("slot,x,theta,x_hat,theta_hat,rate,mse_h\n")
-        for k in range(len(record.x)):
-            x = record.x[k]
-            xh = record.x_hat[k]
-            th = math.asin(max(-1.0, min(1.0, x)))
-            thh = math.asin(max(-1.0, min(1.0, xh))) if not math.isnan(xh) else math.nan
-            fh.write(
-                f"{k + 1},{x:.12g},{th:.12g},{xh:.12g},{thh:.12g},"
-                f"{record.rate[k]:.12g},{record.mse_h[k]:.12g}\n"
-            )
+def _theta(x: float) -> float:
+    """Arrival angle of direction sine ``x``; NaN stays NaN."""
+    return math.nan if math.isnan(x) else math.asin(max(-1.0, min(1.0, x)))
+
+
+def _trace_rows(record):
+    # rows of Python floats, which format faster than numpy scalars
+    columns = (c.tolist() for c in (record.x, record.x_hat, record.rate, record.mse_h))
+    for slot, (x, x_hat, rate, mse) in enumerate(zip(*columns), 1):
+        yield slot, x, _theta(x), x_hat, _theta(x_hat), rate, mse
 
 
 def _cmd_dynamic(args, settings: dict) -> int:
@@ -248,50 +271,35 @@ def _cmd_dynamic(args, settings: dict) -> int:
         traj = Trajectory.sinusoidal
     else:
         traj = partial(Trajectory.fixed_velocity, omega=args.omega)
-    cfg = _run_config(args, settings, traj, out_prefix="dynamic")
+    cfg = _run_config(settings, traj)
     summaries = run_experiment(cfg)
-    out = Path(args.out)
-    outputs = [f"dynamic_{name}.csv" for name in cfg.algorithms]
+    out = _Output(args.out, "dynamic")
     for name, s in summaries.items():
-        trace_name = f"dynamic_trace_{name}.csv"
-        _trace_csv(out / trace_name, s.trace)
-        outputs.append(trace_name)
-    outputs.append(
-        _write_gnuplot(
-            out,
-            "dynamic_rate.gp",
-            [
-                'set xlabel "slot n"',
-                'set ylabel "mean rate (bits/s/Hz)"',
-                "set datafile separator ','",
-                "plot "
-                + ", ".join(
-                    f"'dynamic_{name}.csv' using 1:4 with lines title '{name}'"
-                    for name in cfg.algorithms
-                ),
-            ],
+        out.summary(f"dynamic_{name}.csv", s)
+        out.table(
+            f"dynamic_trace_{name}.csv",
+            "slot,x,theta,x_hat,theta_hat,rate,mse_h",
+            _trace_rows(s.trace),
         )
-    )
-    outputs.append(
-        _write_gnuplot(
-            out,
-            "dynamic_tracking.gp",
-            [
-                'set xlabel "slot n"',
-                'set ylabel "angle (rad)"',
-                "set datafile separator ','",
-                f"plot 'dynamic_trace_{cfg.algorithms[0]}.csv' using 1:3 with lines title 'true'"
-                + "".join(
-                    f", 'dynamic_trace_{name}.csv' using 1:5 with lines title '{name}'"
-                    for name in cfg.algorithms
-                    if name != "ls"
-                ),
-            ],
-        )
-    )
-    _write_manifest(out, "dynamic", _config_dict(cfg), outputs)
-    for name, s in summaries.items():
         print(f"{name}: steady mean rate = {s.steady_mean_rate:.4f} bits/s/Hz")
+    out.plot(
+        "dynamic_rate.gp",
+        [f"'dynamic_{name}.csv' using 1:4 with lines title '{name}'" for name in cfg.algorithms],
+        "slot n",
+        "mean rate (bits/s/Hz)",
+    )
+    out.plot(
+        "dynamic_tracking.gp",
+        [f"'dynamic_trace_{cfg.algorithms[0]}.csv' using 1:3 with lines title 'true'"]
+        + [
+            f"'dynamic_trace_{name}.csv' using 1:5 with lines title '{name}'"
+            for name in cfg.algorithms
+            if name != "ls"
+        ],
+        "slot n",
+        "angle (rad)",
+    )
+    out.manifest(_config_dict(cfg))
     return 0
 
 
@@ -302,8 +310,7 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
     subset = settings.pop("track_antennas", None)
 
     def config(omega: float, **kw) -> RunConfig:
-        traj = partial(Trajectory.fixed_velocity, omega=omega)
-        return _run_config(args, settings, traj, out_dir=None, out_prefix="sweep", **kw)
+        return _run_config(settings, partial(Trajectory.fixed_velocity, omega=omega), **kw)
 
     base_cfg = config(grid[0])
     if subset is not None:
@@ -320,10 +327,8 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
         if name != "recursive"
     ]
     series = [(label, [config(omega, **kw) for omega in grid]) for label, kw in runs]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    outputs = []
+    tables = {}
     for label, cfgs in series:
         rows = []
         for cfg in cfgs:
@@ -336,40 +341,31 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
                     summary.conv_frac[-1],
                 )
             )
-        name = f"sweep_{label}.csv"
-        with open(out / name, "w") as fh:
-            fh.write("omega,mean_mse_h,mean_rate,conv_frac\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        outputs.append(name)
+        tables[label] = rows
         print(f"{label}: rate at omega={grid[0]:.4g} -> {rows[0][2]:.4f}, "
               f"at omega={grid[-1]:.4g} -> {rows[-1][2]:.4f}")
+    out = _Output(args.out, "sweep-speed")
+    for label, rows in tables.items():
+        out.table(f"sweep_{label}.csv", "omega,mean_mse_h,mean_rate,conv_frac", rows)
     for metric, col, ylabel in (("rate", 3, "mean rate"), ("mse", 2, "mean MSE_h")):
-        outputs.append(
-            _write_gnuplot(
-                out,
-                f"sweep_{metric}.gp",
-                [
-                    "set logscale x",
-                    'set xlabel "angular velocity (rad/slot)"',
-                    f'set ylabel "{ylabel}"',
-                    "set datafile separator ','",
-                    "plot "
-                    + ", ".join(
-                        f"'sweep_{label}.csv' using 1:{col} with linespoints title '{label}'"
-                        for label, _ in series
-                    ),
-                ],
-            )
+        out.plot(
+            f"sweep_{metric}.gp",
+            [
+                f"'sweep_{label}.csv' using 1:{col} with linespoints title '{label}'"
+                for label in tables
+            ],
+            "angular velocity (rad/slot)",
+            ylabel,
+            logscale="x",
         )
     cfg_echo = _config_dict(base_cfg)
     cfg_echo["omega_grid"] = list(map(float, grid))
-    _write_manifest(out, "sweep-speed", cfg_echo, outputs)
+    out.manifest(cfg_echo)
     return 0
 
 
 def _cmd_crlb(args, settings: dict) -> int:
-    cfg = _run_config(args, settings)
+    cfg = _run_config(settings)
     geom, snr_db, rho = cfg.geometry, cfg.snr_db, cfg.rho
     sigma2 = 1.0 / rho  # unit-magnitude gain
     imax = i_max(geom, rho)
@@ -380,113 +376,85 @@ def _cmd_crlb(args, settings: dict) -> int:
     print(f"peak Fisher information: {imax:.10g}")
     print(f"optimal step coefficient: {astar:.10g}")
     print(f"channel-MSE limit (n * MSE_h): {limit:.10g}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ns = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000]
-    name = "crlb.csv"
-    with open(out / name, "w") as fh:
-        fh.write("n,crlb_x,crlb_h\n")
-        for n in ns:
-            fh.write(f"{n},{crlb_min(geom, rho, n):.12g},{limit / n:.12g}\n")
-    cfg_echo = {
-        "num_antennas": geom.num_antennas,
-        "spacing_over_wavelength": geom.spacing_over_wavelength,
-        "snr_db": snr_db,
-        "i_max": imax,
-        "alpha_star": astar,
-        "channel_mse_limit": limit,
-    }
-    _write_manifest(out, "crlb", cfg_echo, [name])
+    out = _Output(args.out, "crlb")
+    out.table("crlb.csv", "n,crlb_x,crlb_h", [(n, crlb_min(geom, rho, n), limit / n) for n in ns])
+    out.manifest(
+        {
+            "num_antennas": geom.num_antennas,
+            "spacing_over_wavelength": geom.spacing_over_wavelength,
+            "snr_db": snr_db,
+            "i_max": imax,
+            "alpha_star": astar,
+            "channel_mse_limit": limit,
+        }
+    )
     return 0
 
 
 def _cmd_stable_points(args, settings: dict) -> int:
-    geom = _run_config(args, settings).geometry
+    geom = _run_config(settings).geometry
     x = args.x
     if not -1.0 <= x <= 1.0:
         raise SystemExit(f"beamtrack: --x must lie in [-1, 1], got {x}")
     if args.samples < 2:
         raise SystemExit(f"beamtrack: --samples must be at least 2, got {args.samples}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     vs = np.linspace(-1.0, 1.0, args.samples)
     m = geom.num_antennas
     inner = np.conj(steering_matrix(geom, vs)) @ steering_vector(geom, x)
     fs = -np.imag(inner) / math.sqrt(m)
     gains = np.abs(inner) / math.sqrt(m)
-    curve = "stable_points_curve.csv"
-    with open(out / curve, "w") as fh:
-        fh.write("v,f,gain\n")
-        for v, f, g in zip(vs, fs, gains):
-            fh.write(f"{v:.12g},{f:.12g},{g:.12g}\n")
     pts = stable_points(geom, x)
     eps = 1e-6
-    points = "stable_points.csv"
-    with open(out / points, "w") as fh:
-        fh.write("v,f,slope\n")
-        for v in pts:
-            slope = (
-                surrogate_f(geom, min(v + eps, 1.0), x)
-                - surrogate_f(geom, max(v - eps, -1.0), x)
-            ) / (min(v + eps, 1.0) - max(v - eps, -1.0))
-            fh.write(f"{v:.12g},{surrogate_f(geom, v, x):.12g},{slope:.12g}\n")
-    gp = _write_gnuplot(
-        out,
+    rows = []
+    for v in pts:
+        lo, hi = max(v - eps, -1.0), min(v + eps, 1.0)
+        slope = (surrogate_f(geom, hi, x) - surrogate_f(geom, lo, x)) / (hi - lo)
+        rows.append((v, surrogate_f(geom, v, x), slope))
+    out = _Output(args.out, "analyze-stable-points")
+    out.table("stable_points_curve.csv", "v,f,gain", zip(vs, fs, gains))
+    out.table("stable_points.csv", "v,f,slope", rows)
+    out.plot(
         "stable_points.gp",
         [
-            'set xlabel "probe direction v"',
-            "set datafile separator ','",
-            "plot 'stable_points_curve.csv' using 1:2 with lines title 'drift f(v,x)', "
-            "'stable_points_curve.csv' using 1:3 with lines title 'gain', "
+            "'stable_points_curve.csv' using 1:2 with lines title 'drift f(v,x)'",
+            "'stable_points_curve.csv' using 1:3 with lines title 'gain'",
             "'stable_points.csv' using 1:2 with points pt 7 title 'stable points'",
         ],
+        "probe direction v",
     )
     print(f"stable points for x={x}, M={m}: " + ", ".join(f"{v:.6g}" for v in pts))
     print(f"spacing: {1.0 / ((m - 1) * geom.spacing_over_wavelength):.6g}")
-    _write_manifest(
-        out,
-        "analyze-stable-points",
-        {"num_antennas": m, "x": x, "samples": args.samples},
-        [curve, points, gp],
-    )
+    out.manifest({"num_antennas": m, "x": x, "samples": args.samples})
     return 0
 
 
 def _cmd_init_quality(args, settings: dict) -> int:
-    cfg = _run_config(args, settings)
+    cfg = _run_config(settings)
     geom, m, trials, seed = cfg.geometry, cfg.num_antennas, cfg.trials, cfg.seed
     snrs, factors = args.snr_grid, args.m0_factors
     if not all(map(math.isfinite, snrs)):
         raise SystemExit(f"beamtrack: --snr-grid values must be finite, got {snrs}")
     if min(factors) < 1:
         raise SystemExit(f"beamtrack: --m0-factors must be at least 1, got {factors}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = "init_quality.csv"
-    with open(out / name, "w") as fh:
-        fh.write("snr_db,m0,trials,hit_rate\n")
-        for snr_db in snrs:
-            for factor in factors:
-                m0 = factor * m
-                rate = initialization_hit_rate(geom, snr_db, m0, trials, seed)
-                fh.write(f"{snr_db:.12g},{m0},{trials},{rate:.12g}\n")
-                print(f"snr {snr_db:5.1f} dB, M0={m0:4d}: hit rate {rate:.4f}")
-    gp = _write_gnuplot(
-        out,
+    rows = []
+    for snr_db in snrs:
+        for factor in factors:
+            m0 = factor * m
+            rate = initialization_hit_rate(geom, snr_db, m0, trials, seed)
+            rows.append((snr_db, m0, trials, rate))
+            print(f"snr {snr_db:5.1f} dB, M0={m0:4d}: hit rate {rate:.4f}")
+    out = _Output(args.out, "init-quality")
+    out.table("init_quality.csv", "snr_db,m0,trials,hit_rate", rows)
+    out.plot(
         "init_quality.gp",
-        [
-            'set xlabel "SNR (dB)"',
-            'set ylabel "mainlobe hit rate"',
-            "set datafile separator ','",
-            "plot 'init_quality.csv' using 1:4 with points title 'hit rate'",
-        ],
+        ["'init_quality.csv' using 1:4 with points title 'hit rate'"],
+        "SNR (dB)",
+        "mainlobe hit rate",
     )
-    _write_manifest(
-        out,
-        "init-quality",
+    out.manifest(
         {"num_antennas": m, "trials": trials, "seed": seed,
-         "snr_grid": snrs, "m0_factors": factors},
-        [name, gp],
+         "snr_grid": snrs, "m0_factors": factors}
     )
     return 0
 

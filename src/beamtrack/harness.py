@@ -1,7 +1,7 @@
 """Monte Carlo experiment runner.
 
 Wires trajectories, noise streams and algorithms together, aggregates per-slot
-metrics across trials, and writes the benchmark CSV files.  Trials are
+metrics across trials, and formats the per-algorithm summary CSV.  Trials are
 advanced in vectorized chunks by one batch tracker per algorithm
 (``_Recursive``, ``_SweepRefine``, ``_LeastSquares``, ``_CompressedSensing``).
 Every trial draws its trajectory, noise, probes and initial state from its
@@ -31,6 +31,7 @@ the results depend on the evaluation order, and another order would move them.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -142,8 +143,6 @@ class RunConfig:
     chunk_size: int = 512
     jobs: int = 1
     steady_skip: int = 50  # slots excluded from scalar aggregates
-    out_dir: str | None = None
-    out_prefix: str | None = None
 
     def __post_init__(self) -> None:
         for name in self.algorithms:
@@ -179,6 +178,8 @@ class RunConfig:
             raise ValueError("least-squares baseline needs the full array")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if not (cmath.isfinite(self.beta) and self.beta != 0):
+            raise ValueError(f"beta must be finite and nonzero, got {self.beta}")
         self.step_schedule()  # rejects an unknown kind and a bad alpha or n0
 
     @property
@@ -547,8 +548,8 @@ _TRACKERS = dict(
 
 
 def _observation_noise(plan: RngPlan, trials: range, tag: int, size: int) -> np.ndarray:
-    """Row k is ``complex_normal(plan.observation_rng(trials[k], tag), size)``,
-    drawn in place."""
+    """Row k is ``complex_normal(plan.stream(trials[k], STREAM_OBSERVATION, tag),
+    size)``, drawn in place."""
     noise = np.empty((len(trials), size), dtype=complex)
     pairs = noise.view(float).reshape(len(trials), size, 2)
     for pair, rng in zip(pairs, plan.batch(trials, STREAM_OBSERVATION, tag)):
@@ -686,19 +687,10 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
 
 
 def run_experiment(config: RunConfig) -> dict[str, RunSummary]:
-    """Run every configured algorithm and return per-algorithm summaries.
-    When ``config.out_dir`` is set, one CSV per algorithm is written there."""
+    """Run every configured algorithm and return per-algorithm summaries."""
     summaries = {}
     for name in config.algorithms:
         summaries[name] = _run_algorithm(config, name)
-    if config.out_dir is not None:
-        from pathlib import Path
-
-        prefix = config.out_prefix or config.trajectory.kind
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, summary in summaries.items():
-            write_summary_csv(out / f"{prefix}_{name}.csv", summary)
     return summaries
 
 

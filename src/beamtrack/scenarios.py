@@ -143,18 +143,6 @@ class RngPlan:
                 yield rng
             lo = hi
 
-    def trajectory_rng(self, trial: int) -> np.random.Generator:
-        return self.stream(trial, STREAM_TRAJECTORY)
-
-    def observation_rng(self, trial: int, tag: int = 0) -> np.random.Generator:
-        return self.stream(trial, STREAM_OBSERVATION, tag)
-
-    def probe_rng(self, trial: int, tag: int = 0) -> np.random.Generator:
-        return self.stream(trial, STREAM_PROBE, tag)
-
-    def init_rng(self, trial: int) -> np.random.Generator:
-        return self.stream(trial, STREAM_INIT)
-
 
 # numpy's SeedSequence entropy hash (pool of 4 uint32 words) and the seeding
 # of PCG64 from its state words (O'Neill 2014)

@@ -32,7 +32,7 @@ from beamtrack import (
     steering_vector,
     surrogate_f,
 )
-from beamtrack.scenarios import RngPlan, complex_normal, generate
+from beamtrack.scenarios import STREAM_TRAJECTORY, RngPlan, complex_normal, generate
 
 G16 = ArrayGeometry(16)
 CAPACITY_10DB = math.log2(1 + 10 * 16)
@@ -259,7 +259,8 @@ def test_criterion_6a_speed_point(speed_point_run):
     drift = max(abs(surrogate_f(g8, v, 0.0)) for v in np.linspace(-1.0, 1.0, 20_001))
     ceiling = alpha_star(g8) * drift
     x = generate(
-        Trajectory.fixed_velocity(3000, omega=0.064), RngPlan(106).trajectory_rng(0)
+        Trajectory.fixed_velocity(3000, omega=0.064),
+        RngPlan(106).stream(0, STREAM_TRAJECTORY),
     )
     a = steering_matrix(G16, x)
     inner = np.sum(np.conj(a[:-1]) * a[1:], axis=1)

@@ -266,11 +266,6 @@ class TestLogLikelihood:
 
 
 class TestChannelState:
-    def test_noise_power(self):
-        chan = ChannelState(0.0, beta=2.0 + 0j, snr=8.0)
-        assert chan.noise_power == pytest.approx(0.5)
-        assert ChannelState(0.5).theta == pytest.approx(math.asin(0.5))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelState(1.5)

@@ -323,8 +323,11 @@ class TestErrors:
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"step_alpha": math.nan}, "alpha must be positive and finite, got nan"),
             ({"slots": 2.5}, "num_slots must be an integer, got 2.5"),
+            ({"beta": [math.nan, 0]}, "beta must be finite and nonzero, got (nan+0j)"),
+            ({"beta": [math.inf, 1]}, "beta must be finite and nonzero, got (inf+1j)"),
+            ({"beta": [0, 0]}, "beta must be finite and nonzero, got 0j"),
         ],
-        ids=["trials", "step_alpha", "slots"],
+        ids=["trials", "step_alpha", "slots", "beta_nan", "beta_inf", "beta_zero"],
     )
     def test_rejected_count_or_step_in_config_one_line(self, tmp_path, setting, message):
         cfg_path = tmp_path / "cfg.json"
@@ -332,6 +335,18 @@ class TestErrors:
         res = run_cli("dynamic", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert res.returncode == 1
         assert res.stderr == f"beamtrack: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["out_dir", "out_prefix"])
+    def test_output_key_in_config_is_unknown(self, tmp_path, key):
+        # --out and the subcommand decide where a run writes and what
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: "elsewhere"}))
+        res = run_cli("crlb", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr == (
+            f"beamtrack: unknown key(s) in config file {cfg_path}: {key}\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_flag_of_another_command_usage_error(self, tmp_path):

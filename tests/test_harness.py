@@ -42,6 +42,12 @@ from beamtrack import (
 )
 from beamtrack.baselines import CS_DICTIONARY_SIZE
 from beamtrack.harness import _cs_lag_atoms, _cs_window_score, _inner
+from beamtrack.scenarios import (
+    STREAM_INIT,
+    STREAM_OBSERVATION,
+    STREAM_PROBE,
+    STREAM_TRAJECTORY,
+)
 
 G16 = ArrayGeometry(16)
 
@@ -165,8 +171,8 @@ class TestEngineAgainstLibraryOps:
         trace = run_single_trial(cfg, "recursive", trial=trial)
 
         plan = RngPlan(77)
-        xs = generate(cfg.trajectory, plan.trajectory_rng(trial))
-        noise = complex_normal(plan.observation_rng(trial, 1), 16 + 40)
+        xs = generate(cfg.trajectory, plan.stream(trial, STREAM_TRAJECTORY))
+        noise = complex_normal(plan.stream(trial, STREAM_OBSERVATION, 1), 16 + 40)
         rho = cfg.rho
         if init == "sweep":
             chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
@@ -176,10 +182,11 @@ class TestEngineAgainstLibraryOps:
             )
             x0 = coarse_sweep(G16, SweepDictionary(32), pilots)
         elif init == "uniform":
-            x0 = plan.init_rng(trial).uniform(-1.0, 1.0)
+            x0 = plan.stream(trial, STREAM_INIT).uniform(-1.0, 1.0)
         else:
             hw = mainlobe_halfwidth(G16)
-            x0 = min(max(xs[0] + plan.init_rng(trial).uniform(-hw, hw), -1.0), 1.0)
+            offset = plan.stream(trial, STREAM_INIT).uniform(-hw, hw)
+            x0 = min(max(xs[0] + offset, -1.0), 1.0)
         state = SineTrackerState(
             x0, StepSizeSchedule.diminishing(alpha_star(G16)), G16
         )
@@ -211,8 +218,8 @@ class TestEngineAgainstLibraryOps:
 
         g8 = G16.subset(8)
         plan = RngPlan(78)
-        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 1), 8 + slots)
+        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
+        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 1), 8 + slots)
         rho = cfg.rho
         chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
         beams = dft_codebook(g8)
@@ -243,8 +250,8 @@ class TestEngineAgainstLibraryOps:
         trace = run_single_trial(cfg, "80211ad", trial=0)
 
         plan = RngPlan(41)
-        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 2), 16 + slots)
+        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
+        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 2), 16 + slots)
         rho = cfg.rho
         beams = dft_codebook(G16)
         dirs = codebook_directions(G16)
@@ -278,9 +285,10 @@ class TestEngineAgainstLibraryOps:
         m_t = track.num_antennas
         plan = RngPlan(cfg.seed)
         slots = cfg.slots
-        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 4), m_t + slots)
-        picks = plan.probe_rng(0, 4).integers(0, 4, size=(slots, m_t), dtype=np.int8)
+        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
+        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 4), m_t + slots)
+        probe_rng = plan.stream(0, STREAM_PROBE, 4)
+        picks = probe_rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
         weights = QPSK[picks] / math.sqrt(m_t)
         beams = dft_codebook(track)
         chan0 = ChannelState(xs[0], beta=cfg.beta, snr=cfg.rho)
@@ -546,6 +554,9 @@ class TestSummaryContents:
             {"step_alpha": math.inf},
             {"step_n0": math.nan},
             {"step_n0": math.inf},
+            {"beta": complex(math.nan, 0.0)},
+            {"beta": complex(math.inf, 1.0)},
+            {"beta": 0j},
         ):
             with pytest.raises(ValueError):
                 RunConfig(trajectory=Trajectory.static(5), **bad)
@@ -642,8 +653,8 @@ class TestLsAgainstLibraryEstimator:
         trace = run_single_trial(cfg, "ls", trial=0)
 
         plan = RngPlan(31)
-        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 3), 16 + 16)
+        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
+        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 3), 16 + 16)
         rho = cfg.rho
         beams = dft_codebook(G16)
         chan = ChannelState(xs[0], beta=cfg.beta, snr=rho)
@@ -687,8 +698,8 @@ class TestLsAgainstLibraryEstimator:
 
         geom = ArrayGeometry(m)
         plan = RngPlan(seed)
-        xs = generate(traj, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 3), m + slots)
+        xs = generate(traj, plan.stream(0, STREAM_TRAJECTORY))
+        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 3), m + slots)
         beams = dft_codebook(geom)
 
         def pilot(x, d, z):
@@ -727,8 +738,8 @@ class TestLsAgainstLibraryEstimator:
         trace = run_single_trial(cfg, "ls", trial=0)
 
         plan = RngPlan(32)
-        xs = generate(cfg.trajectory, plan.trajectory_rng(0))
-        noise = complex_normal(plan.observation_rng(0, 3), 16 + slots)
+        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
+        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 3), 16 + slots)
         beams = dft_codebook(G16)
         chan = ChannelState(xs[0], beta=cfg.beta, snr=cfg.rho)
         warm = [observe(G16, chan, beams[m], noise[m]) for m in range(16)]

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamtrack import RngPlan, Trajectory, complex_normal, generate
+from beamtrack.scenarios import STREAM_TRAJECTORY
 
 
 class TestStatic:
@@ -122,8 +123,8 @@ class TestRngPlan:
 
     def test_trajectories_shared_across_algorithms(self):
         plan = RngPlan(7)
-        t1 = generate(Trajectory.static(5), plan.trajectory_rng(4))
-        t2 = generate(Trajectory.static(5), plan.trajectory_rng(4))
+        t1 = generate(Trajectory.static(5), plan.stream(4, STREAM_TRAJECTORY))
+        t2 = generate(Trajectory.static(5), plan.stream(4, STREAM_TRAJECTORY))
         np.testing.assert_array_equal(t1, t2)
 
 
