@@ -1,6 +1,6 @@
-"""Analog beam tracking for linear phased arrays: recursive tracker,
-reference algorithms, closed-form bound analytics and a Monte Carlo
-benchmark harness."""
+"""Analog beam tracking for linear phased arrays: the recursive tracker and
+three reference algorithms in a Monte Carlo benchmark harness, and the
+closed-form bound and drift analytics they are checked against."""
 
 __version__ = "0.1.0"
 
@@ -22,38 +22,18 @@ from .arraymodel import (
     steering_vector,
     surrogate_f,
 )
-from .baselines import (
-    QPSK,
-    Ad11State,
-    ad11_probe_index,
-    ad11_step,
-    cs_estimate,
-    ls_data_beam,
-    ls_estimate,
-)
 from .harness import (
     ALGORITHMS,
     RunConfig,
     RunSummary,
     TrialRecord,
-    achievable_rate,
     h_prime_norm_sq,
     initialization_hit_rate,
-    mse_h,
     run_experiment,
     run_single_trial,
     write_summary_csv,
 )
 from .scenarios import RngPlan, Trajectory, complex_normal, generate
-from .trackers import (
-    SineTrackerState,
-    StepSizeSchedule,
-    SweepDictionary,
-    alpha_star,
-    coarse_sweep,
-    codebook_directions,
-    dft_codebook,
-    recursive_step,
-)
+from .trackers import alpha_star, codebook_directions, dft_codebook, sine_grid
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -49,6 +49,18 @@ _COMMAND_DEFAULTS = {
     "analyze-stable-points": {"num_antennas": 8},
     "init-quality": {"trials": 10000},
 }
+# the config-file keys each subcommand reads: RunConfig's fields plus "slots"
+# for the simulations, which accept and ignore "trajectory"
+_FILE_KEYS = {f.name for f in fields(RunConfig)} | {"slots"}
+_GEOMETRY_KEYS = {"num_antennas", "spacing_over_wavelength"}
+_COMMAND_KEYS = {
+    "static": _FILE_KEYS,
+    "dynamic": _FILE_KEYS,
+    "sweep-speed": _FILE_KEYS,
+    "crlb": _GEOMETRY_KEYS | {"snr_db", "beta"},
+    "analyze-stable-points": _GEOMETRY_KEYS,
+    "init-quality": _GEOMETRY_KEYS | {"trials", "seed"},
+}
 
 
 def _words(text: str) -> tuple[str, ...]:
@@ -130,26 +142,27 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-_FILE_KEYS = {f.name for f in fields(RunConfig)} | {"slots"}
 # the subcommand decides the trajectory, whatever the file says
 _SETTINGS = _FILE_KEYS - {"trajectory"}
 
 
-def _load_file_config(path: Path | None) -> dict:
+def _load_file_config(path: Path | None, command: str) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
         file_cfg = json.load(fh)
-    unknown = ", ".join(sorted(set(file_cfg) - _FILE_KEYS))
-    if unknown:
-        raise SystemExit(f"beamtrack: unknown key(s) in config file {path}: {unknown}")
+    for keys, what in ((_FILE_KEYS, "unknown key(s)"),
+                       (_COMMAND_KEYS[command], f"key(s) that {command} does not read")):
+        extra = ", ".join(sorted(set(file_cfg) - keys))
+        if extra:
+            raise SystemExit(f"beamtrack: {what} in config file {path}: {extra}")
     return file_cfg
 
 
 def _settings(args) -> dict:
     """The run settings: command default, then config file, then flag."""
     settings = dict(_COMMAND_DEFAULTS[args.command])
-    for layer in (_load_file_config(args.config), vars(args)):
+    for layer in (_load_file_config(args.config, args.command), vars(args)):
         settings.update((k, v) for k, v in layer.items() if k in _SETTINGS)
     return settings
 
@@ -367,7 +380,7 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
 def _cmd_crlb(args, settings: dict) -> int:
     cfg = _run_config(settings)
     geom, snr_db, rho = cfg.geometry, cfg.snr_db, cfg.rho
-    sigma2 = 1.0 / rho  # unit-magnitude gain
+    sigma2 = abs(cfg.beta) ** 2 / rho  # the noise power of ChannelState
     imax = i_max(geom, rho)
     limit = channel_mse_limit(geom, sigma2)
     astar = alpha_star(geom)
@@ -384,6 +397,7 @@ def _cmd_crlb(args, settings: dict) -> int:
             "num_antennas": geom.num_antennas,
             "spacing_over_wavelength": geom.spacing_over_wavelength,
             "snr_db": snr_db,
+            "beta": [cfg.beta.real, cfg.beta.imag],
             "i_max": imax,
             "alpha_star": astar,
             "channel_mse_limit": limit,

@@ -1,9 +1,11 @@
-"""Monte Carlo experiment runner.
+"""Monte Carlo experiment runner and the one implementation of every
+algorithm.
 
-Wires trajectories, noise streams and algorithms together, aggregates per-slot
-metrics across trials, and formats the per-algorithm summary CSV.  Trials are
-advanced in vectorized chunks by one batch tracker per algorithm
-(``_Recursive``, ``_SweepRefine``, ``_LeastSquares``, ``_CompressedSensing``).
+Holds the run configuration, the four batch trackers (``_Recursive``, the
+paper's recursive tracker; ``_SweepRefine``, ``_LeastSquares`` and
+``_CompressedSensing``, the pilot-parity baselines), the chunk engine that
+drives them, the across-trial aggregates and the summary CSV writer.
+Trials are advanced in vectorized chunks, one batch tracker per algorithm.
 Every trial draws its trajectory, noise, probes and initial state from its
 own substreams, so a run's results are bit-identical for any worker count.
 The chunk size only changes rounding (batch-size-dependent matrix products
@@ -45,9 +47,7 @@ from .arraymodel import (
     i_max,
     mainlobe_halfwidth,
     steering_matrix,
-    steering_vector,
 )
-from .baselines import CS_DICTIONARY_SIZE, QPSK, ls_data_beam
 from .scenarios import (
     STREAM_INIT,
     STREAM_OBSERVATION,
@@ -57,13 +57,7 @@ from .scenarios import (
     Trajectory,
     generate,
 )
-from .trackers import (
-    StepSizeSchedule,
-    SweepDictionary,
-    alpha_star,
-    codebook_directions,
-    dft_codebook,
-)
+from .trackers import alpha_star, codebook_directions, dft_codebook, sine_grid
 
 __all__ = [
     "ALGORITHMS",
@@ -71,8 +65,6 @@ __all__ = [
     "RunSummary",
     "TrialRecord",
     "CSV_HEADER",
-    "mse_h",
-    "achievable_rate",
     "h_prime_norm_sq",
     "run_experiment",
     "run_single_trial",
@@ -85,23 +77,9 @@ _ALG_TAGS = {name: k + 1 for k, name in enumerate(ALGORITHMS)}
 
 CSV_HEADER = "slot,mean_mse_h,n_mse_times_imax,mean_rate,conv_frac,crlb_h_ref"
 
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-def mse_h(geom: ArrayGeometry, x_hat: float, x: float, beta: complex) -> float:
-    """Squared channel-response error ``||beta a(x_hat) - beta a(x)||^2``."""
-    diff = steering_vector(geom, x_hat) - steering_vector(geom, x)
-    return float(abs(beta) ** 2 * np.sum(np.abs(diff) ** 2))
-
-
-def achievable_rate(
-    geom: ArrayGeometry, w_data: np.ndarray, x: float, rho: float
-) -> float:
-    """Single-stream spectral efficiency ``log2(1 + rho |w^H a(x)|^2)``."""
-    g = abs(np.sum(np.conj(w_data) * steering_vector(geom, x))) ** 2
-    return float(math.log2(1.0 + rho * g))
+STEADY_SKIP = 50  # leading slots left out of the steady-state means
+CS_DICTIONARY_SIZE = 1024
+QPSK = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])  # random-probe phase alphabet
 
 
 def h_prime_norm_sq(geom: ArrayGeometry, beta: complex) -> float:
@@ -118,7 +96,7 @@ def h_prime_norm_sq(geom: ArrayGeometry, beta: complex) -> float:
 # counts and sizes: a float or a bool here would fail deep inside a run
 _INT_FIELDS = (
     "num_antennas", "trials", "track_antennas", "sweep_dictionary_size",
-    "seed", "chunk_size", "jobs", "steady_skip",
+    "seed", "chunk_size", "jobs",
 )
 
 
@@ -135,14 +113,12 @@ class RunConfig:
     trials: int = 1000
     track_antennas: int | None = None
     sweep_dictionary_size: int | None = None  # default 2x tracking antennas
-    step_kind: str = "auto"  # diminishing | fixed | auto (static->diminishing)
+    # recursive-tracker step: alpha/n in static runs, alpha in moving ones
     step_alpha: float | None = None  # default alpha_star of tracking array
-    step_n0: float = 0.0
     init: str = "sweep"  # sweep | uniform | mainlobe
     seed: int = 0
     chunk_size: int = 512
     jobs: int = 1
-    steady_skip: int = 50  # slots excluded from scalar aggregates
 
     def __post_init__(self) -> None:
         for name in self.algorithms:
@@ -160,8 +136,6 @@ class RunConfig:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {self.chunk_size}")
-        if self.steady_skip < 0:
-            raise ValueError(f"steady_skip must be nonnegative, got {self.steady_skip}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         size = self.sweep_dictionary_size
@@ -180,7 +154,9 @@ class RunConfig:
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if not (cmath.isfinite(self.beta) and self.beta != 0):
             raise ValueError(f"beta must be finite and nonzero, got {self.beta}")
-        self.step_schedule()  # rejects an unknown kind and a bad alpha or n0
+        alpha = self.step_alpha
+        if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -199,17 +175,6 @@ class RunConfig:
     @property
     def slots(self) -> int:
         return self.trajectory.num_slots
-
-    def step_schedule(self) -> StepSizeSchedule:
-        """Recursive-tracker steps: ``auto`` is diminishing in static runs and
-        fixed otherwise; ``alpha`` defaults to alpha_star of the tracking array."""
-        kind = self.step_kind
-        if kind == "auto":
-            kind = "diminishing" if self.trajectory.kind == "static" else "fixed"
-        alpha = self.step_alpha
-        if alpha is None:
-            alpha = alpha_star(self.track_geometry)
-        return StepSizeSchedule(kind, alpha, self.step_n0)
 
     def resolved_dictionary_size(self) -> int:
         if self.sweep_dictionary_size is not None:
@@ -288,9 +253,10 @@ def _inner(phase_step: float, m: int, delta: np.ndarray) -> np.ndarray:
 
 
 def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.ndarray:
-    """Batched ``coarse_sweep``: row t of ``pilots`` holds trial t's M codebook
-    pilots; returns each trial's best point of the ``size``-point grid."""
-    points = SweepDictionary(size).points
+    """The coarse sweep: row t of ``pilots`` holds trial t's M codebook
+    pilots; returns each trial's best point of the ``size``-point sine grid,
+    scored against the beam-weighted pilot sum (ties toward the smallest)."""
+    points = sine_grid(size)
     cand = steering_matrix(geom, points)
     scores = np.abs((pilots @ dft_codebook(geom)) @ np.conj(cand).T)
     return points[np.argmax(scores, axis=1)]
@@ -326,11 +292,15 @@ class _DirectionTracker:
 
 
 class _Recursive(_DirectionTracker):
-    """The recursive tracker: probe along the estimate, step against Im(y)."""
+    """The recursive tracker: probe along the estimate, step ``a_n`` against
+    Im(y), clipped to [-1, 1].  ``a_n`` is alpha/n in static runs and alpha in
+    moving ones; alpha defaults to alpha_star of the tracking array."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
-        self.schedule = config.step_schedule()
+        alpha = config.step_alpha
+        self.alpha = alpha_star(self.track) if alpha is None else alpha
+        self.static = config.trajectory.kind == "static"
         if config.init == "sweep":
             size = config.resolved_dictionary_size()
             self.direction = _sweep_estimate(self.track, size, warm)
@@ -350,7 +320,7 @@ class _Recursive(_DirectionTracker):
             y = ip / math.sqrt(self.m) + noise
         else:
             y = self.pilot(self.direction, x_n, noise)
-        step = self.schedule.at(n) * np.imag(y)
+        step = (self.alpha / n if self.static else self.alpha) * np.imag(y)
         self.direction = np.clip(self.direction - step, -1.0, 1.0)
 
 
@@ -373,6 +343,18 @@ class _SweepRefine(_DirectionTracker):
         if cursor == 2:
             self.best = cand[np.arange(len(cand)), np.argmax(self.mags, axis=1)]
             self.direction = self.dirs[self.best]
+
+
+def ls_data_beam(h_hat: np.ndarray) -> np.ndarray:
+    """Phase-only beam aligned with the channel estimate: entries
+    ``h_m / (|h_m| sqrt(M))``, which is ``exp(1j*angle(h_m))/sqrt(M)``, and
+    ``1/sqrt(M)`` for a zero entry.  A stack of estimates gives one beam per
+    row (M is the last axis)."""
+    h_hat = np.asarray(h_hat, dtype=complex)
+    scale = math.sqrt(h_hat.shape[-1])
+    mag = np.abs(h_hat)
+    out = np.full(h_hat.shape, 1.0 / scale, dtype=complex)
+    return np.divide(h_hat, mag * scale, out=out, where=mag > 0)
 
 
 class _LeastSquares:
@@ -474,7 +456,7 @@ class _CompressedSensing(_DirectionTracker):
             probes[:] = rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
         self.static = config.trajectory.kind == "static"
         self.k_win = max(m_t // 2, 1)
-        self.grid = SweepDictionary(CS_DICTIONARY_SIZE).points
+        self.grid = sine_grid(CS_DICTIONARY_SIZE)
         atoms = steering_matrix(self.track, self.grid)  # (grid, m_t)
         self.atoms_conj_t = np.conj(atoms).T
         grid_shape = (len(trials), CS_DICTIONARY_SIZE)
@@ -567,16 +549,14 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     plan = RngPlan(config.seed)
 
     # per-trial substreams, stacked into chunk arrays; static rows are filled
-    # in place with ``generate``'s value: its x0, or its one uniform draw
+    # in place with ``generate``'s value, its one uniform draw
     traj = config.trajectory
     x_traj = np.empty((len(trials), n_slots + 1))
+    rngs = plan.batch(trials, STREAM_TRAJECTORY)
     if traj.kind != "static":
-        for x, rng in zip(x_traj, plan.batch(trials, STREAM_TRAJECTORY)):
+        for x, rng in zip(x_traj, rngs):
             x[:] = generate(traj, rng)
-    elif traj.x0 is not None:
-        x_traj[:] = traj.x0
     else:
-        rngs = plan.batch(trials, STREAM_TRAJECTORY)
         x_traj[:] = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])[:, None]
     noise = _observation_noise(plan, trials, _ALG_TAGS[algorithm], m_t + n_slots)
 
@@ -667,7 +647,7 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
         conv_frac = lock_sum / trials
     crlb_ref = h_prime_norm_sq(config.geometry, config.beta) / (slots * imax_track)
 
-    skip = min(config.steady_skip, n_slots - 1)
+    skip = min(STEADY_SKIP, n_slots - 1)
     return RunSummary(
         algorithm=algorithm,
         slots=slots,

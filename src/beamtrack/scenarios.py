@@ -25,6 +25,11 @@ STREAM_OBSERVATION = 1
 STREAM_PROBE = 2
 STREAM_INIT = 3
 
+# the sinusoid's angle amplitude (rad), period (slots) and Gaussian jitter
+# (rad), and the fixed-velocity reflection band [-band, band] (rad)
+_SINE_AMPLITUDE = math.pi / 3.0
+_SINE_PERIOD = 1000.0
+_SINE_JITTER = 0.005
 _ANGLE_BAND = math.pi / 3.0
 
 
@@ -32,21 +37,16 @@ _ANGLE_BAND = math.pi / 3.0
 class Trajectory:
     """Direction trajectory specification.
 
-    kind 'static': constant sine (drawn uniform on [-1, 1] unless ``x0`` set).
-    kind 'sinusoidal': angle ``amplitude * sin(2*pi*n/period)`` plus iid
-    Gaussian jitter of standard deviation ``jitter`` radians.
+    kind 'static': constant sine, drawn uniform on [-1, 1] per trial.
+    kind 'sinusoidal': angle ``(pi/3) sin(2 pi n/1000)`` plus iid Gaussian
+    jitter of standard deviation 0.005 rad.
     kind 'fixed_velocity': angle advances by exactly ``omega`` radians per
-    slot, reversing direction before it would leave [-band, band].
+    slot, reversing direction before it would leave [-pi/3, pi/3].
     """
 
     kind: str
     num_slots: int
-    x0: float | None = None
-    amplitude: float = _ANGLE_BAND
-    period: float = 1000.0
-    jitter: float = 0.005
     omega: float = 0.0
-    band: float = _ANGLE_BAND
 
     def __post_init__(self) -> None:
         if self.kind not in ("static", "sinusoidal", "fixed_velocity"):
@@ -60,22 +60,20 @@ class Trajectory:
         if self.kind == "fixed_velocity":
             if self.omega < 0:
                 raise ValueError("angular velocity must be nonnegative")
-            if self.omega > self.band:
+            if self.omega > _ANGLE_BAND:
                 raise ValueError("angular velocity exceeds the reflection band")
-        if self.x0 is not None and not -1.0 <= self.x0 <= 1.0:
-            raise ValueError("x0 outside [-1, 1]")
 
     @staticmethod
-    def static(num_slots: int, x0: float | None = None) -> "Trajectory":
-        return Trajectory("static", num_slots, x0=x0)
+    def static(num_slots: int) -> "Trajectory":
+        return Trajectory("static", num_slots)
 
     @staticmethod
-    def sinusoidal(num_slots: int, **kw) -> "Trajectory":
-        return Trajectory("sinusoidal", num_slots, **kw)
+    def sinusoidal(num_slots: int) -> "Trajectory":
+        return Trajectory("sinusoidal", num_slots)
 
     @staticmethod
-    def fixed_velocity(num_slots: int, omega: float, **kw) -> "Trajectory":
-        return Trajectory("fixed_velocity", num_slots, omega=omega, **kw)
+    def fixed_velocity(num_slots: int, omega: float) -> "Trajectory":
+        return Trajectory("fixed_velocity", num_slots, omega=omega)
 
 
 def generate(traj: Trajectory, rng: np.random.Generator) -> np.ndarray:
@@ -83,21 +81,18 @@ def generate(traj: Trajectory, rng: np.random.Generator) -> np.ndarray:
     1..num_slots are the tracked slots."""
     n = traj.num_slots
     if traj.kind == "static":
-        x = traj.x0 if traj.x0 is not None else rng.uniform(-1.0, 1.0)
-        return np.full(n + 1, x)
+        return np.full(n + 1, rng.uniform(-1.0, 1.0))
     if traj.kind == "sinusoidal":
+        # |angle| stays below pi/2: the jitter would need a 105-sigma draw
         slots = np.arange(n + 1)
-        theta = traj.amplitude * np.sin(2.0 * np.pi * slots / traj.period)
-        theta = theta + traj.jitter * rng.standard_normal(n + 1)
-        # jitter can push past the physical angle range
-        theta = np.clip(theta, -np.pi / 2, np.pi / 2)
-        return np.sin(theta)
+        theta = _SINE_AMPLITUDE * np.sin(2.0 * np.pi * slots / _SINE_PERIOD)
+        return np.sin(theta + _SINE_JITTER * rng.standard_normal(n + 1))
     # fixed_velocity: reflect before a step would exit the band
     theta = np.empty(n + 1)
     theta[0] = 0.0
     sign = 1.0
     for i in range(1, n + 1):
-        if abs(theta[i - 1] + sign * traj.omega) > traj.band:
+        if abs(theta[i - 1] + sign * traj.omega) > _ANGLE_BAND:
             sign = -sign
         theta[i] = theta[i - 1] + sign * traj.omega
     return np.sin(theta)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack import (
     ArrayGeometry,
@@ -214,6 +216,27 @@ class TestStablePoints:
             lo, hi = max(v - eps, -1.0), min(v + eps, 1.0)
             slope = (surrogate_f(geom, hi, x) - surrogate_f(geom, lo, x)) / (hi - lo)
             assert slope < 0
+
+    @settings(max_examples=200)
+    @given(
+        m=st.integers(2, 64),
+        d=st.floats(0.0, 0.5, exclude_min=True),
+        x=st.floats(-1.0, 1.0),
+    )
+    def test_sidelobe_slope_is_one_mth_of_central(self, m, d, x):
+        # the closed-form drift slope df/dv = -sum_i k i cos(k i (v - x))/sqrt(M)
+        # at x + j lambda/((M-1)d) sums cos(2 pi i j/(M-1)), which is exactly
+        # 1/M of its sum at v = x unless a(v) = a(x) (j a multiple of M-1)
+        geom = ArrayGeometry(m, d)
+        k, i = geom.phase_step, np.arange(m)
+
+        def slope(v):
+            return -np.sum(k * i * np.cos(k * i * (v - x))) / math.sqrt(m)
+
+        for v in stable_points(geom, x):
+            j = round((v - x) / stable_point_spacing(geom))
+            if j % (m - 1):
+                assert slope(v) == pytest.approx(slope(x) / m, rel=1e-12, abs=0)
 
 
 class TestMainlobe:

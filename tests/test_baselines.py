@@ -2,126 +2,110 @@ import math
 
 import numpy as np
 import pytest
+import reference as ref
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from beamtrack import (
-    QPSK,
-    Ad11State,
     ArrayGeometry,
-    ChannelState,
-    SweepDictionary,
-    ad11_probe_index,
-    ad11_step,
-    cs_estimate,
+    RunConfig,
+    Trajectory,
     codebook_directions,
     dft_codebook,
-    ls_data_beam,
-    ls_estimate,
-    observe,
+    run_experiment,
+    run_single_trial,
+    sine_grid,
     steering_vector,
 )
-from beamtrack.scenarios import complex_normal
+from beamtrack.harness import QPSK, ls_data_beam
 
 G16 = ArrayGeometry(16)
+DIRS = codebook_directions(G16)
+NOISELESS_DB = 300.0  # pilot noise of order 1e-15
 
 
-def _run_ad11(geom, chan, state, codebook, slots, rng=None):
-    """Drive the sweep-and-refine tracker with real observations."""
-    beams = []
-    for _ in range(slots):
-        idx = ad11_probe_index(state)
-        noise = 0j if rng is None else complex(complex_normal(rng, 1)[0])
-        y = observe(geom, chan, codebook[idx], noise)
-        state, beam = ad11_step(state, y, codebook)
-        beams.append(beam)
-    return state, beams
+def _config(algorithm, trajectory, **kw):
+    return RunConfig(trajectory=trajectory, algorithms=(algorithm,), **kw)
+
+
+def _nearest_beam(x):
+    return DIRS[np.argmin(np.abs(DIRS[:, None] - np.asarray(x)), axis=0)]
 
 
 class TestAd11:
+    """The engine's sweep-and-refine tracker."""
+
     def test_sweep_locks_onto_codebook_direction(self):
-        dirs = codebook_directions(G16)
-        codebook = dft_codebook(G16)
-        chan = ChannelState(dirs[5], snr=10.0)
-        state = Ad11State(num_beams=16)
-        state, _ = _run_ad11(G16, chan, state, codebook, slots=16)
-        assert state.phase == "tracking"
-        assert state.best_index == 5
-        # refinement rounds never leave the true bin without noise
-        state, beams = _run_ad11(G16, chan, state, codebook, slots=30)
-        assert state.best_index == 5
-        np.testing.assert_array_equal(beams[-1], codebook[5])
+        # at 40 dB the sweep picks the codebook beam nearest the truth, and
+        # the refinement rounds never leave it
+        cfg = _config("80211ad", Trajectory.static(30), trials=200, snr_db=40.0, seed=1)
+        s = run_experiment(cfg)["80211ad"]
+        np.testing.assert_array_equal(s.final_estimate, _nearest_beam(s.final_x))
+        np.testing.assert_array_equal(s.trace.x_hat, _nearest_beam(s.trace.x))
 
     def test_tracking_follows_one_bin_move(self):
-        dirs = codebook_directions(G16)
-        codebook = dft_codebook(G16)
-        state = Ad11State(num_beams=16, best_index=7, phase="tracking")
-        moved = ChannelState(dirs[8], snr=10.0)
-        state, _ = _run_ad11(G16, moved, state, codebook, slots=3)
-        assert state.best_index == 8
+        # 0.01 rad/slot crosses a 2/16 bin in about 12 slots, 4 rounds
+        trace = run_single_trial(
+            _config("80211ad", Trajectory.fixed_velocity(240, omega=0.01), snr_db=40.0),
+            "80211ad",
+        )
+        assert np.all(np.abs(trace.x_hat - trace.x) <= 2 / 16)
+        assert len(set(trace.x_hat)) >= 6
 
     def test_boundary_probes_nearest_distinct(self):
-        assert Ad11State(num_beams=16, best_index=0, phase="tracking").candidates == (0, 1, 2)
-        assert Ad11State(num_beams=16, best_index=15, phase="tracking").candidates == (13, 14, 15)
-        assert Ad11State(num_beams=16, best_index=6, phase="tracking").candidates == (5, 6, 7)
+        # at an edge beam the round probes its two inner neighbours, and the
+        # edge beam stays best for a truth beyond it
+        cfg = _config("80211ad", Trajectory.static(30), trials=400, snr_db=40.0, seed=2)
+        s = run_experiment(cfg)["80211ad"]
+        edge = np.abs(s.final_x) > DIRS[-1]
+        assert np.count_nonzero(edge) >= 10
+        np.testing.assert_array_equal(s.final_estimate[edge], np.sign(s.final_x[edge]) * DIRS[-1])
 
     def test_data_beam_is_codebook_member(self):
-        codebook = dft_codebook(G16)
-        chan = ChannelState(0.1, snr=1.0)
-        rng = np.random.default_rng(0)
-        state = Ad11State(num_beams=16)
-        state, beams = _run_ad11(G16, chan, state, codebook, slots=40, rng=rng)
-        for beam in beams:
-            assert any(np.allclose(beam, row) for row in codebook)
+        cfg = _config("80211ad", Trajectory.sinusoidal(60), trials=5, snr_db=0.0)
+        for trial in range(5):
+            assert np.isin(run_single_trial(cfg, "80211ad", trial).x_hat, DIRS).all()
 
     def test_half_bin_gain_cap(self):
-        # direction midway between bins: in noiseless tracking the data beam
-        # gain equals the half-bin kernel value, about 0.4066*M
-        dirs = codebook_directions(G16)
-        x = (dirs[7] + dirs[8]) / 2
-        codebook = dft_codebook(G16)
-        state = Ad11State(num_beams=16)
-        state, beams = _run_ad11(G16, ChannelState(x, snr=10.0), state, codebook, 16 + 9)
-        gain = abs(np.vdot(beams[-1], steering_vector(G16, x))) ** 2
+        # zero angular velocity holds x = 0, midway between beams 7 and 8:
+        # the data beam gain equals the half-bin kernel value, about 0.4066*M
+        cfg = _config("80211ad", Trajectory.fixed_velocity(30, omega=0.0), snr_db=40.0)
+        trace = run_single_trial(cfg, "80211ad")
+        assert DIRS[7] == -DIRS[8] == -1 / 16
+        gain = (2.0 ** trace.rate - 1.0) / cfg.rho  # |w^H a(x)|^2
         # independent evaluation of the array kernel at half-bin offset
         kernel = (
             np.sin(math.pi * 16 * (1 / 16) / 2) ** 2
             / (16 * np.sin(math.pi * (1 / 16) / 2) ** 2)
         )
-        assert gain == pytest.approx(kernel, rel=1e-9)
+        np.testing.assert_allclose(gain, kernel, rtol=1e-9)
         assert kernel == pytest.approx(0.4066 * 16, rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Ad11State(num_beams=2)
 
 
 class TestLsEstimate:
+    """The engine's least-squares estimate and its phase-only data beam."""
+
     def test_noiseless_full_sweep_exact(self):
-        beta = (1 + 1j) / math.sqrt(2)
-        x = 0.341
-        beams = dft_codebook(G16)
-        h = beta * steering_vector(G16, x)
-        pilots = np.conj(beams) @ h  # w^H h, no noise
-        h_hat = ls_estimate(beams, pilots)
-        np.testing.assert_allclose(h_hat, h, atol=1e-10)
+        cfg = _config(
+            "ls", Trajectory.static(20), snr_db=NOISELESS_DB, beta=(1 + 1j) / math.sqrt(2)
+        )
+        trace = run_single_trial(cfg, "ls")
+        assert np.all(trace.mse_h < 1e-20)
+        # the beam of an exact estimate collects the full array gain
+        np.testing.assert_allclose(trace.rate, math.log2(1 + cfg.rho * 16), rtol=1e-12)
 
     def test_noise_level_matches_gram_prediction(self):
         # E||h_hat - h||^2 equals (1/rho) * tr((A^H A)^-1) for the codebook
         rho = 10.0
-        beams = dft_codebook(G16)
-        a = np.conj(beams)
+        a = np.conj(dft_codebook(G16))
         gram_inv = np.linalg.inv(a.conj().T @ a)
         predicted = np.trace(gram_inv).real / rho
         assert predicted == pytest.approx(16 / rho, rel=1e-9)  # orthonormal sweep
 
-        rng = np.random.default_rng(4)
-        h = steering_vector(G16, -0.55)
-        errs = []
-        for _ in range(2000):
-            y = a @ h + complex_normal(rng, 16) / math.sqrt(rho)
-            errs.append(np.sum(np.abs(ls_estimate(beams, y) - h) ** 2))
-        assert np.mean(errs) == pytest.approx(predicted, rel=0.1)
+        # at slot 16 every beam has two pilots (warm-up and slot), halving it
+        cfg = _config("ls", Trajectory.static(16), trials=2000, snr_db=10.0, seed=4)
+        s = run_experiment(cfg)["ls"]
+        assert s.mean_mse_h[15] == pytest.approx(abs(cfg.beta) ** 2 * predicted / 2, rel=0.1)
 
     def test_phase_only_beam_from_exact_estimate(self):
         h = (2.0 - 1.0j) * steering_vector(G16, 0.7)
@@ -155,12 +139,6 @@ class TestLsEstimate:
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(ls_data_beam(h[0]), w[0])
 
-    def test_singular_system_rejected(self):
-        w = dft_codebook(G16)[3]
-        weights = np.tile(w, (16, 1))
-        with pytest.raises(np.linalg.LinAlgError):
-            ls_estimate(weights, np.ones(16, dtype=complex))
-
 
 def _qpsk_probes(rng, pilots):
     """Random four-phase probes of modulus 1/sqrt(16), one pilot per row."""
@@ -169,19 +147,20 @@ def _qpsk_probes(rng, pilots):
 
 class TestCsEstimate:
     def test_noiseless_on_grid_exact(self):
-        grid = SweepDictionary(1024).points
-        x = grid[700]
-        rng = np.random.default_rng(3)
-        weights = _qpsk_probes(rng, 8)
+        # the reference estimator that the engine's CS replays are scored by
+        x = sine_grid(1024)[700]
+        weights = _qpsk_probes(np.random.default_rng(3), 8)
         obs = np.conj(weights) @ steering_vector(G16, x)
-        assert cs_estimate(G16, weights, obs) == pytest.approx(x)
+        scores = ref.cs_scores(G16, weights, obs)
+        assert ref.CS_GRID[np.argmax(scores)] == pytest.approx(x)
 
     def test_off_grid_quantization(self):
-        rng = np.random.default_rng(6)
-        for x in rng.uniform(-0.9, 0.9, 10):
-            weights = _qpsk_probes(rng, 8)
-            obs = np.conj(weights) @ steering_vector(G16, x)
-            assert abs(cs_estimate(G16, weights, obs) - x) <= 1 / 1024 + 1e-12
+        # once 16 probes span the array, the noiseless static estimate is the
+        # grid point nearest the truth: within half the 2/1024 grid step
+        cfg = _config("cs", Trajectory.static(30), trials=10, snr_db=NOISELESS_DB, seed=6)
+        for trial in range(10):
+            trace = run_single_trial(cfg, "cs", trial)
+            assert np.all(np.abs(trace.x_hat[15:] - trace.x[15:]) <= 1 / 1024 + 1e-12)
 
     def test_probe_alphabet(self):
         # the engine's int8 picks index the four phases {1, j, -1, -j}
@@ -191,15 +170,8 @@ class TestCsEstimate:
 
     def test_deterministic_given_seed(self):
         def one(seed):
-            rng = np.random.default_rng(seed)
-            weights = _qpsk_probes(rng, 8)
-            obs = np.conj(weights) @ steering_vector(G16, 0.123) + complex_normal(
-                rng, 8
-            ) * 0.3
-            return cs_estimate(G16, weights, obs)
+            cfg = _config("cs", Trajectory.sinusoidal(48), snr_db=5.0, seed=seed)
+            return run_single_trial(cfg, "cs").x_hat
 
-        assert one(5) == one(5)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            cs_estimate(G16, np.empty((0, 16), dtype=complex), np.empty(0, dtype=complex))
+        np.testing.assert_array_equal(one(5), one(5))
+        assert not np.array_equal(one(5), one(6))

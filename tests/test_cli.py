@@ -46,6 +46,19 @@ class TestCrlbCommand:
         assert "crlb.csv" in manifest["outputs"]
 
 
+    def test_beta_sets_the_noise_power(self, tmp_path, capsys):
+        # sigma^2 = |beta|^2 / rho: |beta| = 2 quadruples the channel-MSE limit
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta": [2, 0]}))
+        assert cli.main(["crlb", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert "channel-MSE limit (n * MSE_h): 0.2755555556" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "o" / "run.json").read_text())
+        assert manifest["config"]["beta"] == [2.0, 0.0]
+        assert manifest["config"]["channel_mse_limit"] == pytest.approx(4 * 31 / 450, rel=1e-15)
+        rows = read_csv(tmp_path / "o" / "crlb.csv")
+        assert float(rows[0]["crlb_h"]) == pytest.approx(4 * 31 / 450, rel=1e-11)
+
+
 class TestStablePointsCommand:
     def test_spacing_for_eight_antennas(self, tmp_path):
         res = run_cli(
@@ -337,15 +350,43 @@ class TestErrors:
         assert res.stderr == f"beamtrack: {message}\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key", ["out_dir", "out_prefix"])
+    # --out and the subcommand decide where a run writes and what; the
+    # step schedule and the steady-state skip are fixed
+    @pytest.mark.parametrize(
+        "key", ["out_dir", "out_prefix", "step_kind", "step_n0", "steady_skip"]
+    )
     def test_output_key_in_config_is_unknown(self, tmp_path, key):
-        # --out and the subcommand decide where a run writes and what
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: "elsewhere"}))
         res = run_cli("crlb", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert res.returncode == 1
         assert res.stderr == (
             f"beamtrack: unknown key(s) in config file {cfg_path}: {key}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("crlb", "trials"),
+            ("crlb", "slots"),
+            ("crlb", "trajectory"),
+            ("analyze-stable-points", "snr_db"),
+            ("analyze-stable-points", "beta"),
+            ("analyze-stable-points", "seed"),
+            ("init-quality", "snr_db"),
+            ("init-quality", "algorithms"),
+            ("init-quality", "sweep_dictionary_size"),
+        ],
+    )
+    def test_config_key_the_command_does_not_read(self, tmp_path, command, key):
+        # a setting the subcommand would ignore is rejected, not dropped
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == (
+            f"beamtrack: key(s) that {command} does not read in config file {cfg_path}: {key}"
         )
         assert not (tmp_path / "o").exists()
 

@@ -92,7 +92,7 @@ CLI_DIGESTS = {
         "crlb.csv":
             "65abef0418cce6e58502a8a2970d79dd22b53c3c7fd969a2da8d1ad5cdf9c11e",
         "run.json":
-            "327b9a6249447113e7a8b1720fddd03f183d14db1eaa2ea5c1e81bc2ca4991d1",
+            "36f08044f4e4a74df5048066bca2d80fda2a914877895298046cd793cafa644a",
         "stdout":
             "1eeb58b4978883f321bd2d48b6c2f5d6a7d9e30dd64d2e44b8af83ae6901500b",
     },
@@ -110,7 +110,7 @@ CLI_DIGESTS = {
         "dynamic_tracking.gp":
             "5942ea0a1e607c06264c32f525725aba05227561a8b95b9a8a52e30ec40fd876",
         "run.json":
-            "42c274d425f1aa0907930ded5ce412b178e16fb66a2deccca71d5cee9376a790",
+            "2c816c27d4eef7233fde99881e7f9dfe34fd084684b794d99aec230720d4ac68",
         "stdout":
             "8e1235d156720ed8f88965619aa9b10e137b739a57a0ac39b172e05fd8dbfe58",
     },
@@ -136,7 +136,7 @@ CLI_DIGESTS = {
         "dynamic_tracking.gp":
             "6466818e1ad2d987004ae3b1e2c76b031d2e123ea160d1eecc0a6fb17c2beb3c",
         "run.json":
-            "c8bbd7f9d23f3eb03614b01bbb2c723defba5b65fdce08bf2e0709829f5187ef",
+            "55d3da0af7a1918ad4ef0d56839de4a0d71ce398176e2a6c8cbadf8fbe0df89d",
         "stdout":
             "f192d7fc74bd3b501c6ae15de68358be79341226a768bed5779d5e7a16946563",
     },
@@ -152,7 +152,7 @@ CLI_DIGESTS = {
     },
     "static": {
         "run.json":
-            "54c248c4966dbcfb05e29d7df9c778c0475545e340c9125bf8187d1e7842bc06",
+            "e5258a4317a8eada5c5ca14efb30e3e1933f4ef8ffba02637414f5fd48939827",
         "static_80211ad.csv":
             "dcc125eb8770c5c72c6d9e3bee128dca16b739ee0525a00ff8ca2d08c8374dd5",
         "static_ls.csv":
@@ -166,7 +166,7 @@ CLI_DIGESTS = {
     },
     "sweep-speed": {
         "run.json":
-            "95fa7ffb00653fffc9b47e095ea555f0beaa83b64d5f85f646852d5b36be8bef",
+            "1122c00ed4bac31c88cea8d6ef9bd8755f31d13a7c97666317f85aa3171522b7",
         "stdout":
             "f93a55967cd662ba5dc547180a68a00207e69c3c71e4d6fc74b178ec20a50f9a",
         "sweep_80211ad.csv":

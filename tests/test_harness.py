@@ -2,59 +2,42 @@ import math
 
 import numpy as np
 import pytest
+import reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamtrack import (
-    QPSK,
-    Ad11State,
     ArrayGeometry,
-    ChannelState,
-    RngPlan,
     RunConfig,
-    SineTrackerState,
-    StepSizeSchedule,
-    SweepDictionary,
     Trajectory,
-    achievable_rate,
-    ad11_probe_index,
-    ad11_step,
-    alpha_star,
     channel_mse_limit,
-    coarse_sweep,
-    codebook_directions,
-    complex_normal,
     conjugate_beam,
-    cs_estimate,
-    dft_codebook,
-    generate,
     h_prime_norm_sq,
     i_max,
     mainlobe_halfwidth,
-    mse_h,
-    observe,
-    recursive_step,
     run_experiment,
     run_single_trial,
+    sine_grid,
     steering_matrix,
     steering_vector,
     write_summary_csv,
 )
-from beamtrack.baselines import CS_DICTIONARY_SIZE
-from beamtrack.harness import _cs_lag_atoms, _cs_window_score, _inner
-from beamtrack.scenarios import (
-    STREAM_INIT,
-    STREAM_OBSERVATION,
-    STREAM_PROBE,
-    STREAM_TRAJECTORY,
+from beamtrack.harness import (
+    CS_DICTIONARY_SIZE,
+    QPSK,
+    _cs_lag_atoms,
+    _cs_window_score,
+    _inner,
 )
 
 G16 = ArrayGeometry(16)
 
 
 class TestMetrics:
+    """The scalar metrics of the reference replays, against closed forms."""
+
     def test_mse_zero_at_truth(self):
-        assert mse_h(G16, 0.3, 0.3, 1 + 1j) == 0.0
+        assert ref.mse_h(G16, 0.3, 0.3, 1 + 1j) == 0.0
 
     def test_mse_upper_bound(self):
         # exact supremum of ||a(v) - a(x)||^2 computed by grid search; it sits
@@ -67,7 +50,7 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         for _ in range(200):
             xh, x = rng.uniform(-1, 1, 2)
-            assert mse_h(G16, xh, x, (1 + 1j) / math.sqrt(2)) <= sup + 1e-9
+            assert ref.mse_h(G16, xh, x, (1 + 1j) / math.sqrt(2)) <= sup + 1e-9
 
     def test_mse_matches_inner_product_form(self):
         rng = np.random.default_rng(1)
@@ -76,20 +59,20 @@ class TestMetrics:
             xh, x = rng.uniform(-1, 1, 2)
             ip = np.vdot(steering_vector(G16, xh), steering_vector(G16, x))
             expected = abs(beta) ** 2 * (32 - 2 * ip.real)
-            assert mse_h(G16, xh, x, beta) == pytest.approx(expected, rel=1e-12)
+            assert ref.mse_h(G16, xh, x, beta) == pytest.approx(expected, rel=1e-12)
 
     def test_rate_matched(self):
         w = conjugate_beam(G16, 0.4)
-        assert achievable_rate(G16, w, 0.4, 10.0) == pytest.approx(math.log2(161))
-        assert achievable_rate(G16, w, 0.4, 10.0) == pytest.approx(7.3309, rel=1e-4)
+        assert ref.achievable_rate(G16, w, 0.4, 10.0) == pytest.approx(math.log2(161))
+        assert ref.achievable_rate(G16, w, 0.4, 10.0) == pytest.approx(7.3309, rel=1e-4)
 
     def test_rate_zero_db(self):
         w = conjugate_beam(G16, -0.2)
-        assert achievable_rate(G16, w, -0.2, 1.0) == pytest.approx(math.log2(17))
+        assert ref.achievable_rate(G16, w, -0.2, 1.0) == pytest.approx(math.log2(17))
 
     def test_rate_orthogonal_beam(self):
         g2 = ArrayGeometry(2)
-        assert achievable_rate(g2, conjugate_beam(g2, 1.0), 0.0, 10.0) == pytest.approx(
+        assert ref.achievable_rate(g2, conjugate_beam(g2, 1.0), 0.0, 10.0) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -117,12 +100,6 @@ class TestKernel:
         np.testing.assert_allclose(_inner(k, m, delta), direct, rtol=0, atol=1e-14 * m**2)
 
 
-def _cs_direct_score(geom, weights, obs, g):
-    """Normalized matched filter of one grid point, straight from its definition."""
-    u = np.conj(weights) @ steering_vector(geom, g)  # w_n^H a(g)
-    return abs(np.vdot(u, obs)) / np.linalg.norm(u)
-
-
 class TestCsWindowScore:
     @given(
         m=st.integers(2, 32),
@@ -135,7 +112,7 @@ class TestCsWindowScore:
         pilot = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
         y = np.array(data.draw(st.lists(pilot, min_size=k, max_size=k)), dtype=complex)
         w = QPSK[(picks % 4).reshape(k, m)] / math.sqrt(m)
-        atoms = steering_matrix(ArrayGeometry(m, d), SweepDictionary(CS_DICTIONARY_SIZE).points)
+        atoms = steering_matrix(ArrayGeometry(m, d), sine_grid(CS_DICTIONARY_SIZE))
         atoms_conj_t = np.conj(atoms).T
         r = y @ w
         c = np.array([np.sum(w[:, : m - lag] * np.conj(w[:, lag:])) for lag in range(m)])
@@ -154,9 +131,54 @@ class TestCsWindowScore:
         )
 
 
+def _check_direction_trace(cfg, trace, xs, estimates, atol=0.0):
+    """The engine's trace against a replay's truth and estimates (index 0:
+    the warm-up estimate): the estimate after every slot, the rate of the
+    estimate before it and the channel MSE of the estimate after it."""
+    rates, mses = ref.direction_metrics(cfg, xs, estimates)
+    np.testing.assert_allclose(trace.x_hat, estimates[1:], rtol=0, atol=atol)
+    # a rate near zero (a beam on a null) keeps only absolute accuracy
+    np.testing.assert_allclose(trace.rate, rates, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(trace.mse_h, mses, rtol=1e-9, atol=1e-12)
+
+
+def _check_recursive(cfg, trial=0):
+    trace = run_single_trial(cfg, "recursive", trial=trial)
+    xs, estimates = ref.recursive(cfg, trial)
+    _check_direction_trace(cfg, trace, xs, estimates, atol=1e-12)
+
+
+def _check_sweep_refine(cfg):
+    trace = run_single_trial(cfg, "80211ad")
+    xs, estimates = ref.sweep_refine(cfg, 0)
+    _check_direction_trace(cfg, trace, xs, estimates)
+    return estimates
+
+
+def _check_cs(cfg):
+    """Every new engine estimate must be a largest reference score up to
+    rounding: a tie (one static pilot scores every grid point alike; two
+    probes can score two points alike) is broken either way."""
+    trace = run_single_trial(cfg, "cs")
+    xs, scores = ref.compressed_sensing(cfg, 0)
+    estimates = [ref.CS_GRID[np.argmax(scores[0])]]
+    for got, score in zip(trace.x_hat, scores[1:]):
+        if score is None:
+            assert got == estimates[-1]
+        else:
+            (k,) = np.flatnonzero(ref.CS_GRID == got)
+            assert score[k] >= score.max() * (1.0 - 1e-12)
+        estimates.append(got)
+    _check_direction_trace(cfg, trace, xs, estimates)
+    return estimates
+
+
+_KINDS = st.sampled_from(["static", "sinusoidal", "fixed_velocity"])
+
+
 class TestEngineAgainstLibraryOps:
-    """The vectorized runner must reproduce a slot-by-slot loop built from the
-    public scalar operations, noise draw for noise draw."""
+    """The vectorized runner must reproduce the scalar replays of
+    ``tests/reference.py``, noise draw for noise draw."""
 
     @pytest.mark.parametrize("init", ["sweep", "uniform", "mainlobe"])
     @pytest.mark.parametrize("trial", [0, 5])
@@ -168,192 +190,85 @@ class TestEngineAgainstLibraryOps:
             init=init,
             seed=77,
         )
-        trace = run_single_trial(cfg, "recursive", trial=trial)
-
-        plan = RngPlan(77)
-        xs = generate(cfg.trajectory, plan.stream(trial, STREAM_TRAJECTORY))
-        noise = complex_normal(plan.stream(trial, STREAM_OBSERVATION, 1), 16 + 40)
-        rho = cfg.rho
-        if init == "sweep":
-            chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
-            beams = dft_codebook(G16)
-            pilots = np.array(
-                [observe(G16, chan0, beams[m], noise[m]) for m in range(16)]
-            )
-            x0 = coarse_sweep(G16, SweepDictionary(32), pilots)
-        elif init == "uniform":
-            x0 = plan.stream(trial, STREAM_INIT).uniform(-1.0, 1.0)
-        else:
-            hw = mainlobe_halfwidth(G16)
-            offset = plan.stream(trial, STREAM_INIT).uniform(-hw, hw)
-            x0 = min(max(xs[0] + offset, -1.0), 1.0)
-        state = SineTrackerState(
-            x0, StepSizeSchedule.diminishing(alpha_star(G16)), G16
-        )
-        for n in range(1, 41):
-            chan = ChannelState(xs[n], beta=cfg.beta, snr=rho)
-            expected_rate = achievable_rate(
-                G16, conjugate_beam(G16, state.x_hat), xs[n], rho
-            )
-            y = observe(G16, chan, state.probe_weights, noise[16 + n - 1])
-            state = recursive_step(state, y)
-            assert trace.x_hat[n - 1] == pytest.approx(state.x_hat, abs=1e-12)
-            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
-            assert trace.mse_h[n - 1] == pytest.approx(
-                mse_h(G16, state.x_hat, xs[n], cfg.beta), rel=1e-9, abs=1e-12
-            )
+        _check_recursive(cfg, trial)
 
     def test_recursive_subarray_trace(self):
         # 8 tracking antennas probe on their own; rate and MSE use all 16
-        slots = 60
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(slots),
+            trajectory=Trajectory.sinusoidal(60),
             trials=1,
             algorithms=("recursive",),
             track_antennas=8,
-            step_kind="fixed",
             seed=78,
         )
-        trace = run_single_trial(cfg, "recursive", trial=0)
+        _check_recursive(cfg)
 
-        g8 = G16.subset(8)
-        plan = RngPlan(78)
-        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
-        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 1), 8 + slots)
-        rho = cfg.rho
-        chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
-        beams = dft_codebook(g8)
-        pilots = np.array([observe(g8, chan0, beams[m], noise[m]) for m in range(8)])
-        x0 = coarse_sweep(g8, SweepDictionary(16), pilots)
-        state = SineTrackerState(x0, StepSizeSchedule.fixed(alpha_star(g8)), g8)
-        for n in range(1, slots + 1):
-            chan = ChannelState(xs[n], beta=cfg.beta, snr=rho)
-            expected_rate = achievable_rate(
-                G16, conjugate_beam(G16, state.x_hat), xs[n], rho
-            )
-            y = observe(g8, chan, state.probe_weights, noise[8 + n - 1])
-            state = recursive_step(state, y)
-            assert trace.x_hat[n - 1] == pytest.approx(state.x_hat, abs=1e-12)
-            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
-            assert trace.mse_h[n - 1] == pytest.approx(
-                mse_h(G16, state.x_hat, xs[n], cfg.beta), rel=1e-9, abs=1e-12
-            )
+    @settings(max_examples=100)
+    @given(
+        m=st.integers(2, 16),
+        data=st.data(),
+        kind=_KINDS,
+        omega=st.floats(0.0, 0.1),
+        init=st.sampled_from(["sweep", "uniform", "mainlobe"]),
+        slots=st.integers(1, 40),
+        seed=st.integers(0, 2**40),
+    )
+    def test_recursive_matches_scalar_replay(self, m, data, kind, omega, init, slots, seed):
+        track = data.draw(st.integers(2, m), label="track_antennas")
+        cfg = RunConfig(
+            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            algorithms=("recursive",), track_antennas=track, init=init, seed=seed,
+        )
+        _check_recursive(cfg)
 
     def test_80211ad_dynamic_trace(self):
-        slots = 90
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(slots),
+            trajectory=Trajectory.sinusoidal(90),
             trials=1,
             algorithms=("80211ad",),
             seed=41,
         )
-        trace = run_single_trial(cfg, "80211ad", trial=0)
+        estimates = _check_sweep_refine(cfg)
+        assert len(set(estimates[1:])) > 1  # the refinement rounds did move the beam
 
-        plan = RngPlan(41)
-        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
-        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 2), 16 + slots)
-        rho = cfg.rho
-        beams = dft_codebook(G16)
-        dirs = codebook_directions(G16)
-        state = Ad11State(num_beams=16)
-        chan0 = ChannelState(xs[0], beta=cfg.beta, snr=rho)
-        for m in range(16):  # warm-up sweep
-            assert ad11_probe_index(state) == m
-            y = observe(G16, chan0, beams[m], noise[m])
-            state, beam = ad11_step(state, y, beams)
-        assert state.phase == "tracking"
-        visited = set()
-        for n in range(1, slots + 1):
-            chan = ChannelState(xs[n], beta=cfg.beta, snr=rho)
-            expected_rate = achievable_rate(G16, beam, xs[n], rho)
-            y = observe(G16, chan, beams[ad11_probe_index(state)], noise[16 + n - 1])
-            state, beam = ad11_step(state, y, beams)
-            visited.add(state.best_index)
-            assert trace.x_hat[n - 1] == dirs[state.best_index]
-            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
-            assert trace.mse_h[n - 1] == pytest.approx(
-                mse_h(G16, dirs[state.best_index], xs[n], cfg.beta), rel=1e-9, abs=1e-12
-            )
-        assert len(visited) > 1  # the refinement rounds did move the beam
-
-    @staticmethod
-    def _cs_replay(cfg):
-        """Truth, probe weights, pilots and warm-up estimate of trial 0, from
-        the engine's substreams: the probe stream's int8 QPSK picks and
-        exactly m_t + slots observation-noise draws on the tracking subarray."""
-        track = cfg.track_geometry
-        m_t = track.num_antennas
-        plan = RngPlan(cfg.seed)
-        slots = cfg.slots
-        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
-        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 4), m_t + slots)
-        probe_rng = plan.stream(0, STREAM_PROBE, 4)
-        picks = probe_rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
-        weights = QPSK[picks] / math.sqrt(m_t)
-        beams = dft_codebook(track)
-        chan0 = ChannelState(xs[0], beta=cfg.beta, snr=cfg.rho)
-        warm = [observe(track, chan0, beams[m], noise[m]) for m in range(m_t)]
-        obs = np.array(
-            [
-                observe(track, ChannelState(xs[n], beta=cfg.beta, snr=cfg.rho),
-                        weights[n - 1], noise[m_t + n - 1])
-                for n in range(1, slots + 1)
-            ]
+    @settings(max_examples=100)
+    @given(
+        m=st.integers(3, 16),
+        data=st.data(),
+        kind=_KINDS,
+        omega=st.floats(0.0, 0.1),
+        slots=st.integers(1, 40),
+        seed=st.integers(0, 2**40),
+    )
+    def test_80211ad_matches_scalar_replay(self, m, data, kind, omega, slots, seed):
+        # three distinct candidate beams need at least 3 tracking antennas
+        track = data.draw(st.integers(3, m), label="track_antennas")
+        cfg = RunConfig(
+            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            algorithms=("80211ad",), track_antennas=track, seed=seed,
         )
-        return xs, weights, obs, cs_estimate(track, beams, warm)
-
-    def _check_cs_trace(self, cfg, trace, xs, estimates):
-        """``estimates[n]`` is the direction estimate after slot n (index 0:
-        after the warm-up sweep)."""
-        for n in range(1, len(estimates)):
-            expected_rate = achievable_rate(
-                G16, conjugate_beam(G16, estimates[n - 1]), xs[n], cfg.rho
-            )
-            assert trace.x_hat[n - 1] == estimates[n]
-            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-12)
-            assert trace.mse_h[n - 1] == pytest.approx(
-                mse_h(G16, estimates[n], xs[n], cfg.beta), rel=1e-9, abs=1e-12
-            )
+        _check_sweep_refine(cfg)
 
     def test_cs_static_trace(self):
         # static: re-estimate every slot from all pilots received so far
-        slots = 40
         cfg = RunConfig(
-            trajectory=Trajectory.static(slots),
+            trajectory=Trajectory.static(40),
             trials=1,
             algorithms=("cs",),
             seed=43,
         )
-        trace = run_single_trial(cfg, "cs", trial=0)
-        xs, weights, obs, x_warm = self._cs_replay(cfg)
-        # one pilot scores every grid point |y_1|, a tie that rounding breaks,
-        # so slot 1 only has to pick a grid point
-        assert trace.x_hat[0] in SweepDictionary(1024).points
-        estimates = [x_warm, trace.x_hat[0]] + [
-            cs_estimate(G16, weights[:n], obs[:n]) for n in range(2, slots + 1)
-        ]
-        self._check_cs_trace(cfg, trace, xs, estimates)
+        _check_cs(cfg)
 
     def test_cs_sinusoidal_trace(self):
         # dynamic: once per 16-slot codebook frame, from the frame's last
         # 8 pilots; the estimate is held in between
-        slots = 80
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(slots),
+            trajectory=Trajectory.sinusoidal(80),
             trials=1,
             algorithms=("cs",),
             seed=44,
         )
-        trace = run_single_trial(cfg, "cs", trial=0)
-        xs, weights, obs, x_warm = self._cs_replay(cfg)
-        estimates = [x_warm]
-        for n in range(1, slots + 1):
-            if n % 16 == 0:
-                estimates.append(cs_estimate(G16, weights[n - 8 : n], obs[n - 8 : n]))
-            else:
-                estimates.append(estimates[-1])
-        assert len(set(estimates)) > 2  # refreshes moved the estimate
-        self._check_cs_trace(cfg, trace, xs, estimates)
+        assert len(set(_check_cs(cfg))) > 2  # refreshes moved the estimate
 
     @pytest.mark.parametrize(
         "track_antennas, slots, seed",
@@ -370,24 +285,25 @@ class TestEngineAgainstLibraryOps:
             track_antennas=track_antennas,
             seed=seed,
         )
-        trace = run_single_trial(cfg, "cs", trial=0)
-        xs, weights, obs, x_warm = self._cs_replay(cfg)
-        track, m_t, k_win = cfg.track_geometry, track_antennas, track_antennas // 2
-        estimates = [x_warm]
-        for n in range(1, slots + 1):
-            if n % m_t:
-                estimates.append(estimates[-1])
-                continue
-            win = slice(n - k_win, n)
-            ref, got = cs_estimate(track, weights[win], obs[win]), trace.x_hat[n - 1]
-            if got != ref:
-                # two probes can score two grid points exactly alike, a tie
-                # that rounding breaks either way
-                tie = [_cs_direct_score(track, weights[win], obs[win], g) for g in (got, ref)]
-                assert tie[0] == pytest.approx(tie[1], rel=1e-12)
-            estimates.append(got)
-        assert len(set(estimates)) > 2  # refreshes moved the estimate
-        self._check_cs_trace(cfg, trace, xs, estimates)
+        assert len(set(_check_cs(cfg))) > 2  # refreshes moved the estimate
+
+    @settings(max_examples=60)
+    @given(
+        m=st.integers(6, 16),
+        data=st.data(),
+        kind=_KINDS,
+        omega=st.floats(0.0, 0.1),
+        slots=st.integers(1, 40),
+        seed=st.integers(0, 2**40),
+    )
+    def test_cs_matches_scalar_replay(self, m, data, kind, omega, slots, seed):
+        # dynamic windows of at least 3 probes: 6 or more tracking antennas
+        track = data.draw(st.integers(6, m), label="track_antennas")
+        cfg = RunConfig(
+            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            algorithms=("cs",), track_antennas=track, seed=seed,
+        )
+        _check_cs(cfg)
 
     def test_single_trial_matches_batched_run(self):
         cfg = RunConfig(
@@ -504,7 +420,7 @@ class TestSummaryContents:
 
     def test_subset_tracking_uses_full_array_for_rate(self):
         cfg = RunConfig(
-            trajectory=Trajectory.static(60, x0=0.11),
+            trajectory=Trajectory.static(60),
             trials=4,
             algorithms=("recursive",),
             track_antennas=4,
@@ -516,16 +432,18 @@ class TestSummaryContents:
         # 16-antenna capacity, far above the 4-antenna one
         assert s.mean_rate[-1] > math.log2(1 + 1000 * 4) + 1.5
 
+    def test_steady_means_skip_the_first_50_slots(self):
+        cfg = RunConfig(trajectory=Trajectory.sinusoidal(60), trials=3, algorithms=("ls",))
+        s = run_experiment(cfg)["ls"]
+        assert s.steady_mean_rate == s.mean_rate[50:].mean()
+        assert s.steady_mean_mse_h == s.mean_mse_h[50:].mean()
+
     def test_validation_errors(self):
         for bad in (
             {"algorithms": ("sorcery",)},
-            {"step_kind": "sorcery"},
             {"step_alpha": -0.1},
             {"step_alpha": 0.0},
-            {"step_n0": -1.0},
-            {"step_kind": "fixed", "step_n0": -1.0},
             {"chunk_size": 0},
-            {"steady_skip": -1},
             {"jobs": 0},
             {"jobs": -2},
             {"sweep_dictionary_size": 0},
@@ -544,7 +462,6 @@ class TestSummaryContents:
             {"chunk_size": 4.0},
             {"jobs": 1.5},
             {"jobs": True},
-            {"steady_skip": 10.0},
             {"num_antennas": 16.0},
             {"num_antennas": True, "step_alpha": 0.5},
             {"track_antennas": 8.0},
@@ -552,8 +469,6 @@ class TestSummaryContents:
             {"sweep_dictionary_size": 32.0},
             {"step_alpha": math.nan},
             {"step_alpha": math.inf},
-            {"step_n0": math.nan},
-            {"step_n0": math.inf},
             {"beta": complex(math.nan, 0.0)},
             {"beta": complex(math.inf, 1.0)},
             {"beta": 0j},
@@ -638,123 +553,50 @@ class TestTrackingProperties:
         assert float(s.conv_frac[100:].mean()) >= 0.99
 
 
+def _check_least_squares(cfg):
+    trace = run_single_trial(cfg, "ls")
+    rates, mses = ref.least_squares(cfg, 0)
+    np.testing.assert_allclose(trace.mse_h, mses, rtol=1e-9)
+    np.testing.assert_allclose(trace.rate, rates, rtol=1e-9)
+    return trace
+
+
 class TestLsAgainstLibraryEstimator:
     def test_engine_matches_lstsq_solution(self):
         # static: re-estimated every slot from every pilot so far; slot n's
         # rate uses the phase-only beam of the estimate before it
-        from beamtrack import ls_data_beam, ls_estimate
-
         cfg = RunConfig(
             trajectory=Trajectory.static(16),
             trials=1,
             algorithms=("ls",),
             seed=31,
         )
-        trace = run_single_trial(cfg, "ls", trial=0)
-
-        plan = RngPlan(31)
-        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
-        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 3), 16 + 16)
-        rho = cfg.rho
-        beams = dft_codebook(G16)
-        chan = ChannelState(xs[0], beta=cfg.beta, snr=rho)
-        weights = [beams[m] for m in range(16)]
-        obs = [observe(G16, chan, beams[m], noise[m]) for m in range(16)]
-        h_hat = ls_estimate(np.stack(weights), np.array(obs))
-        for n in range(1, 17):
-            expected_rate = achievable_rate(G16, ls_data_beam(h_hat), xs[n], rho)
-            d = (n - 1) % 16
-            weights.append(beams[d])
-            obs.append(observe(G16, ChannelState(xs[n], beta=cfg.beta, snr=rho),
-                               beams[d], noise[16 + n - 1]))
-            h_hat = ls_estimate(np.stack(weights), np.array(obs))
-            expected = abs(cfg.beta) ** 2 * np.sum(
-                np.abs(h_hat - steering_vector(G16, xs[n])) ** 2
-            )
-            assert trace.mse_h[n - 1] == pytest.approx(float(expected), rel=1e-8)
-            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-9)
+        _check_least_squares(cfg)
 
     @settings(max_examples=60)
     @given(
         m=st.integers(2, 16),
         slots=st.integers(1, 40),
-        kind=st.sampled_from(["static", "sinusoidal", "fixed_velocity"]),
+        kind=_KINDS,
         omega=st.floats(0.0, 0.1),
         seed=st.integers(0, 2**40),
     )
     def test_engine_matches_scalar_replay(self, m, slots, kind, omega, seed):
         # slots not a multiple of m end inside a codebook frame, whose
         # estimate a dynamic run never takes
-        from beamtrack import ls_data_beam, ls_estimate
-
-        if kind == "fixed_velocity":
-            traj = Trajectory.fixed_velocity(slots, omega=omega)
-        else:
-            traj = getattr(Trajectory, kind)(slots)
         cfg = RunConfig(
-            trajectory=traj, num_antennas=m, trials=1, algorithms=("ls",), seed=seed
+            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            algorithms=("ls",), seed=seed,
         )
-        trace = run_single_trial(cfg, "ls", trial=0)
-
-        geom = ArrayGeometry(m)
-        plan = RngPlan(seed)
-        xs = generate(traj, plan.stream(0, STREAM_TRAJECTORY))
-        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 3), m + slots)
-        beams = dft_codebook(geom)
-
-        def pilot(x, d, z):
-            return observe(geom, ChannelState(x, beta=cfg.beta, snr=cfg.rho), beams[d], z)
-
-        weights = list(beams)
-        obs = [pilot(xs[0], d, noise[d]) for d in range(m)]
-        h_hat = ls_estimate(weights, obs)
-        rates, mses = [], []
-        for n in range(1, slots + 1):
-            rates.append(achievable_rate(geom, ls_data_beam(h_hat), xs[n], cfg.rho))
-            d = (n - 1) % m
-            weights.append(beams[d])
-            obs.append(pilot(xs[n], d, noise[m + n - 1]))
-            if kind == "static":
-                h_hat = ls_estimate(weights, obs)
-            elif n % m == 0:
-                h_hat = ls_estimate(weights[-m:], obs[-m:])
-            err = h_hat - steering_vector(geom, xs[n])
-            mses.append(abs(cfg.beta) ** 2 * np.sum(np.abs(err) ** 2))
-        np.testing.assert_allclose(trace.mse_h, mses, rtol=1e-9)
-        np.testing.assert_allclose(trace.rate, rates, rtol=1e-9)
+        _check_least_squares(cfg)
 
     def test_dynamic_engine_holds_each_frame_estimate(self):
         # dynamic: one estimate per 16-slot codebook frame from that frame's
         # 16 pilots, held until the next frame's last slot
-        from beamtrack import ls_data_beam, ls_estimate
-
-        slots = 56
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(slots),
+            trajectory=Trajectory.sinusoidal(56),
             trials=1,
             algorithms=("ls",),
             seed=32,
         )
-        trace = run_single_trial(cfg, "ls", trial=0)
-
-        plan = RngPlan(32)
-        xs = generate(cfg.trajectory, plan.stream(0, STREAM_TRAJECTORY))
-        noise = complex_normal(plan.stream(0, STREAM_OBSERVATION, 3), 16 + slots)
-        beams = dft_codebook(G16)
-        chan = ChannelState(xs[0], beta=cfg.beta, snr=cfg.rho)
-        warm = [observe(G16, chan, beams[m], noise[m]) for m in range(16)]
-        h_hat = ls_estimate(beams, warm)
-        frame = []
-        for n in range(1, slots + 1):
-            expected_rate = achievable_rate(G16, ls_data_beam(h_hat), xs[n], cfg.rho)
-            chan = ChannelState(xs[n], beta=cfg.beta, snr=cfg.rho)
-            frame.append(observe(G16, chan, beams[(n - 1) % 16], noise[16 + n - 1]))
-            if n % 16 == 0:
-                h_hat = ls_estimate(beams, frame)
-                frame = []
-            expected = abs(cfg.beta) ** 2 * np.sum(
-                np.abs(h_hat - steering_vector(G16, xs[n])) ** 2
-            )
-            assert trace.mse_h[n - 1] == pytest.approx(float(expected), rel=1e-8)
-            assert trace.rate[n - 1] == pytest.approx(expected_rate, rel=1e-9)
-        assert np.isnan(trace.x_hat).all()
+        assert np.isnan(_check_least_squares(cfg).x_hat).all()

@@ -17,22 +17,20 @@ class TestStatic:
         assert np.all(xs == xs[0])
         assert -1 <= xs[0] <= 1
 
-    def test_pinned_direction(self):
-        xs = generate(Trajectory.static(10, x0=0.25), np.random.default_rng(0))
-        assert np.all(xs == 0.25)
-
 
 class TestSinusoidal:
     def test_half_period_returns_to_zero(self):
-        traj = Trajectory.sinusoidal(600, jitter=0.0)
-        xs = generate(traj, np.random.default_rng(0))
-        assert xs[500] == pytest.approx(0.0, abs=1e-12)
-        assert xs[250] == pytest.approx(math.sin(math.pi / 3), rel=1e-12)
-
-    def test_jitter_clipped_to_physical_range(self):
-        traj = Trajectory.sinusoidal(2000, jitter=2.0)
-        xs = generate(traj, np.random.default_rng(1))
-        assert np.all(np.abs(xs) <= 1.0)
+        # angle (pi/3) sin(2 pi n/1000) plus 0.005 rad of Gaussian jitter,
+        # drawn from the trial's generator: the swing is back at zero after
+        # half a period and at its pi/3 peak after a quarter
+        xs = generate(Trajectory.sinusoidal(600), np.random.default_rng(0))
+        jitter = 0.005 * np.random.default_rng(0).standard_normal(601)
+        swing = np.arcsin(xs) - jitter
+        n = np.arange(601)
+        np.testing.assert_allclose(swing, math.pi / 3 * np.sin(2 * math.pi * n / 1000),
+                                   rtol=0, atol=1e-12)
+        assert swing[500] == pytest.approx(0.0, abs=1e-12)
+        assert swing[250] == pytest.approx(math.pi / 3, rel=1e-12)
 
 
 class TestFixedVelocity:

@@ -5,49 +5,68 @@ import pytest
 
 from beamtrack import (
     ArrayGeometry,
-    ChannelState,
-    SineTrackerState,
-    StepSizeSchedule,
-    SweepDictionary,
+    RunConfig,
+    Trajectory,
     alpha_star,
-    coarse_sweep,
     codebook_directions,
     dft_codebook,
     i_max,
     initialization_hit_rate,
-    observe,
-    recursive_step,
+    run_single_trial,
+    sine_grid,
     steering_vector,
     surrogate_f,
 )
-from beamtrack.scenarios import complex_normal
+from beamtrack.harness import _sweep_estimate
 
 G16 = ArrayGeometry(16)
 G8 = ArrayGeometry(8)
+NOISELESS_DB = 300.0  # pilot noise of order 1e-15
+
+
+def _recursive_trace(trajectory, trial=0, **kw):
+    cfg = RunConfig(
+        trajectory=trajectory, trials=trial + 1, algorithms=("recursive",), **kw
+    )
+    return run_single_trial(cfg, "recursive", trial=trial)
+
+
+def _noiseless_moves(kind, track, step, trials=8, slots=30, **kw):
+    """Checks that every slot after the first of ``trials`` noiseless
+    uniform-start runs is the update
+    ``x_n = clip(x_(n-1) + step(n) f(x_(n-1), x_n), -1, 1)`` on the tracking
+    subarray; returns how many slots moved the estimate by more than 1e-6."""
+    moved = 0
+    for trial in range(trials):
+        trace = _recursive_trace(
+            getattr(Trajectory, kind)(slots), trial, init="uniform", snr_db=NOISELESS_DB, **kw
+        )
+        for n in range(2, slots + 1):
+            v, x = trace.x_hat[n - 2], trace.x[n - 1]
+            expected = min(max(v + step(n) * surrogate_f(track, v, x), -1.0), 1.0)
+            assert trace.x_hat[n - 1] == pytest.approx(expected, abs=1e-12)
+            moved += abs(expected - v) > 1e-6
+    return moved
 
 
 class TestStepSizeSchedule:
+    """The recursive tracker's step: alpha/n in static runs, alpha in moving
+    ones, with alpha defaulting to alpha_star of the tracking subarray."""
+
     def test_diminishing_values(self):
-        s = StepSizeSchedule.diminishing(0.5, n0=3.0)
-        assert s.at(1) == pytest.approx(0.125)
-        assert s.at(7) == pytest.approx(0.05)
+        alpha = alpha_star(G8)
+        moved = _noiseless_moves("static", G8, lambda n: alpha / n, track_antennas=8, seed=3)
+        assert moved >= 20
 
     def test_fixed_values(self):
-        s = StepSizeSchedule.fixed(0.02)
-        assert s.at(1) == s.at(1000) == 0.02
+        alpha = alpha_star(G8)
+        moved = _noiseless_moves("sinusoidal", G8, lambda n: alpha, track_antennas=8, seed=4)
+        assert moved >= 20
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StepSizeSchedule("linear", 0.1)
-        with pytest.raises(ValueError):
-            StepSizeSchedule.diminishing(0.0)
-        with pytest.raises(ValueError):
-            StepSizeSchedule.diminishing(0.1, n0=-1.0)
-        for alpha, n0 in ((math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)):
-            with pytest.raises(ValueError):
-                StepSizeSchedule.diminishing(alpha, n0)
-        with pytest.raises(ValueError):
-            StepSizeSchedule.fixed(math.nan)
+        for alpha in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                RunConfig(trajectory=Trajectory.static(5), step_alpha=alpha)
 
 
 class TestAlphaStar:
@@ -92,13 +111,8 @@ class TestDftCodebook:
 
 class TestSweepDictionary:
     def test_points(self):
-        pts = SweepDictionary(4).points
-        np.testing.assert_allclose(pts, [-0.75, -0.25, 0.25, 0.75])
-        assert np.all(np.abs(SweepDictionary(33).points) < 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepDictionary(0)
+        np.testing.assert_allclose(sine_grid(4), [-0.75, -0.25, 0.25, 0.75])
+        assert np.all(np.abs(sine_grid(33)) < 1.0)
 
 
 def _noiseless_sweep_pilots(geom, x):
@@ -107,23 +121,18 @@ def _noiseless_sweep_pilots(geom, x):
 
 
 class TestCoarseSweep:
+    """The engine's coarse sweep, one trial per pilot row."""
+
     def test_exact_on_dictionary_point(self):
-        sweep = SweepDictionary(32)
-        for x in sweep.points[2:30:5]:
+        for x in sine_grid(32)[2:30:5]:
             pilots = _noiseless_sweep_pilots(G16, x)
-            assert coarse_sweep(G16, sweep, pilots) == pytest.approx(x)
+            assert _sweep_estimate(G16, 32, pilots[None])[0] == pytest.approx(x)
 
     def test_noiseless_resolution(self):
         # interior directions resolve to within one dictionary step
-        sweep = SweepDictionary(64)
-        rng = np.random.default_rng(2)
-        for x in rng.uniform(-0.9, 0.9, 25):
-            pilots = _noiseless_sweep_pilots(G16, x)
-            assert abs(coarse_sweep(G16, sweep, pilots) - x) <= 1 / 64 + 1e-12
-
-    def test_wrong_pilot_count(self):
-        with pytest.raises(ValueError):
-            coarse_sweep(G16, SweepDictionary(32), np.ones(8, dtype=complex))
+        xs = np.random.default_rng(2).uniform(-0.9, 0.9, 25)
+        pilots = np.stack([_noiseless_sweep_pilots(G16, x) for x in xs])
+        assert np.all(np.abs(_sweep_estimate(G16, 64, pilots) - xs) <= 1 / 64 + 1e-12)
 
     def test_hit_rate_high_snr(self):
         # strict mainlobe membership; near +-1 the half-wavelength array
@@ -134,35 +143,32 @@ class TestCoarseSweep:
 
 
 class TestRecursiveStep:
+    """The engine's recursive update, against the drift ``f`` in closed form."""
+
     def test_noiseless_fixed_point(self):
-        chan = ChannelState(0.4, snr=10.0)
-        state = SineTrackerState(0.4, StepSizeSchedule.diminishing(alpha_star(G16)), G16)
-        y = observe(G16, chan, state.probe_weights, 0j)
-        new = recursive_step(state, y)
-        assert new.x_hat == pytest.approx(0.4, abs=1e-12)
-        assert new.slot == 2
+        # zero angular velocity holds x = 0; the truth is a fixed point, and
+        # at alpha_star the noiseless recursion reaches it within a few slots
+        trace = _recursive_trace(
+            Trajectory.fixed_velocity(40, omega=0.0), snr_db=NOISELESS_DB
+        )
+        assert np.all(trace.x == 0.0)
+        assert abs(trace.x_hat[0]) > 1e-6
+        assert np.all(np.abs(trace.x_hat[10:]) < 1e-12)
 
     def test_clipping(self):
-        state = SineTrackerState(0.99, StepSizeSchedule.fixed(1.0), G16)
-        new = recursive_step(state, -0.05j)  # step +0.05 past the edge
-        assert new.x_hat == 1.0
+        trace = _recursive_trace(Trajectory.sinusoidal(200), step_alpha=5.0, snr_db=0.0)
+        assert np.any(np.abs(trace.x_hat) == 1.0)  # steps past the edge stop at it
 
     def test_noiseless_step_equals_drift(self):
-        rng = np.random.default_rng(9)
-        sched = StepSizeSchedule.diminishing(alpha_star(G16), n0=2.0)
-        for _ in range(1000):
-            v, x = rng.uniform(-1, 1, 2)
-            slot = int(rng.integers(1, 50))
-            state = SineTrackerState(v, sched, G16, slot=slot)
-            y = observe(G16, ChannelState(x), state.probe_weights, 0j)
-            expected = np.clip(v + sched.at(slot) * surrogate_f(G16, v, x), -1, 1)
-            assert recursive_step(state, y).x_hat == pytest.approx(
-                float(expected), abs=1e-12
-            )
+        alpha = 0.3 * alpha_star(G16)
+        for kind, step in (("static", lambda n: alpha / n), ("sinusoidal", lambda n: alpha)):
+            moved = _noiseless_moves(kind, G16, step, slots=50, step_alpha=alpha, seed=9)
+            assert moved >= 20, kind
 
     def test_estimate_always_in_range(self):
-        state = SineTrackerState(0.0, StepSizeSchedule.fixed(5.0), G8)
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            state = recursive_step(state, complex(rng.normal(), rng.normal()))
-            assert -1.0 <= state.x_hat <= 1.0
+        for trial in range(20):
+            trace = _recursive_trace(
+                Trajectory.sinusoidal(100), trial, track_antennas=8, step_alpha=5.0,
+                snr_db=0.0, seed=1,
+            )
+            assert np.all(np.abs(trace.x_hat) <= 1.0)
