@@ -192,6 +192,8 @@ def stable_points(geom: ArrayGeometry, x: float) -> np.ndarray:
     attractor with full array gain."""
     _check_direction(x)
     spacing = stable_point_spacing(geom)
+    if math.isinf(spacing):  # 1/((M-1)d) overflowed: no other point is in range
+        return np.array([x] if x > -1.0 else [])
     k_lo = math.floor((-1.0 - x) / spacing) + 1  # strictly above -1
     k_hi = math.floor((1.0 - x) / spacing)  # at most +1
     ks = np.arange(k_lo, k_hi + 1)

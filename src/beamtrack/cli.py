@@ -168,8 +168,9 @@ def _settings(args) -> dict:
 
 
 def _run_config(settings: dict, trajectory=Trajectory.static, **overrides) -> RunConfig:
-    """The RunConfig of ``settings`` on ``trajectory(slots)``.  A rejected
-    setting ends the run with one ``beamtrack: <reason>`` line on stderr."""
+    """The RunConfig of ``settings`` on ``trajectory(slots)``; the analytic
+    commands pass ``algorithms=()``, as they run none.  A rejected setting
+    ends the run with one ``beamtrack: <reason>`` line on stderr."""
     kw = {**settings, **overrides}
     try:
         if "beta" in kw:
@@ -194,10 +195,20 @@ class _Output:
     """The files of one run in its ``--out`` directory: CSV tables, gnuplot
     scripts and summary CSVs, then ``run.json``, whose ``outputs`` lists every
     name written.  Create it only after the run's settings are checked and its
-    results computed, so that a rejected run writes nothing."""
+    results computed, so that a rejected run writes nothing.  Creating it
+    removes the files an earlier run's ``run.json`` lists there: plain names
+    only, so nothing outside the directory is touched."""
 
     def __init__(self, directory: Path, command: str):
         directory.mkdir(parents=True, exist_ok=True)
+        try:
+            earlier = json.loads((directory / "run.json").read_text())["outputs"]
+        except (OSError, ValueError, TypeError, KeyError):
+            earlier = []
+        for name in earlier if isinstance(earlier, list) else []:
+            plain = isinstance(name, str) and os.path.basename(name) == name
+            if plain and (directory / name).is_file():  # not "", "." nor ".."
+                (directory / name).unlink()
         self._dir = directory
         self._command = command
         self._names: list[str] = []
@@ -378,7 +389,7 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
 
 
 def _cmd_crlb(args, settings: dict) -> int:
-    cfg = _run_config(settings)
+    cfg = _run_config(settings, algorithms=())
     geom, snr_db, rho = cfg.geometry, cfg.snr_db, cfg.rho
     sigma2 = abs(cfg.beta) ** 2 / rho  # the noise power of ChannelState
     imax = i_max(geom, rho)
@@ -407,7 +418,7 @@ def _cmd_crlb(args, settings: dict) -> int:
 
 
 def _cmd_stable_points(args, settings: dict) -> int:
-    geom = _run_config(settings).geometry
+    geom = _run_config(settings, algorithms=()).geometry
     x = args.x
     if not -1.0 <= x <= 1.0:
         raise SystemExit(f"beamtrack: --x must lie in [-1, 1], got {x}")
@@ -444,20 +455,18 @@ def _cmd_stable_points(args, settings: dict) -> int:
 
 
 def _cmd_init_quality(args, settings: dict) -> int:
-    cfg = _run_config(settings)
-    geom, m, trials, seed = cfg.geometry, cfg.num_antennas, cfg.trials, cfg.seed
-    snrs, factors = args.snr_grid, args.m0_factors
-    if not all(map(math.isfinite, snrs)):
-        raise SystemExit(f"beamtrack: --snr-grid values must be finite, got {snrs}")
-    if min(factors) < 1:
-        raise SystemExit(f"beamtrack: --m0-factors must be at least 1, got {factors}")
+    m = _run_config(settings, algorithms=()).num_antennas
+    # every grid point's config is checked before any of them runs
+    cfgs = [
+        _run_config(settings, algorithms=(), snr_db=snr_db, sweep_dictionary_size=factor * m)
+        for snr_db in args.snr_grid
+        for factor in args.m0_factors
+    ]
     rows = []
-    for snr_db in snrs:
-        for factor in factors:
-            m0 = factor * m
-            rate = initialization_hit_rate(geom, snr_db, m0, trials, seed)
-            rows.append((snr_db, m0, trials, rate))
-            print(f"snr {snr_db:5.1f} dB, M0={m0:4d}: hit rate {rate:.4f}")
+    for cfg in cfgs:
+        rate, m0 = initialization_hit_rate(cfg), cfg.sweep_dictionary_size
+        rows.append((cfg.snr_db, m0, cfg.trials, rate))
+        print(f"snr {cfg.snr_db:5.1f} dB, M0={m0:4d}: hit rate {rate:.4f}")
     out = _Output(args.out, "init-quality")
     out.table("init_quality.csv", "snr_db,m0,trials,hit_rate", rows)
     out.plot(
@@ -467,8 +476,8 @@ def _cmd_init_quality(args, settings: dict) -> int:
         "mainlobe hit rate",
     )
     out.manifest(
-        {"num_antennas": m, "trials": trials, "seed": seed,
-         "snr_grid": snrs, "m0_factors": factors}
+        {"num_antennas": m, "trials": cfg.trials, "seed": cfg.seed,
+         "snr_grid": args.snr_grid, "m0_factors": args.m0_factors}
     )
     return 0
 

@@ -8,6 +8,9 @@ drives them, the across-trial aggregates and the summary CSV writer.
 Trials are advanced in vectorized chunks, one batch tracker per algorithm.
 Every trial draws its trajectory, noise, probes and initial state from its
 own substreams, so a run's results are bit-identical for any worker count.
+One set-up, ``_chunk_inputs``, draws a chunk's trajectories and noise and
+takes its warm-up sweep, for every scenario and for the coarse sweep's hit
+rate (``initialization_hit_rate``).
 The chunk size only changes rounding (batch-size-dependent matrix products
 and the summation order), at the 1e-12 relative level, except for static
 ``cs`` at slot 1: one random probe scores every grid point alike, so its
@@ -52,7 +55,6 @@ from .scenarios import (
     STREAM_INIT,
     STREAM_OBSERVATION,
     STREAM_PROBE,
-    STREAM_TRAJECTORY,
     RngPlan,
     Trajectory,
     generate,
@@ -150,6 +152,9 @@ class RunConfig:
         track = self.track_geometry  # rejects < 2 antennas and a subarray out of range
         if "ls" in self.algorithms and track != self.geometry:
             raise ValueError("least-squares baseline needs the full array")
+        if "80211ad" in self.algorithms and track.num_antennas < 3:
+            # a refinement round probes the best beam and its two neighbours
+            raise ValueError("need at least 3 codebook beams")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if not (cmath.isfinite(self.beta) and self.beta != 0):
@@ -529,44 +534,35 @@ _TRACKERS = dict(
 )
 
 
-def _observation_noise(plan: RngPlan, trials: range, tag: int, size: int) -> np.ndarray:
-    """Row k is ``complex_normal(plan.stream(trials[k], STREAM_OBSERVATION, tag),
-    size)``, drawn in place."""
-    noise = np.empty((len(trials), size), dtype=complex)
-    pairs = noise.view(float).reshape(len(trials), size, 2)
+def _chunk_inputs(config: RunConfig, trials: range, tag: int):
+    """A chunk's random inputs, one row per trial, each from the trial's own
+    substreams: the direction sines (column 0 is the warm-up anchor), the
+    slots' observation noise of power 1/rho (column n-1 for slot n) and the M
+    pilots of the warm-up sweep, one full codebook sweep of the tracking
+    array against the anchor.  The sweep's noise is drawn first, from the
+    same ``tag``ged observation substream as the slots'."""
+    track = config.track_geometry
+    m_t = track.num_antennas
+    plan = RngPlan(config.seed)
+    x_traj = generate(config.trajectory, plan, trials)
+    noise = np.empty((len(trials), m_t + config.slots), dtype=complex)
+    pairs = noise.view(float).reshape(*noise.shape, 2)
     for pair, rng in zip(pairs, plan.batch(trials, STREAM_OBSERVATION, tag)):
         rng.standard_normal(out=pair)
     noise *= math.sqrt(0.5)
-    return noise
+    noise /= math.sqrt(config.rho)
+    warm = steering_matrix(track, x_traj[:, 0]) @ np.conj(dft_codebook(track)).T
+    warm += noise[:, :m_t]
+    return x_traj, noise[:, m_t:], warm
 
 
 def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _ChunkOut:
-    track = config.track_geometry
-    m_t = track.num_antennas
     n_slots = config.slots
-    sqrt_rho = math.sqrt(config.rho)
     trials = range(lo, hi)
-    plan = RngPlan(config.seed)
+    x_traj, noise, warm = _chunk_inputs(config, trials, _ALG_TAGS[algorithm])
+    tracker = _TRACKERS[algorithm](config, trials, x_traj[:, 0], warm)
 
-    # per-trial substreams, stacked into chunk arrays; static rows are filled
-    # in place with ``generate``'s value, its one uniform draw
-    traj = config.trajectory
-    x_traj = np.empty((len(trials), n_slots + 1))
-    rngs = plan.batch(trials, STREAM_TRAJECTORY)
-    if traj.kind != "static":
-        for x, rng in zip(x_traj, rngs):
-            x[:] = generate(traj, rng)
-    else:
-        x_traj[:] = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])[:, None]
-    noise = _observation_noise(plan, trials, _ALG_TAGS[algorithm], m_t + n_slots)
-
-    # warm-up: one full codebook sweep against the anchored direction
-    x0 = x_traj[:, 0]
-    warm = steering_matrix(track, x0) @ np.conj(dft_codebook(track)).T
-    warm += noise[:, :m_t] / sqrt_rho
-    tracker = _TRACKERS[algorithm](config, trials, x0, warm)
-
-    hw_track = mainlobe_halfwidth(track)
+    hw_track = mainlobe_halfwidth(config.track_geometry)
     mse_sum, rate_sum, lock_sum = np.zeros((3, n_slots))
     sqerr = np.zeros((len(trials), n_slots))
     trace = TrialRecord(
@@ -575,7 +571,7 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     )
     for n in range(1, n_slots + 1):
         x_n = x_traj[:, n]
-        rate_n, mse_n, est = tracker.step(n, x_n, noise[:, m_t + n - 1] / sqrt_rho)
+        rate_n, mse_n, est = tracker.step(n, x_n, noise[:, n - 1])
         mse_sum[n - 1] = mse_n.sum()
         rate_sum[n - 1] = rate_n.sum()
         trace.mse_h[n - 1], trace.rate[n - 1] = mse_n[0], rate_n[0]
@@ -610,7 +606,6 @@ def _chunks(trials: int, chunk_size: int) -> list[tuple[int, int]]:
 
 def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
     spans = _chunks(config.trials, config.chunk_size)
-    outs: list[_ChunkOut] = []
     if config.jobs > 1 and len(spans) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [
@@ -622,17 +617,11 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
         outs = [_simulate_chunk(config, algorithm, lo, hi) for lo, hi in spans]
 
     n_slots = config.slots
-    mse_sum = np.zeros(n_slots)
-    rate_sum = np.zeros(n_slots)
-    lock_sum = np.zeros(n_slots)
-    sqerr_conv = np.zeros(n_slots)
-    conv_count = 0.0
-    for out in outs:  # deterministic reduction in chunk order
-        mse_sum += out.mse_sum
-        rate_sum += out.rate_sum
-        lock_sum += out.lock_sum
-        sqerr_conv += out.sqerr_conv_sum
-        conv_count += out.conv_count
+    # deterministic reduction in chunk order
+    mse_sum, rate_sum, lock_sum, sqerr_conv, conv_count = (
+        sum(getattr(out, name) for out in outs)
+        for name in ("mse_sum", "rate_sum", "lock_sum", "sqerr_conv_sum", "conv_count")
+    )
 
     trials = config.trials
     slots = np.arange(1, n_slots + 1)
@@ -679,32 +668,20 @@ def run_single_trial(config: RunConfig, algorithm: str, trial: int = 0) -> Trial
     return _simulate_chunk(config, algorithm, trial, trial + 1).trace
 
 
-def initialization_hit_rate(
-    geom: ArrayGeometry,
-    snr_db: float,
-    dictionary_size: int,
-    trials: int,
-    seed: int = 0,
-    chunk_size: int = 4096,
-) -> float:
-    """Monte Carlo probability that the coarse sweep lands inside the mainlobe
-    of a uniformly drawn direction."""
-    rho = 10.0 ** (snr_db / 10.0)
-    beams = dft_codebook(geom)
-    hw = mainlobe_halfwidth(geom)
-    plan = RngPlan(seed)
-    m = geom.num_antennas
+def initialization_hit_rate(config: RunConfig) -> float:
+    """Monte Carlo probability that the coarse sweep of ``config``'s tracking
+    array, over its sweep dictionary, lands inside the mainlobe of the
+    trial's anchor direction; trials draw their direction and warm-up noise
+    (tag 0) as a run's chunks do."""
+    track = config.track_geometry
+    size = config.resolved_dictionary_size()
+    hw = mainlobe_halfwidth(track)
     hits = 0
-    for lo in range(0, trials, chunk_size):
-        span = range(lo, min(lo + chunk_size, trials))
-        x = np.array(
-            [rng.uniform(-1.0, 1.0) for rng in plan.batch(span, STREAM_TRAJECTORY)]
-        )
-        z = _observation_noise(plan, span, 0, m)
-        pilots = steering_matrix(geom, x) @ np.conj(beams).T + z / math.sqrt(rho)
-        x0 = _sweep_estimate(geom, dictionary_size, pilots)
-        hits += int(np.count_nonzero(np.abs(x0 - x) < hw))
-    return hits / trials
+    for lo, hi in _chunks(config.trials, config.chunk_size):
+        x_traj, _, warm = _chunk_inputs(config, range(lo, hi), 0)
+        x0 = _sweep_estimate(track, size, warm)
+        hits += int(np.count_nonzero(np.abs(x0 - x_traj[:, 0]) < hw))
+    return hits / config.trials
 
 
 def write_summary_csv(path, summary: RunSummary) -> None:

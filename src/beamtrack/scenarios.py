@@ -76,26 +76,35 @@ class Trajectory:
         return Trajectory("fixed_velocity", num_slots, omega=omega)
 
 
-def generate(traj: Trajectory, rng: np.random.Generator) -> np.ndarray:
-    """Direction sines for one trial: index 0 is the warm-up anchor, indices
-    1..num_slots are the tracked slots."""
+def generate(traj: Trajectory, plan: RngPlan, trials: range) -> np.ndarray:
+    """Direction sines of ``trials``, one row per trial: column 0 is the
+    warm-up anchor, columns 1..num_slots are the tracked slots.  A row's
+    draws come from its trial's ``STREAM_TRAJECTORY`` substream."""
     n = traj.num_slots
+    x = np.empty((len(trials), n + 1))
+    rngs = plan.batch(trials, STREAM_TRAJECTORY)
     if traj.kind == "static":
-        return np.full(n + 1, rng.uniform(-1.0, 1.0))
-    if traj.kind == "sinusoidal":
-        # |angle| stays below pi/2: the jitter would need a 105-sigma draw
+        x[:] = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])[:, None]
+    elif traj.kind == "sinusoidal":
+        # |angle| stays below pi/2: the jitter would need a 105-sigma draw;
+        # built in place, as the chunk's largest array
         slots = np.arange(n + 1)
         theta = _SINE_AMPLITUDE * np.sin(2.0 * np.pi * slots / _SINE_PERIOD)
-        return np.sin(theta + _SINE_JITTER * rng.standard_normal(n + 1))
-    # fixed_velocity: reflect before a step would exit the band
-    theta = np.empty(n + 1)
-    theta[0] = 0.0
-    sign = 1.0
-    for i in range(1, n + 1):
-        if abs(theta[i - 1] + sign * traj.omega) > _ANGLE_BAND:
-            sign = -sign
-        theta[i] = theta[i - 1] + sign * traj.omega
-    return np.sin(theta)
+        for row, rng in zip(x, rngs):
+            rng.standard_normal(out=row)
+        x *= _SINE_JITTER
+        x += theta
+        np.sin(x, out=x)
+    else:  # fixed_velocity draws nothing; reflect before a step would exit the band
+        theta = np.empty(n + 1)
+        theta[0] = 0.0
+        sign = 1.0
+        for i in range(1, n + 1):
+            if abs(theta[i - 1] + sign * traj.omega) > _ANGLE_BAND:
+                sign = -sign
+            theta[i] = theta[i - 1] + sign * traj.omega
+        x[:] = np.sin(theta)
+    return x
 
 
 @dataclass(frozen=True)

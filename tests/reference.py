@@ -1,11 +1,12 @@
 """Scalar reference replays of the four algorithms.
 
 Each replay runs one trial of a ``RunConfig`` slot by slot with plain
-scalar operations: one ``observe`` per pilot, ``np.linalg.lstsq`` for least
-squares, and a direct matched filter over the sine grid for the coarse
-sweep and sparse recovery.  It draws the trial's truth, noise, probes and
-initial state from the same substreams as the engine, so the engine's
-per-slot trace must match it.
+scalar operations: its direction sines one trial at a time (``trajectory``),
+one ``observe`` per pilot, ``np.linalg.lstsq`` for least squares, and a
+direct matched filter over the sine grid for the coarse sweep and sparse
+recovery.  It draws the trial's truth, noise, probes and initial state
+from the same substreams as the engine, so the engine's per-slot trace
+must match it.
 """
 
 import math
@@ -20,7 +21,6 @@ from beamtrack import (
     complex_normal,
     conjugate_beam,
     dft_codebook,
-    generate,
     mainlobe_halfwidth,
     observe,
     sine_grid,
@@ -36,6 +36,29 @@ from beamtrack.scenarios import (
 )
 
 CS_GRID = sine_grid(CS_DICTIONARY_SIZE)
+
+
+def trajectory(traj, rng):
+    """Direction sines of one trial drawn from ``rng``: index 0 is the warm-up
+    anchor, indices 1..num_slots the tracked slots.  Static: one uniform
+    draw; sinusoidal: angle (pi/3) sin(2 pi n/1000) plus 0.005 rad of
+    Gaussian jitter; fixed velocity: ``omega`` rad per slot from 0, turning
+    back before a step would leave [-pi/3, pi/3]."""
+    n = traj.num_slots
+    if traj.kind == "static":
+        return np.full(n + 1, rng.uniform(-1.0, 1.0))
+    if traj.kind == "sinusoidal":
+        slots = np.arange(n + 1)
+        theta = math.pi / 3.0 * np.sin(2.0 * np.pi * slots / 1000.0)
+        return np.sin(theta + 0.005 * rng.standard_normal(n + 1))
+    theta = np.empty(n + 1)
+    theta[0] = 0.0
+    sign = 1.0
+    for i in range(1, n + 1):
+        if abs(theta[i - 1] + sign * traj.omega) > math.pi / 3.0:
+            sign = -sign
+        theta[i] = theta[i - 1] + sign * traj.omega
+    return np.sin(theta)
 
 
 def mse_h(geom, x_hat, x, beta):
@@ -79,7 +102,7 @@ def draws(cfg, trial, algorithm):
     """Truth ``xs`` (index 0: the warm-up anchor) and the standard complex
     noise of the warm-up sweep and slots, as the engine draws them."""
     plan = RngPlan(cfg.seed)
-    xs = generate(cfg.trajectory, plan.stream(trial, STREAM_TRAJECTORY))
+    xs = trajectory(cfg.trajectory, plan.stream(trial, STREAM_TRAJECTORY))
     tag = ALGORITHMS.index(algorithm) + 1
     noise = complex_normal(
         plan.stream(trial, STREAM_OBSERVATION, tag), cfg.track_geometry.num_antennas + cfg.slots

@@ -32,7 +32,7 @@ from beamtrack import (
     steering_vector,
     surrogate_f,
 )
-from beamtrack.scenarios import STREAM_TRAJECTORY, RngPlan, complex_normal, generate
+from beamtrack.scenarios import RngPlan, complex_normal, generate
 
 G16 = ArrayGeometry(16)
 CAPACITY_10DB = math.log2(1 + 10 * 16)
@@ -258,10 +258,7 @@ def test_criterion_6a_speed_point(speed_point_run):
     g8 = G16.subset(8)
     drift = max(abs(surrogate_f(g8, v, 0.0)) for v in np.linspace(-1.0, 1.0, 20_001))
     ceiling = alpha_star(g8) * drift
-    x = generate(
-        Trajectory.fixed_velocity(3000, omega=0.064),
-        RngPlan(106).stream(0, STREAM_TRAJECTORY),
-    )
+    x = generate(Trajectory.fixed_velocity(3000, omega=0.064), RngPlan(106), range(1))[0]
     a = steering_matrix(G16, x)
     inner = np.sum(np.conj(a[:-1]) * a[1:], axis=1)
     genie = float(np.log2(1 + 10 * np.abs(inner[50:]) ** 2 / 16).mean()) / CAPACITY_10DB

@@ -206,6 +206,13 @@ class TestStablePoints:
         assert pts.min() > -1.0
         assert pts.max() <= 1.0 + 1e-12
 
+    def test_truth_alone_when_spacing_overflows(self):
+        # at d = 5e-324 the spacing 1/((M-1)d) overflows to inf; the truth is
+        # still the one attractor, as at d = 1e-300, where the spacing is finite
+        for d in (5e-324, 1e-300):
+            assert stable_point_spacing(ArrayGeometry(8, d)) > 1e298
+            np.testing.assert_array_equal(stable_points(ArrayGeometry(8, d), 0.3), [0.3])
+
     @pytest.mark.parametrize("m", [4, 8, 16])
     def test_zeros_with_negative_slope(self, m):
         geom = ArrayGeometry(m)

@@ -88,6 +88,52 @@ class TestInitQualityCommand:
             assert 0.9 <= float(row["hit_rate"]) <= 1.0
 
 
+@pytest.mark.parametrize("command", ["crlb", "analyze-stable-points", "init-quality"])
+def test_analytic_commands_run_on_two_antennas(tmp_path, command, capsys):
+    # they run no algorithm, so sweep-and-refine's 3-beam minimum does not apply
+    trials = ("--trials", "20") if command == "init-quality" else ()
+    assert cli.main([command, "--antennas", "2", *trials, "--out", str(tmp_path)]) == 0
+
+
+class TestOutputDirectory:
+    def test_rerun_leaves_only_its_own_files(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["dynamic", "--trials", "2", "--slots", "20", "--seed", "3", "--jobs", "1",
+                "--out", str(out)]
+        assert cli.main(args) == 0
+        assert len(list(out.iterdir())) == 11  # 4 summaries, 4 traces, 2 scripts, run.json
+        assert cli.main([*args, "--algorithms", "recursive"]) == 0
+        outputs = json.loads((out / "run.json").read_text())["outputs"]
+        assert outputs == [
+            "dynamic_rate.gp", "dynamic_recursive.csv", "dynamic_trace_recursive.csv",
+            "dynamic_tracking.gp",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "run.json"])
+
+    def test_only_plain_names_are_removed(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "sub").mkdir(parents=True)
+        outside, nested, unlisted, stale = (
+            tmp_path / "victim.txt", out / "sub" / "x.csv", out / "keep.txt", out / "old.csv"
+        )
+        for path in (outside, nested, unlisted, stale):
+            path.write_text("x")
+        listed = ["../victim.txt", str(outside), "sub/x.csv", "sub", "..", ".", "", 7, "old.csv"]
+        (out / "run.json").write_text(json.dumps({"outputs": listed}))
+        assert cli.main(["crlb", "--out", str(out)]) == 0
+        assert not stale.exists()
+        assert outside.exists() and nested.exists() and unlisted.exists()
+        assert sorted(p.name for p in out.iterdir()) == ["crlb.csv", "keep.txt", "run.json", "sub"]
+
+    def test_rejected_run_touches_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["crlb", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(SystemExit):
+            cli.main(["crlb", "--snr-db", "nan", "--out", str(out)])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestStaticCommand:
     def test_smoke_and_determinism(self, tmp_path):
         args = [

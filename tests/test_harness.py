@@ -472,9 +472,15 @@ class TestSummaryContents:
             {"beta": complex(math.nan, 0.0)},
             {"beta": complex(math.inf, 1.0)},
             {"beta": 0j},
+            {"algorithms": ("80211ad",), "track_antennas": 2},
+            {"algorithms": ("80211ad",), "num_antennas": 2},
         ):
             with pytest.raises(ValueError):
                 RunConfig(trajectory=Trajectory.static(5), **bad)
+        # sweep-and-refine probes the best beam and its two neighbours
+        with pytest.raises(ValueError, match="^need at least 3 codebook beams$"):
+            RunConfig(trajectory=Trajectory.static(5), algorithms=("80211ad",), track_antennas=2)
+        RunConfig(trajectory=Trajectory.static(5), algorithms=("recursive",), track_antennas=2)
         # the least-squares baseline may name the full array as its subarray
         RunConfig(trajectory=Trajectory.static(5), algorithms=("ls",), track_antennas=16)
         # half-wavelength spacing is the largest without grating lobes

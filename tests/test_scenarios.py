@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,10 +10,15 @@ from beamtrack import RngPlan, Trajectory, complex_normal, generate
 from beamtrack.scenarios import STREAM_TRAJECTORY
 
 
+def _one_trial(traj):
+    """Trial 0's direction sines at seed 0."""
+    return generate(traj, RngPlan(0), range(1))[0]
+
+
 class TestStatic:
     def test_constant_per_trial(self):
         traj = Trajectory.static(100)
-        xs = generate(traj, np.random.default_rng(0))
+        xs = _one_trial(traj)
         assert xs.shape == (101,)
         assert np.all(xs == xs[0])
         assert -1 <= xs[0] <= 1
@@ -21,10 +27,10 @@ class TestStatic:
 class TestSinusoidal:
     def test_half_period_returns_to_zero(self):
         # angle (pi/3) sin(2 pi n/1000) plus 0.005 rad of Gaussian jitter,
-        # drawn from the trial's generator: the swing is back at zero after
+        # drawn from the trial's substream: the swing is back at zero after
         # half a period and at its pi/3 peak after a quarter
-        xs = generate(Trajectory.sinusoidal(600), np.random.default_rng(0))
-        jitter = 0.005 * np.random.default_rng(0).standard_normal(601)
+        xs = _one_trial(Trajectory.sinusoidal(600))
+        jitter = 0.005 * RngPlan(0).stream(0, STREAM_TRAJECTORY).standard_normal(601)
         swing = np.arcsin(xs) - jitter
         n = np.arange(601)
         np.testing.assert_allclose(swing, math.pi / 3 * np.sin(2 * math.pi * n / 1000),
@@ -37,14 +43,13 @@ class TestFixedVelocity:
     def test_reflection_slot(self):
         # at 0.064 rad/slot the band edge pi/3 forces a reflection on slot 17
         traj = Trajectory.fixed_velocity(40, omega=0.064)
-        xs = generate(traj, np.random.default_rng(0))
-        theta = np.arcsin(xs)
+        theta = np.arcsin(_one_trial(traj))
         assert theta[16] == pytest.approx(16 * 0.064)
         assert theta[17] == pytest.approx(16 * 0.064 - 0.064)
 
     def test_exact_step_and_band(self):
         traj = Trajectory.fixed_velocity(500, omega=0.11)
-        theta = np.arcsin(generate(traj, np.random.default_rng(0)))
+        theta = np.arcsin(_one_trial(traj))
         np.testing.assert_allclose(np.abs(np.diff(theta)), 0.11, rtol=1e-12)
         assert np.all(np.abs(theta) <= math.pi / 3 + 1e-12)
 
@@ -65,6 +70,32 @@ class TestFixedVelocity:
     def test_non_finite_omega_rejected(self, omega):
         with pytest.raises(ValueError, match="finite"):
             Trajectory.fixed_velocity(10, omega=omega)
+
+
+class TestGenerate:
+    @settings(max_examples=100)
+    @given(
+        kind=st.sampled_from(("static", "sinusoidal", "fixed_velocity")),
+        slots=st.integers(1, 50),
+        omega=st.floats(0.0, math.pi / 3),
+        seed=st.integers(0, 2**40),
+        start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 5, 2**32 + 2)),
+        count=st.integers(1, 6),
+    )
+    @example(kind="static", slots=1, omega=0.0, seed=0, start=2**32 - 3, count=6)
+    @example(kind="sinusoidal", slots=50, omega=0.0, seed=7, start=2**32 - 2, count=4)
+    @example(kind="fixed_velocity", slots=50, omega=math.pi / 3, seed=1, start=0, count=3)
+    def test_rows_match_scalar_oracle(self, kind, slots, omega, seed, start, count):
+        # row k of the chunk is trial start + k drawn alone, bit for bit,
+        # also across the 2**32 boundary of the trial's entropy words
+        traj = Trajectory(kind, slots, omega)
+        plan = RngPlan(seed)
+        trials = range(start, start + count)
+        rows = generate(traj, plan, trials)
+        assert rows.shape == (count, slots + 1)
+        for row, trial in zip(rows, trials):
+            oracle = ref.trajectory(traj, plan.stream(trial, STREAM_TRAJECTORY))
+            np.testing.assert_array_equal(row.view(np.uint64), oracle.view(np.uint64))
 
 
 class TestRngPlan:
@@ -121,8 +152,8 @@ class TestRngPlan:
 
     def test_trajectories_shared_across_algorithms(self):
         plan = RngPlan(7)
-        t1 = generate(Trajectory.static(5), plan.stream(4, STREAM_TRAJECTORY))
-        t2 = generate(Trajectory.static(5), plan.stream(4, STREAM_TRAJECTORY))
+        t1 = generate(Trajectory.static(5), plan, range(4, 5))
+        t2 = generate(Trajectory.static(5), plan, range(4, 5))
         np.testing.assert_array_equal(t1, t2)
 
 

@@ -138,8 +138,26 @@ class TestCoarseSweep:
         # strict mainlobe membership; near +-1 the half-wavelength array
         # cannot distinguish a direction from its wrap-around image, which
         # caps the strict rate just below the dictionary-limited one
-        rate = initialization_hit_rate(G16, 10.0, 64, trials=10_000, seed=0)
-        assert rate >= 0.995
+        cfg = RunConfig(
+            trajectory=Trajectory.static(1), snr_db=10.0, sweep_dictionary_size=64,
+            trials=10_000, seed=0,
+        )
+        assert initialization_hit_rate(cfg) >= 0.995
+
+    def test_hit_rate_independent_of_chunk_size(self):
+        # every trial draws from its own substreams; at 0 dB and a 16-point
+        # dictionary 2.8% of these sweeps miss the mainlobe
+        rates = {
+            initialization_hit_rate(
+                RunConfig(
+                    trajectory=Trajectory.static(1), snr_db=0.0, sweep_dictionary_size=16,
+                    trials=2_000, seed=3, chunk_size=chunk,
+                )
+            )
+            for chunk in (1, 7, 4096)
+        }
+        assert len(rates) == 1
+        assert 0.5 < rates.pop() < 1.0
 
 
 class TestRecursiveStep:
