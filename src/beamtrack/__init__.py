@@ -33,7 +33,7 @@ from .harness import (
     run_single_trial,
     write_summary_csv,
 )
-from .scenarios import RngPlan, Trajectory, complex_normal, generate
+from .scenarios import RngPlan, complex_normal, generate
 from .trackers import alpha_star, codebook_directions, dft_codebook, sine_grid
 
 __all__ = [name for name in dir() if not name.startswith("_")]

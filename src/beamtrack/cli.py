@@ -2,9 +2,17 @@
 
 Subcommands map to the benchmark experiments (static convergence, dynamic
 tracking, angular-speed sweep) and to the closed-form analytics (bound
-tables, drift-function analysis, initialization quality).  Every run writes
-CSV files, a small gnuplot script per figure, and a ``run.json`` manifest
-echoing the configuration and seed, all through one ``_Output`` per run.
+tables, drift-function analysis, initialization quality).
+
+One table, ``_COMMANDS``, says what each subcommand reads: its keys, which
+are the ``RunConfig`` fields it uses plus its own inputs such as
+``omega_grid``, and their defaults.  The parser gives a subcommand the flag
+of each of its keys that has one (``_FLAGS``).  A setting comes from its
+flag, else from the ``--config`` file, else from the table.  Every run
+writes CSV files, a small gnuplot script per figure, and a ``run.json``
+manifest, all through one ``_Output`` per run.  The manifest's ``config``
+holds the resolved value of every key the subcommand read, so passing it
+back as ``--config`` replays the run.
 """
 
 from __future__ import annotations
@@ -14,9 +22,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
-from functools import partial
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,35 +44,57 @@ from .harness import (
     initialization_hit_rate,
     run_experiment,
 )
-from .scenarios import Trajectory
 from .trackers import alpha_star
 
-# per-command defaults: the config file overrides them, and the flags override both
 _CORES = os.cpu_count() or 1
-_COMMAND_DEFAULTS = {
-    "static": {"trials": 10000, "slots": 1000, "jobs": _CORES},
-    "dynamic": {"trials": 1000, "slots": 1000, "jobs": _CORES},
-    "sweep-speed": {"trials": 200, "slots": 2000, "jobs": _CORES},
-    "crlb": {},
-    "analyze-stable-points": {"num_antennas": 8},
-    "init-quality": {"trials": 10000},
-}
-# the config-file keys each subcommand reads: RunConfig's fields plus "slots"
-# for the simulations, which accept and ignore "trajectory"
-_FILE_KEYS = {f.name for f in fields(RunConfig)} | {"slots"}
-_GEOMETRY_KEYS = {"num_antennas", "spacing_over_wavelength"}
-_COMMAND_KEYS = {
-    "static": _FILE_KEYS,
-    "dynamic": _FILE_KEYS,
-    "sweep-speed": _FILE_KEYS,
-    "crlb": _GEOMETRY_KEYS | {"snr_db", "beta"},
-    "analyze-stable-points": _GEOMETRY_KEYS,
-    "init-quality": _GEOMETRY_KEYS | {"trials", "seed"},
-}
+_MOVING = ("sinusoidal", "fixed-velocity")  # the trajectories of `dynamic`
 
 
-def _words(text: str) -> tuple[str, ...]:
-    return tuple(text.split(","))
+def _json(value):
+    """A RunConfig default as a config file spells it."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return list(value) if isinstance(value, tuple) else value
+
+
+_FIELDS = {f.name: _json(f.default) for f in fields(RunConfig)}
+# static and sweep-speed set the trajectory themselves
+_SIMULATION = [name for name in _FIELDS if name not in ("trajectory", "omega")]
+_GEOMETRY = ["num_antennas", "spacing_over_wavelength"]
+
+
+def _reads(names, **defaults) -> dict:
+    """The keys ``names`` at their RunConfig defaults, then ``defaults``."""
+    return {**{name: _FIELDS[name] for name in names}, **defaults}
+
+
+class _Command(NamedTuple):
+    summary: str
+    reads: dict  # every key the subcommand reads -> its default
+
+
+_COMMANDS = {
+    "static": _Command("fixed-direction convergence benchmark",
+                       _reads(_SIMULATION, trials=10000, slots=1000, jobs=_CORES)),
+    "dynamic": _Command("moving-direction tracking benchmark",
+                        _reads(_SIMULATION, trials=1000, slots=1000, jobs=_CORES,
+                               trajectory="sinusoidal", omega=0.01)),
+    "sweep-speed": _Command("rate/MSE versus angular velocity",
+                            _reads(_SIMULATION, trials=200, slots=2000, jobs=_CORES,
+                                   omega_grid=np.geomspace(1e-3, 0.3, 20).tolist())),
+    "crlb": _Command("print bound tables for a configuration",
+                     _reads([*_GEOMETRY, "snr_db", "beta"])),
+    "analyze-stable-points": _Command("drift-function analysis",
+                                      _reads(_GEOMETRY, num_antennas=8, x=0.5, samples=2001)),
+    "init-quality": _Command("coarse-sweep hit probability",
+                             _reads([*_GEOMETRY, "trials", "seed"], trials=10000,
+                                    snr_grid=[0.0, 5.0, 10.0], m0_factors=[1, 2, 4])),
+}
+_KNOWN = set().union(*(command.reads for command in _COMMANDS.values()))
+
+
+def _words(text: str) -> list[str]:
+    return text.split(",")
 
 
 def _floats(text: str) -> list[float]:
@@ -75,16 +105,53 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-# run-setting flags; each dest is the RunConfig field (or "slots") it sets
-_SETTING_FLAGS = {
-    "--seed": dict(type=int, help="master seed"),
-    "--trials": dict(type=int),
-    "--slots": dict(type=int),
-    "--snr-db": dict(type=float),
-    "--antennas": dict(type=int, dest="num_antennas", metavar="ANTENNAS"),
-    "--track-antennas": dict(type=int),
-    "--jobs": dict(type=int, help="worker processes (default: all cores)"),
-    "--algorithms": dict(type=_words, help="comma list from: " + ",".join(ALGORITHMS)),
+# the flag of every key that has one
+_FLAGS = {
+    "seed": ("--seed", dict(type=int, help="master seed")),
+    "trials": ("--trials", dict(type=int)),
+    "slots": ("--slots", dict(type=int)),
+    "snr_db": ("--snr-db", dict(type=float)),
+    "num_antennas": ("--antennas", dict(type=int, metavar="ANTENNAS")),
+    "track_antennas": ("--track-antennas", dict(type=int)),
+    "jobs": ("--jobs", dict(type=int, help="worker processes (default: all cores)")),
+    "algorithms": ("--algorithms", dict(type=_words,
+                                        help="comma list from: " + ",".join(ALGORITHMS))),
+    "trajectory": ("--trajectory", dict(choices=_MOVING)),
+    "omega": ("--omega", dict(type=float, help="rad/slot")),
+    "omega_grid": ("--omega-grid", dict(
+        type=_floats,
+        help="comma list of rad/slot values (default: 20 log-spaced from 1e-3 to 0.3)",
+    )),
+    "x": ("--x", dict(type=float, help="true direction sine")),
+    "samples": ("--samples", dict(type=int)),
+    "snr_grid": ("--snr-grid", dict(type=_floats, help="comma list of dB values")),
+    "m0_factors": ("--m0-factors", dict(type=_ints, help="dictionary size / antennas")),
+}
+
+
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _grid(item):
+    return lambda value: isinstance(value, list) and bool(value) and all(map(item, value))
+
+
+# what a key's value must be, flag and config file alike, where RunConfig
+# does not check it: the commands' own keys, and the algorithms a simulation
+# runs and the trajectories `dynamic` runs
+_CHECKS = {
+    "algorithms": (_grid(lambda name: isinstance(name, str)), "a non-empty list of names"),
+    "trajectory": (lambda value: value in _MOVING, " or ".join(_MOVING)),
+    "x": (lambda value: _real(value) and -1.0 <= value <= 1.0, "a real number in [-1, 1]"),
+    "samples": (lambda value: _int(value) and value >= 2, "an integer of at least 2"),
+    "omega_grid": (_grid(_real), "a non-empty list of numbers"),
+    "snr_grid": (_grid(_real), "a non-empty list of numbers"),
+    "m0_factors": (_grid(_int), "a non-empty list of integers"),
 }
 
 
@@ -95,55 +162,17 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str, flags=tuple(_SETTING_FLAGS)):
-        # a setting flag that is not given leaves no attribute behind
-        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    for name, command in _COMMANDS.items():
+        # a flag that is not given leaves no attribute behind
+        sp = sub.add_parser(name, help=command.summary, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", type=Path, default=None,
-                        help="JSON config mirroring RunConfig")
+                        help="JSON object of keys the command reads, as run.json echoes them")
         sp.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        for flag in flags:
-            sp.add_argument(flag, **_SETTING_FLAGS[flag])
-        return sp
-
-    command("static", "fixed-direction convergence benchmark")
-
-    dp = command("dynamic", "moving-direction tracking benchmark")
-    dp.add_argument(
-        "--trajectory",
-        choices=("sinusoidal", "fixed-velocity"),
-        default="sinusoidal",
-    )
-    dp.add_argument("--omega", type=float, default=0.01, help="rad/slot")
-
-    wp = command("sweep-speed", "rate/MSE versus angular velocity")
-    wp.add_argument(
-        "--omega-grid",
-        type=_floats,
-        default=list(np.geomspace(1e-3, 0.3, 20)),
-        help="comma list of rad/slot values (default: 20 log-spaced from 1e-3 to 0.3)",
-    )
-
-    command("crlb", "print bound tables for a configuration", ("--antennas", "--snr-db"))
-
-    ap = command("analyze-stable-points", "drift-function analysis", ("--antennas",))
-    ap.add_argument("--x", type=float, default=0.5, help="true direction sine")
-    ap.add_argument("--samples", type=int, default=2001)
-
-    ip = command(
-        "init-quality",
-        "coarse-sweep hit probability",
-        ("--antennas", "--trials", "--seed"),
-    )
-    ip.add_argument("--snr-grid", type=_floats, default="0,5,10",
-                    help="comma list of dB values")
-    ip.add_argument("--m0-factors", type=_ints, default="1,2,4",
-                    help="dictionary size / antennas")
+        for key in command.reads:
+            if key in _FLAGS:
+                flag, kwargs = _FLAGS[key]
+                sp.add_argument(flag, dest=key, **kwargs)
     return p
-
-
-# the subcommand decides the trajectory, whatever the file says
-_SETTINGS = _FILE_KEYS - {"trajectory"}
 
 
 def _load_file_config(path: Path | None, command: str) -> dict:
@@ -151,40 +180,38 @@ def _load_file_config(path: Path | None, command: str) -> dict:
         return {}
     with open(path) as fh:
         file_cfg = json.load(fh)
-    for keys, what in ((_FILE_KEYS, "unknown key(s)"),
-                       (_COMMAND_KEYS[command], f"key(s) that {command} does not read")):
-        extra = ", ".join(sorted(set(file_cfg) - keys))
+    for keys, what in ((_KNOWN, "unknown key(s)"),
+                       (_COMMANDS[command].reads, f"key(s) that {command} does not read")):
+        extra = ", ".join(sorted(set(file_cfg) - set(keys)))
         if extra:
             raise SystemExit(f"beamtrack: {what} in config file {path}: {extra}")
     return file_cfg
 
 
 def _settings(args) -> dict:
-    """The run settings: command default, then config file, then flag."""
-    settings = dict(_COMMAND_DEFAULTS[args.command])
-    for layer in (_load_file_config(args.config, args.command), vars(args)):
-        settings.update((k, v) for k, v in layer.items() if k in _SETTINGS)
+    """The resolved value of every key the subcommand reads: its flag if
+    given, else the config file's value, else the table's default."""
+    reads = _COMMANDS[args.command].reads
+    flags = {key: value for key, value in vars(args).items() if key in reads}
+    settings = {**reads, **_load_file_config(args.config, args.command), **flags}
+    for key, (valid, what) in _CHECKS.items():
+        if key in settings and not valid(settings[key]):
+            raise SystemExit(f"beamtrack: {key} must be {what}, got {settings[key]!r}")
     return settings
 
 
-def _run_config(settings: dict, trajectory=Trajectory.static, **overrides) -> RunConfig:
-    """The RunConfig of ``settings`` on ``trajectory(slots)``; the analytic
-    commands pass ``algorithms=()``, as they run none.  A rejected setting
-    ends the run with one ``beamtrack: <reason>`` line on stderr."""
-    kw = {**settings, **overrides}
+def _run_config(settings: dict, **overrides) -> RunConfig:
+    """The RunConfig of the fields in ``settings`` and ``overrides``; a
+    command that reads no ``algorithms`` runs none.  A rejected setting ends
+    the run with one ``beamtrack: <reason>`` line on stderr."""
+    kw = {k: v for k, v in {**settings, **overrides}.items() if k in _FIELDS}
     try:
         if "beta" in kw:
             kw["beta"] = complex(*kw["beta"])
-        kw["algorithms"] = tuple(kw.get("algorithms", ALGORITHMS))
-        return RunConfig(trajectory(kw.pop("slots", 1)), **kw)
+        kw["algorithms"] = tuple(kw.get("algorithms", ()))
+        return RunConfig(**kw)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"beamtrack: {exc}") from None
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["beta"] = [cfg.beta.real, cfg.beta.imag]
-    return d
 
 
 def _cell(value) -> str:
@@ -238,7 +265,9 @@ class _Output:
         lines += ["set datafile separator ','", "plot " + ", ".join(clauses)]
         self._path(name).write_text("\n".join(lines) + "\n")
 
-    def manifest(self, config: dict) -> None:
+    def manifest(self, config: dict, results: dict | None = None) -> None:
+        """``run.json``: the run's resolved settings as ``config``, and any
+        closed-form ``results`` it printed."""
         manifest = {
             "tool": "beamtrack",
             "version": __version__,
@@ -247,6 +276,8 @@ class _Output:
             "config": config,
             "outputs": sorted(self._names),
         }
+        if results is not None:
+            manifest["results"] = results
         with open(self._dir / "run.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -256,7 +287,7 @@ class _Output:
 
 
 def _cmd_static(args, settings: dict) -> int:
-    cfg = _run_config(settings)
+    cfg = _run_config(settings, trajectory="static")
     summaries = run_experiment(cfg)
     out = _Output(args.out, "static")
     for name, s in summaries.items():
@@ -274,7 +305,7 @@ def _cmd_static(args, settings: dict) -> int:
         "n * MSE_h",
         logscale="xy",
     )
-    out.manifest(_config_dict(cfg))
+    out.manifest(settings)
     return 0
 
 
@@ -291,11 +322,7 @@ def _trace_rows(record):
 
 
 def _cmd_dynamic(args, settings: dict) -> int:
-    if args.trajectory == "sinusoidal":
-        traj = Trajectory.sinusoidal
-    else:
-        traj = partial(Trajectory.fixed_velocity, omega=args.omega)
-    cfg = _run_config(settings, traj)
+    cfg = _run_config(settings)
     summaries = run_experiment(cfg)
     out = _Output(args.out, "dynamic")
     for name, s in summaries.items():
@@ -323,31 +350,31 @@ def _cmd_dynamic(args, settings: dict) -> int:
         "slot n",
         "angle (rad)",
     )
-    out.manifest(_config_dict(cfg))
+    out.manifest(settings)
     return 0
 
 
 def _cmd_sweep_speed(args, settings: dict) -> int:
-    grid = args.omega_grid
-    # recursive runs at each tracking-subarray size; estimate-based baselines
-    # need (or are only meaningful with) the full array
-    subset = settings.pop("track_antennas", None)
+    grid = settings["omega_grid"]
 
     def config(omega: float, **kw) -> RunConfig:
-        return _run_config(settings, partial(Trajectory.fixed_velocity, omega=omega), **kw)
+        return _run_config(settings, trajectory="fixed-velocity", omega=omega, **kw)
 
-    base_cfg = config(grid[0])
+    # recursive runs at each tracking-subarray size; estimate-based baselines
+    # need (or are only meaningful with) the full array
+    full = config(grid[0], track_antennas=None)
+    subset = settings["track_antennas"]
     if subset is not None:
         subsets = [subset]
     else:
-        subsets = [m for m in (16, 8, 4) if m <= base_cfg.num_antennas]
+        subsets = [m for m in (16, 8, 4) if m <= full.num_antennas]
     runs = [
         (f"recursive_m{mt}", {"algorithms": ("recursive",), "track_antennas": mt})
-        for mt in subsets
+        for mt in (subsets if "recursive" in full.algorithms else [])
     ]
     runs += [
-        (name, {"algorithms": (name,)})
-        for name in base_cfg.algorithms
+        (name, {"algorithms": (name,), "track_antennas": None})
+        for name in full.algorithms
         if name != "recursive"
     ]
     series = [(label, [config(omega, **kw) for omega in grid]) for label, kw in runs]
@@ -359,7 +386,7 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
             summary = run_experiment(cfg)[cfg.algorithms[0]]
             rows.append(
                 (
-                    cfg.trajectory.omega,
+                    cfg.omega,
                     summary.steady_mean_mse_h,
                     summary.steady_mean_rate,
                     summary.conv_frac[-1],
@@ -382,14 +409,12 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
             ylabel,
             logscale="x",
         )
-    cfg_echo = _config_dict(base_cfg)
-    cfg_echo["omega_grid"] = list(map(float, grid))
-    out.manifest(cfg_echo)
+    out.manifest(settings)
     return 0
 
 
 def _cmd_crlb(args, settings: dict) -> int:
-    cfg = _run_config(settings, algorithms=())
+    cfg = _run_config(settings)
     geom, snr_db, rho = cfg.geometry, cfg.snr_db, cfg.rho
     sigma2 = abs(cfg.beta) ** 2 / rho  # the noise power of ChannelState
     imax = i_max(geom, rho)
@@ -404,27 +429,15 @@ def _cmd_crlb(args, settings: dict) -> int:
     out = _Output(args.out, "crlb")
     out.table("crlb.csv", "n,crlb_x,crlb_h", [(n, crlb_min(geom, rho, n), limit / n) for n in ns])
     out.manifest(
-        {
-            "num_antennas": geom.num_antennas,
-            "spacing_over_wavelength": geom.spacing_over_wavelength,
-            "snr_db": snr_db,
-            "beta": [cfg.beta.real, cfg.beta.imag],
-            "i_max": imax,
-            "alpha_star": astar,
-            "channel_mse_limit": limit,
-        }
+        settings, results={"i_max": imax, "alpha_star": astar, "channel_mse_limit": limit}
     )
     return 0
 
 
 def _cmd_stable_points(args, settings: dict) -> int:
-    geom = _run_config(settings, algorithms=()).geometry
-    x = args.x
-    if not -1.0 <= x <= 1.0:
-        raise SystemExit(f"beamtrack: --x must lie in [-1, 1], got {x}")
-    if args.samples < 2:
-        raise SystemExit(f"beamtrack: --samples must be at least 2, got {args.samples}")
-    vs = np.linspace(-1.0, 1.0, args.samples)
+    geom = _run_config(settings).geometry
+    x = settings["x"]
+    vs = np.linspace(-1.0, 1.0, settings["samples"])
     m = geom.num_antennas
     inner = np.conj(steering_matrix(geom, vs)) @ steering_vector(geom, x)
     fs = -np.imag(inner) / math.sqrt(m)
@@ -450,17 +463,17 @@ def _cmd_stable_points(args, settings: dict) -> int:
     )
     print(f"stable points for x={x}, M={m}: " + ", ".join(f"{v:.6g}" for v in pts))
     print(f"spacing: {1.0 / ((m - 1) * geom.spacing_over_wavelength):.6g}")
-    out.manifest({"num_antennas": m, "x": x, "samples": args.samples})
+    out.manifest(settings)
     return 0
 
 
 def _cmd_init_quality(args, settings: dict) -> int:
-    m = _run_config(settings, algorithms=()).num_antennas
+    m = _run_config(settings).num_antennas
     # every grid point's config is checked before any of them runs
     cfgs = [
-        _run_config(settings, algorithms=(), snr_db=snr_db, sweep_dictionary_size=factor * m)
-        for snr_db in args.snr_grid
-        for factor in args.m0_factors
+        _run_config(settings, snr_db=snr_db, sweep_dictionary_size=factor * m)
+        for snr_db in settings["snr_grid"]
+        for factor in settings["m0_factors"]
     ]
     rows = []
     for cfg in cfgs:
@@ -475,10 +488,7 @@ def _cmd_init_quality(args, settings: dict) -> int:
         "SNR (dB)",
         "mainlobe hit rate",
     )
-    out.manifest(
-        {"num_antennas": m, "trials": cfg.trials, "seed": cfg.seed,
-         "snr_grid": args.snr_grid, "m0_factors": args.m0_factors}
-    )
+    out.manifest(settings)
     return 0
 
 

@@ -52,11 +52,12 @@ from .arraymodel import (
     steering_matrix,
 )
 from .scenarios import (
+    ANGLE_BAND,
     STREAM_INIT,
     STREAM_OBSERVATION,
     STREAM_PROBE,
+    TRAJECTORIES,
     RngPlan,
-    Trajectory,
     generate,
 )
 from .trackers import alpha_star, codebook_directions, dft_codebook, sine_grid
@@ -97,16 +98,19 @@ def h_prime_norm_sq(geom: ArrayGeometry, beta: complex) -> float:
 
 # counts and sizes: a float or a bool here would fail deep inside a run
 _INT_FIELDS = (
-    "num_antennas", "trials", "track_antennas", "sweep_dictionary_size",
+    "slots", "num_antennas", "trials", "track_antennas", "sweep_dictionary_size",
     "seed", "chunk_size", "jobs",
 )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one Monte Carlo experiment."""
+    """Complete description of one Monte Carlo experiment.  The defaults
+    are the paper's benchmark array on one static slot."""
 
-    trajectory: Trajectory
+    trajectory: str = "static"  # one of scenarios.TRAJECTORIES
+    slots: int = 1
+    omega: float = 0.0  # fixed-velocity step (rad/slot)
     num_antennas: int = 16
     spacing_over_wavelength: float = 0.5
     snr_db: float = 10.0
@@ -123,6 +127,15 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        if self.trajectory not in TRAJECTORIES:
+            raise ValueError(f"unknown trajectory kind {self.trajectory!r}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"angular velocity must be finite, got {self.omega}")
+        if self.trajectory == "fixed-velocity":
+            if self.omega < 0:
+                raise ValueError("angular velocity must be nonnegative")
+            if self.omega > ANGLE_BAND:
+                raise ValueError("angular velocity exceeds the reflection band")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
@@ -130,6 +143,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.slots < 1:
+            raise ValueError("need at least one slot")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:
@@ -176,10 +191,6 @@ class RunConfig:
     @property
     def rho(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-    @property
-    def slots(self) -> int:
-        return self.trajectory.num_slots
 
     def resolved_dictionary_size(self) -> int:
         if self.sweep_dictionary_size is not None:
@@ -305,7 +316,7 @@ class _Recursive(_DirectionTracker):
         super().__init__(config)
         alpha = config.step_alpha
         self.alpha = alpha_star(self.track) if alpha is None else alpha
-        self.static = config.trajectory.kind == "static"
+        self.static = config.trajectory == "static"
         if config.init == "sweep":
             size = config.resolved_dictionary_size()
             self.direction = _sweep_estimate(self.track, size, warm)
@@ -377,7 +388,7 @@ class _LeastSquares:
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         self.geom = config.geometry
         self.rho, self.beta2 = config.rho, abs(config.beta) ** 2
-        self.static = config.trajectory.kind == "static"
+        self.static = config.trajectory == "static"
         self.beams = dft_codebook(self.geom)  # rows of conj(beams) probe h
         self.combine = np.linalg.pinv(np.conj(self.beams)).T
         self.sums, self.counts = warm.copy(), np.ones(len(self.beams))
@@ -459,7 +470,7 @@ class _CompressedSensing(_DirectionTracker):
         rngs = RngPlan(config.seed).batch(trials, STREAM_PROBE, _ALG_TAGS["cs"])
         for probes, rng in zip(self.probes, rngs):
             probes[:] = rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
-        self.static = config.trajectory.kind == "static"
+        self.static = config.trajectory == "static"
         self.k_win = max(m_t // 2, 1)
         self.grid = sine_grid(CS_DICTIONARY_SIZE)
         atoms = steering_matrix(self.track, self.grid)  # (grid, m_t)
@@ -544,7 +555,7 @@ def _chunk_inputs(config: RunConfig, trials: range, tag: int):
     track = config.track_geometry
     m_t = track.num_antennas
     plan = RngPlan(config.seed)
-    x_traj = generate(config.trajectory, plan, trials)
+    x_traj = generate(config, trials)
     noise = np.empty((len(trials), m_t + config.slots), dtype=complex)
     pairs = noise.view(float).reshape(*noise.shape, 2)
     for pair, rng in zip(pairs, plan.batch(trials, STREAM_OBSERVATION, tag)):

@@ -1,15 +1,30 @@
-"""Ground-truth direction trajectories and reproducible random streams."""
+"""Ground-truth direction trajectories and reproducible random streams.
+
+A run's trajectory is three ``RunConfig`` fields: ``trajectory``, one of
+``TRAJECTORIES``; ``slots``, the number of tracked slots; and ``omega``:
+  * 'static': a constant sine, drawn uniform on [-1, 1] per trial;
+  * 'sinusoidal': angle ``(pi/3) sin(2 pi n/1000)`` plus iid Gaussian jitter
+    of standard deviation 0.005 rad;
+  * 'fixed-velocity': the angle advances by exactly ``omega`` radians per
+    slot, reversing direction before it would leave [-pi/3, pi/3]
+    (``ANGLE_BAND``).
+"""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .harness import RunConfig
+
 __all__ = [
-    "Trajectory",
+    "TRAJECTORIES",
+    "ANGLE_BAND",
     "generate",
     "RngPlan",
     "STREAM_TRAJECTORY",
@@ -25,67 +40,26 @@ STREAM_OBSERVATION = 1
 STREAM_PROBE = 2
 STREAM_INIT = 3
 
+TRAJECTORIES = ("static", "sinusoidal", "fixed-velocity")
+
 # the sinusoid's angle amplitude (rad), period (slots) and Gaussian jitter
 # (rad), and the fixed-velocity reflection band [-band, band] (rad)
 _SINE_AMPLITUDE = math.pi / 3.0
 _SINE_PERIOD = 1000.0
 _SINE_JITTER = 0.005
-_ANGLE_BAND = math.pi / 3.0
+ANGLE_BAND = math.pi / 3.0
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Direction trajectory specification.
-
-    kind 'static': constant sine, drawn uniform on [-1, 1] per trial.
-    kind 'sinusoidal': angle ``(pi/3) sin(2 pi n/1000)`` plus iid Gaussian
-    jitter of standard deviation 0.005 rad.
-    kind 'fixed_velocity': angle advances by exactly ``omega`` radians per
-    slot, reversing direction before it would leave [-pi/3, pi/3].
-    """
-
-    kind: str
-    num_slots: int
-    omega: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("static", "sinusoidal", "fixed_velocity"):
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if isinstance(self.num_slots, bool) or not isinstance(self.num_slots, int):
-            raise ValueError(f"num_slots must be an integer, got {self.num_slots!r}")
-        if self.num_slots < 1:
-            raise ValueError("need at least one slot")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"angular velocity must be finite, got {self.omega}")
-        if self.kind == "fixed_velocity":
-            if self.omega < 0:
-                raise ValueError("angular velocity must be nonnegative")
-            if self.omega > _ANGLE_BAND:
-                raise ValueError("angular velocity exceeds the reflection band")
-
-    @staticmethod
-    def static(num_slots: int) -> "Trajectory":
-        return Trajectory("static", num_slots)
-
-    @staticmethod
-    def sinusoidal(num_slots: int) -> "Trajectory":
-        return Trajectory("sinusoidal", num_slots)
-
-    @staticmethod
-    def fixed_velocity(num_slots: int, omega: float) -> "Trajectory":
-        return Trajectory("fixed_velocity", num_slots, omega=omega)
-
-
-def generate(traj: Trajectory, plan: RngPlan, trials: range) -> np.ndarray:
-    """Direction sines of ``trials``, one row per trial: column 0 is the
-    warm-up anchor, columns 1..num_slots are the tracked slots.  A row's
+def generate(config: RunConfig, trials: range) -> np.ndarray:
+    """Direction sines of ``trials`` of a run, one row per trial: column 0 is
+    the warm-up anchor, columns 1..slots are the tracked slots.  A row's
     draws come from its trial's ``STREAM_TRAJECTORY`` substream."""
-    n = traj.num_slots
+    n = config.slots
     x = np.empty((len(trials), n + 1))
-    rngs = plan.batch(trials, STREAM_TRAJECTORY)
-    if traj.kind == "static":
+    rngs = RngPlan(config.seed).batch(trials, STREAM_TRAJECTORY)
+    if config.trajectory == "static":
         x[:] = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])[:, None]
-    elif traj.kind == "sinusoidal":
+    elif config.trajectory == "sinusoidal":
         # |angle| stays below pi/2: the jitter would need a 105-sigma draw;
         # built in place, as the chunk's largest array
         slots = np.arange(n + 1)
@@ -95,14 +69,14 @@ def generate(traj: Trajectory, plan: RngPlan, trials: range) -> np.ndarray:
         x *= _SINE_JITTER
         x += theta
         np.sin(x, out=x)
-    else:  # fixed_velocity draws nothing; reflect before a step would exit the band
+    else:  # fixed-velocity draws nothing; reflect before a step would exit the band
         theta = np.empty(n + 1)
         theta[0] = 0.0
         sign = 1.0
         for i in range(1, n + 1):
-            if abs(theta[i - 1] + sign * traj.omega) > _ANGLE_BAND:
+            if abs(theta[i - 1] + sign * config.omega) > ANGLE_BAND:
                 sign = -sign
-            theta[i] = theta[i - 1] + sign * traj.omega
+            theta[i] = theta[i - 1] + sign * config.omega
         x[:] = np.sin(theta)
     return x
 

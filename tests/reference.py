@@ -38,16 +38,16 @@ from beamtrack.scenarios import (
 CS_GRID = sine_grid(CS_DICTIONARY_SIZE)
 
 
-def trajectory(traj, rng):
-    """Direction sines of one trial drawn from ``rng``: index 0 is the warm-up
-    anchor, indices 1..num_slots the tracked slots.  Static: one uniform
+def trajectory(cfg, rng):
+    """Direction sines of one trial of ``cfg`` drawn from ``rng``: index 0 is
+    the warm-up anchor, indices 1..slots the tracked slots.  Static: one uniform
     draw; sinusoidal: angle (pi/3) sin(2 pi n/1000) plus 0.005 rad of
     Gaussian jitter; fixed velocity: ``omega`` rad per slot from 0, turning
     back before a step would leave [-pi/3, pi/3]."""
-    n = traj.num_slots
-    if traj.kind == "static":
+    n = cfg.slots
+    if cfg.trajectory == "static":
         return np.full(n + 1, rng.uniform(-1.0, 1.0))
-    if traj.kind == "sinusoidal":
+    if cfg.trajectory == "sinusoidal":
         slots = np.arange(n + 1)
         theta = math.pi / 3.0 * np.sin(2.0 * np.pi * slots / 1000.0)
         return np.sin(theta + 0.005 * rng.standard_normal(n + 1))
@@ -55,9 +55,9 @@ def trajectory(traj, rng):
     theta[0] = 0.0
     sign = 1.0
     for i in range(1, n + 1):
-        if abs(theta[i - 1] + sign * traj.omega) > math.pi / 3.0:
+        if abs(theta[i - 1] + sign * cfg.omega) > math.pi / 3.0:
             sign = -sign
-        theta[i] = theta[i - 1] + sign * traj.omega
+        theta[i] = theta[i - 1] + sign * cfg.omega
     return np.sin(theta)
 
 
@@ -102,7 +102,7 @@ def draws(cfg, trial, algorithm):
     """Truth ``xs`` (index 0: the warm-up anchor) and the standard complex
     noise of the warm-up sweep and slots, as the engine draws them."""
     plan = RngPlan(cfg.seed)
-    xs = trajectory(cfg.trajectory, plan.stream(trial, STREAM_TRAJECTORY))
+    xs = trajectory(cfg, plan.stream(trial, STREAM_TRAJECTORY))
     tag = ALGORITHMS.index(algorithm) + 1
     noise = complex_normal(
         plan.stream(trial, STREAM_OBSERVATION, tag), cfg.track_geometry.num_antennas + cfg.slots
@@ -151,7 +151,7 @@ def recursive(cfg, trial):
     alpha = alpha_star(track) if cfg.step_alpha is None else cfg.step_alpha
     estimates = [x_hat]
     for n in range(1, len(xs)):
-        step = alpha / n if cfg.trajectory.kind == "static" else alpha
+        step = alpha / n if cfg.trajectory == "static" else alpha
         y = _pilot(cfg, track, xs[n], conjugate_beam(track, x_hat), noise[m_t + n - 1])
         x_hat = min(max(x_hat - step * y.imag, -1.0), 1.0)
         estimates.append(x_hat)
@@ -195,7 +195,7 @@ def least_squares(cfg, trial):
         d = (n - 1) % m
         weights.append(beams[d])
         obs.append(_pilot(cfg, geom, xs[n], beams[d], noise[m + n - 1]))
-        if cfg.trajectory.kind == "static":
+        if cfg.trajectory == "static":
             h_hat = ls_estimate(weights, obs)
         elif n % m == 0:
             h_hat = ls_estimate(weights[-m:], obs[-m:])
@@ -223,7 +223,7 @@ def compressed_sensing(cfg, trial):
     scores = [cs_scores(track, dft_codebook(track), _warm_up(cfg, xs, noise))]
     k_win = max(m_t // 2, 1)
     for n in range(1, len(xs)):
-        if cfg.trajectory.kind == "static":
+        if cfg.trajectory == "static":
             scores.append(cs_scores(track, weights[:n], obs[:n]))
         elif n % m_t == 0:
             scores.append(cs_scores(track, weights[n - k_win : n], obs[n - k_win : n]))

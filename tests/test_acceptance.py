@@ -18,7 +18,6 @@ from beamtrack import (
     ArrayGeometry,
     ChannelState,
     RunConfig,
-    Trajectory,
     alpha_star,
     conjugate_beam,
     fisher_information,
@@ -32,7 +31,7 @@ from beamtrack import (
     steering_vector,
     surrogate_f,
 )
-from beamtrack.scenarios import RngPlan, complex_normal, generate
+from beamtrack.scenarios import complex_normal, generate
 
 G16 = ArrayGeometry(16)
 CAPACITY_10DB = math.log2(1 + 10 * 16)
@@ -46,7 +45,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 def static_run():
     """Stage-1 initialized static benchmark (criteria 1 and 4)."""
     cfg = RunConfig(
-        trajectory=Trajectory.static(1000),
+        slots=1000,
         trials=10_000,
         algorithms=("recursive",),
         snr_db=10.0,
@@ -74,7 +73,7 @@ def uniform_init_run():
     coefficient at which every attractor contracts like ``1/n``.
     """
     cfg = RunConfig(
-        trajectory=Trajectory.static(1000),
+        slots=1000,
         trials=10_000,
         algorithms=("recursive",),
         snr_db=10.0,
@@ -90,7 +89,7 @@ def uniform_init_run():
 def lock_in_run():
     """Stage-1 with the large dictionary, then tracking (criterion 3)."""
     cfg = RunConfig(
-        trajectory=Trajectory.static(1000),
+        slots=1000,
         trials=10_000,
         algorithms=("recursive",),
         snr_db=10.0,
@@ -105,7 +104,7 @@ def lock_in_run():
 def dynamic_run():
     """Sinusoidal scenario, all four algorithms (criterion 5)."""
     cfg = RunConfig(
-        trajectory=Trajectory.sinusoidal(1000),
+        trajectory="sinusoidal", slots=1000,
         trials=300,
         algorithms=("recursive", "80211ad", "ls", "cs"),
         snr_db=10.0,
@@ -235,7 +234,7 @@ def test_criterion_5_capacity_tracking_and_ordering(dynamic_run):
 @pytest.fixture(scope="module")
 def speed_point_run():
     cfg = RunConfig(
-        trajectory=Trajectory.fixed_velocity(3000, omega=0.064),
+        trajectory="fixed-velocity", slots=3000, omega=0.064,
         trials=150,
         algorithms=("recursive",),
         snr_db=10.0,
@@ -258,7 +257,9 @@ def test_criterion_6a_speed_point(speed_point_run):
     g8 = G16.subset(8)
     drift = max(abs(surrogate_f(g8, v, 0.0)) for v in np.linspace(-1.0, 1.0, 20_001))
     ceiling = alpha_star(g8) * drift
-    x = generate(Trajectory.fixed_velocity(3000, omega=0.064), RngPlan(106), range(1))[0]
+    x = generate(
+        RunConfig(trajectory="fixed-velocity", slots=3000, omega=0.064, seed=106), range(1)
+    )[0]
     a = steering_matrix(G16, x)
     inner = np.sum(np.conj(a[:-1]) * a[1:], axis=1)
     genie = float(np.log2(1 + 10 * np.abs(inner[50:]) ** 2 / 16).mean()) / CAPACITY_10DB
@@ -282,7 +283,7 @@ def test_criterion_6b_low_snr_subset_comparison():
         vals = []
         for omega in grid:
             cfg = RunConfig(
-                trajectory=Trajectory.fixed_velocity(1500, omega=float(omega)),
+                trajectory="fixed-velocity", slots=1500, omega=float(omega),
                 trials=60,
                 algorithms=("recursive",),
                 snr_db=0.0,

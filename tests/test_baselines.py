@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from beamtrack import (
     ArrayGeometry,
     RunConfig,
-    Trajectory,
     codebook_directions,
     dft_codebook,
     run_experiment,
@@ -24,8 +23,8 @@ DIRS = codebook_directions(G16)
 NOISELESS_DB = 300.0  # pilot noise of order 1e-15
 
 
-def _config(algorithm, trajectory, **kw):
-    return RunConfig(trajectory=trajectory, algorithms=(algorithm,), **kw)
+def _config(algorithm, **kw):
+    return RunConfig(algorithms=(algorithm,), **kw)
 
 
 def _nearest_beam(x):
@@ -38,7 +37,7 @@ class TestAd11:
     def test_sweep_locks_onto_codebook_direction(self):
         # at 40 dB the sweep picks the codebook beam nearest the truth, and
         # the refinement rounds never leave it
-        cfg = _config("80211ad", Trajectory.static(30), trials=200, snr_db=40.0, seed=1)
+        cfg = _config("80211ad", slots=30, trials=200, snr_db=40.0, seed=1)
         s = run_experiment(cfg)["80211ad"]
         np.testing.assert_array_equal(s.final_estimate, _nearest_beam(s.final_x))
         np.testing.assert_array_equal(s.trace.x_hat, _nearest_beam(s.trace.x))
@@ -46,7 +45,7 @@ class TestAd11:
     def test_tracking_follows_one_bin_move(self):
         # 0.01 rad/slot crosses a 2/16 bin in about 12 slots, 4 rounds
         trace = run_single_trial(
-            _config("80211ad", Trajectory.fixed_velocity(240, omega=0.01), snr_db=40.0),
+            _config("80211ad", trajectory="fixed-velocity", slots=240, omega=0.01, snr_db=40.0),
             "80211ad",
         )
         assert np.all(np.abs(trace.x_hat - trace.x) <= 2 / 16)
@@ -55,21 +54,21 @@ class TestAd11:
     def test_boundary_probes_nearest_distinct(self):
         # at an edge beam the round probes its two inner neighbours, and the
         # edge beam stays best for a truth beyond it
-        cfg = _config("80211ad", Trajectory.static(30), trials=400, snr_db=40.0, seed=2)
+        cfg = _config("80211ad", slots=30, trials=400, snr_db=40.0, seed=2)
         s = run_experiment(cfg)["80211ad"]
         edge = np.abs(s.final_x) > DIRS[-1]
         assert np.count_nonzero(edge) >= 10
         np.testing.assert_array_equal(s.final_estimate[edge], np.sign(s.final_x[edge]) * DIRS[-1])
 
     def test_data_beam_is_codebook_member(self):
-        cfg = _config("80211ad", Trajectory.sinusoidal(60), trials=5, snr_db=0.0)
+        cfg = _config("80211ad", trajectory="sinusoidal", slots=60, trials=5, snr_db=0.0)
         for trial in range(5):
             assert np.isin(run_single_trial(cfg, "80211ad", trial).x_hat, DIRS).all()
 
     def test_half_bin_gain_cap(self):
         # zero angular velocity holds x = 0, midway between beams 7 and 8:
         # the data beam gain equals the half-bin kernel value, about 0.4066*M
-        cfg = _config("80211ad", Trajectory.fixed_velocity(30, omega=0.0), snr_db=40.0)
+        cfg = _config("80211ad", trajectory="fixed-velocity", slots=30, omega=0.0, snr_db=40.0)
         trace = run_single_trial(cfg, "80211ad")
         assert DIRS[7] == -DIRS[8] == -1 / 16
         gain = (2.0 ** trace.rate - 1.0) / cfg.rho  # |w^H a(x)|^2
@@ -87,7 +86,7 @@ class TestLsEstimate:
 
     def test_noiseless_full_sweep_exact(self):
         cfg = _config(
-            "ls", Trajectory.static(20), snr_db=NOISELESS_DB, beta=(1 + 1j) / math.sqrt(2)
+            "ls", slots=20, snr_db=NOISELESS_DB, beta=(1 + 1j) / math.sqrt(2)
         )
         trace = run_single_trial(cfg, "ls")
         assert np.all(trace.mse_h < 1e-20)
@@ -103,7 +102,7 @@ class TestLsEstimate:
         assert predicted == pytest.approx(16 / rho, rel=1e-9)  # orthonormal sweep
 
         # at slot 16 every beam has two pilots (warm-up and slot), halving it
-        cfg = _config("ls", Trajectory.static(16), trials=2000, snr_db=10.0, seed=4)
+        cfg = _config("ls", slots=16, trials=2000, snr_db=10.0, seed=4)
         s = run_experiment(cfg)["ls"]
         assert s.mean_mse_h[15] == pytest.approx(abs(cfg.beta) ** 2 * predicted / 2, rel=0.1)
 
@@ -157,7 +156,7 @@ class TestCsEstimate:
     def test_off_grid_quantization(self):
         # once 16 probes span the array, the noiseless static estimate is the
         # grid point nearest the truth: within half the 2/1024 grid step
-        cfg = _config("cs", Trajectory.static(30), trials=10, snr_db=NOISELESS_DB, seed=6)
+        cfg = _config("cs", slots=30, trials=10, snr_db=NOISELESS_DB, seed=6)
         for trial in range(10):
             trace = run_single_trial(cfg, "cs", trial)
             assert np.all(np.abs(trace.x_hat[15:] - trace.x[15:]) <= 1 / 1024 + 1e-12)
@@ -170,7 +169,7 @@ class TestCsEstimate:
 
     def test_deterministic_given_seed(self):
         def one(seed):
-            cfg = _config("cs", Trajectory.sinusoidal(48), snr_db=5.0, seed=seed)
+            cfg = _config("cs", trajectory="sinusoidal", slots=48, snr_db=5.0, seed=seed)
             return run_single_trial(cfg, "cs").x_hat
 
         np.testing.assert_array_equal(one(5), one(5))

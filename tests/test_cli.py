@@ -54,7 +54,7 @@ class TestCrlbCommand:
         assert "channel-MSE limit (n * MSE_h): 0.2755555556" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "o" / "run.json").read_text())
         assert manifest["config"]["beta"] == [2.0, 0.0]
-        assert manifest["config"]["channel_mse_limit"] == pytest.approx(4 * 31 / 450, rel=1e-15)
+        assert manifest["results"]["channel_mse_limit"] == pytest.approx(4 * 31 / 450, rel=1e-15)
         rows = read_csv(tmp_path / "o" / "crlb.csv")
         assert float(rows[0]["crlb_h"]) == pytest.approx(4 * 31 / 450, rel=1e-11)
 
@@ -214,6 +214,15 @@ class TestSweepSpeedCommand:
         assert res.returncode == 0
         assert (tmp_path / "sweep_recursive_m8.csv").exists()
         assert not (tmp_path / "sweep_recursive_m16.csv").exists()
+        assert json.loads((tmp_path / "run.json").read_text())["config"]["track_antennas"] == 8
+
+    def test_runs_only_the_given_algorithms(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep-speed", "--algorithms", "ls", "--trials", "2", "--slots", "20",
+                "--omega-grid", "0.02", "--jobs", "1", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in out.glob("sweep_*.csv")) == ["sweep_ls.csv"]
+        assert json.loads((out / "run.json").read_text())["config"]["algorithms"] == ["ls"]
 
     def test_track_antennas_from_config_file(self, tmp_path):
         # the baselines run on the full array, so ls may join a subarray sweep
@@ -293,10 +302,10 @@ def test_flag_beats_file_beats_command_default(layers):
     """Each run setting comes from the flag if given, else the config file,
     else the command default, else RunConfig's default.  Small command
     defaults keep every run a single in-process chunk."""
-    small = {"trials": 3, "slots": 4, "jobs": cli._COMMAND_DEFAULTS["static"]["jobs"]}
+    small = {"trials": 3, "slots": 4, "jobs": cli._COMMANDS["static"].reads["jobs"]}
     file_cfg = {k: file for k, (file, _) in layers.items() if file is not None}
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(
-        cli._COMMAND_DEFAULTS["static"], small
+        cli._COMMANDS["static"].reads, small
     ):
         argv = ["static", "--algorithms", "recursive", "--out", tmp]
         if file_cfg:
@@ -308,7 +317,6 @@ def test_flag_beats_file_beats_command_default(layers):
                 argv += [_LAYERED[key][0], str(flag)]
         assert cli.main(argv) == 0
         echo = json.loads((Path(tmp) / "run.json").read_text())["config"]
-    echo["slots"] = echo["trajectory"]["num_slots"]
     for key, (file, flag) in layers.items():
         expected = next(
             (v for v in (flag, file) if v is not None),
@@ -381,7 +389,7 @@ class TestErrors:
         [
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"step_alpha": math.nan}, "alpha must be positive and finite, got nan"),
-            ({"slots": 2.5}, "num_slots must be an integer, got 2.5"),
+            ({"slots": 2.5}, "slots must be an integer, got 2.5"),
             ({"beta": [math.nan, 0]}, "beta must be finite and nonzero, got (nan+0j)"),
             ({"beta": [math.inf, 1]}, "beta must be finite and nonzero, got (inf+1j)"),
             ({"beta": [0, 0]}, "beta must be finite and nonzero, got 0j"),
@@ -434,6 +442,48 @@ class TestErrors:
         assert exc.value.code == (
             f"beamtrack: key(s) that {command} does not read in config file {cfg_path}: {key}"
         )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            *[
+                (command, {"algorithms": []},
+                 "algorithms must be a non-empty list of names, got []")
+                for command in ("static", "dynamic", "sweep-speed")
+            ],
+            ("analyze-stable-points", {"x": 1.5}, "x must be a real number in [-1, 1], got 1.5"),
+            ("analyze-stable-points", {"x": "0.3"},
+             "x must be a real number in [-1, 1], got '0.3'"),
+            ("analyze-stable-points", {"samples": 1},
+             "samples must be an integer of at least 2, got 1"),
+            ("analyze-stable-points", {"samples": 50.0},
+             "samples must be an integer of at least 2, got 50.0"),
+            ("sweep-speed", {"omega_grid": []},
+             "omega_grid must be a non-empty list of numbers, got []"),
+            ("sweep-speed", {"omega_grid": 0.1},
+             "omega_grid must be a non-empty list of numbers, got 0.1"),
+            ("init-quality", {"snr_grid": [0, "5"]},
+             "snr_grid must be a non-empty list of numbers, got [0, '5']"),
+            ("init-quality", {"m0_factors": [1.5]},
+             "m0_factors must be a non-empty list of integers, got [1.5]"),
+            ("dynamic", {"trajectory": "static"},
+             "trajectory must be sinusoidal or fixed-velocity, got 'static'"),
+        ],
+        ids=["static_no_algorithms", "dynamic_no_algorithms", "sweep_speed_no_algorithms",
+             "x_range", "x_text", "samples_one", "samples_float", "omega_grid_empty",
+             "omega_grid_scalar", "snr_grid_text", "m0_factors_float", "dynamic_static"],
+    )
+    def test_rejected_cli_checked_value_in_config_one_line(
+        self, tmp_path, command, setting, message
+    ):
+        # a config-file value gets the check its flag gets, and a simulation
+        # needs at least one algorithm
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(setting))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == f"beamtrack: {message}"
         assert not (tmp_path / "o").exists()
 
     def test_flag_of_another_command_usage_error(self, tmp_path):

@@ -78,7 +78,7 @@ CLI_RUNS = {
 CLI_DIGESTS = {
     "analyze-stable-points": {
         "run.json":
-            "ed01df3be366b24333addb9d7d5d12eab8881c7ce0b88f594af254c1ff27089b",
+            "d77cdbd7d62c07206b83d73962ba189b22a887edc108c98e608bbc2d7b216ff3",
         "stable_points.csv":
             "700467d6f9116577c83272b2c367762951a0b9ffc5a1dc5636eedab54eefca78",
         "stable_points.gp":
@@ -92,7 +92,7 @@ CLI_DIGESTS = {
         "crlb.csv":
             "65abef0418cce6e58502a8a2970d79dd22b53c3c7fd969a2da8d1ad5cdf9c11e",
         "run.json":
-            "36f08044f4e4a74df5048066bca2d80fda2a914877895298046cd793cafa644a",
+            "9971919a4bf1210f33b312e4ed59b8fc59366958c01f2788550cf48226dfd40f",
         "stdout":
             "1eeb58b4978883f321bd2d48b6c2f5d6a7d9e30dd64d2e44b8af83ae6901500b",
     },
@@ -110,7 +110,7 @@ CLI_DIGESTS = {
         "dynamic_tracking.gp":
             "5942ea0a1e607c06264c32f525725aba05227561a8b95b9a8a52e30ec40fd876",
         "run.json":
-            "2c816c27d4eef7233fde99881e7f9dfe34fd084684b794d99aec230720d4ac68",
+            "8c4b6c8f815efde85d0c2023e4f1db7236072f89c84c224182c5dae16c429036",
         "stdout":
             "8e1235d156720ed8f88965619aa9b10e137b739a57a0ac39b172e05fd8dbfe58",
     },
@@ -136,7 +136,7 @@ CLI_DIGESTS = {
         "dynamic_tracking.gp":
             "6466818e1ad2d987004ae3b1e2c76b031d2e123ea160d1eecc0a6fb17c2beb3c",
         "run.json":
-            "55d3da0af7a1918ad4ef0d56839de4a0d71ce398176e2a6c8cbadf8fbe0df89d",
+            "f67790009b76761642cdec7326bd18373782ac439df990ea44a72d6db415bade",
         "stdout":
             "f192d7fc74bd3b501c6ae15de68358be79341226a768bed5779d5e7a16946563",
     },
@@ -146,13 +146,13 @@ CLI_DIGESTS = {
         "init_quality.gp":
             "07cbad4391167612672981e8937c2f051410aab4a9b4d2d609fd897660b1538b",
         "run.json":
-            "e08932c24b14f81b16e2548aab8a6d18b7d86e3c5bfe99e91b4e2af6938c9693",
+            "ee6b87e3bb0347725d8a19c9f4d666a6caa130f702471fcc77e3eb82a1f7f6f7",
         "stdout":
             "88e50387ce9d5a387adb94f386bfd8bdcdc0d7ecc86c91e82a9c18dc5f91102d",
     },
     "static": {
         "run.json":
-            "e5258a4317a8eada5c5ca14efb30e3e1933f4ef8ffba02637414f5fd48939827",
+            "2697cfaf12f3c4506441a7bab26a493a43dcdc8f2bcde12683ae799d79fef4d9",
         "static_80211ad.csv":
             "dcc125eb8770c5c72c6d9e3bee128dca16b739ee0525a00ff8ca2d08c8374dd5",
         "static_ls.csv":
@@ -166,7 +166,7 @@ CLI_DIGESTS = {
     },
     "sweep-speed": {
         "run.json":
-            "1122c00ed4bac31c88cea8d6ef9bd8755f31d13a7c97666317f85aa3171522b7",
+            "460bd4a27b77fa1f05e3a1a30d521cc2fef4f3c407794539663c53c5d322f7dc",
         "stdout":
             "f93a55967cd662ba5dc547180a68a00207e69c3c71e4d6fc74b178ec20a50f9a",
         "sweep_80211ad.csv":
@@ -208,3 +208,20 @@ def test_every_cli_output_matches_golden_digests(run, tmp_path, capsys):
         got[name] = _sha256((out / name).read_bytes())
     got["run.json"] = _sha256(_manifest_echo(manifest))
     assert got == CLI_DIGESTS[run]
+
+
+@pytest.mark.parametrize("run", sorted(CLI_RUNS))
+def test_run_json_config_replays_the_run(run, tmp_path, capsys):
+    """``run.json``'s config, passed back as ``--config``, reruns the same
+    experiment: the same files, byte for byte, stdout and manifest."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main([*CLI_RUNS[run], "--out", str(first)]) == 0
+    stdout = capsys.readouterr().out
+    manifest = json.loads((first / "run.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(manifest["config"]))
+    assert cli.main([CLI_RUNS[run][0], "--config", str(config), "--out", str(again)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert json.loads((again / "run.json").read_text()) == manifest
+    for name in manifest["outputs"]:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name

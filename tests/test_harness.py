@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from beamtrack import (
     ArrayGeometry,
     RunConfig,
-    Trajectory,
     channel_mse_limit,
     conjugate_beam,
     h_prime_norm_sq,
@@ -23,12 +22,14 @@ from beamtrack import (
     write_summary_csv,
 )
 from beamtrack.harness import (
+    ALGORITHMS,
     CS_DICTIONARY_SIZE,
     QPSK,
     _cs_lag_atoms,
     _cs_window_score,
     _inner,
 )
+from beamtrack.scenarios import TRAJECTORIES
 
 G16 = ArrayGeometry(16)
 
@@ -173,7 +174,7 @@ def _check_cs(cfg):
     return estimates
 
 
-_KINDS = st.sampled_from(["static", "sinusoidal", "fixed_velocity"])
+_KINDS = st.sampled_from(TRAJECTORIES)
 
 
 class TestEngineAgainstLibraryOps:
@@ -184,7 +185,7 @@ class TestEngineAgainstLibraryOps:
     @pytest.mark.parametrize("trial", [0, 5])
     def test_recursive_static_trace(self, trial, init):
         cfg = RunConfig(
-            trajectory=Trajectory.static(40),
+            slots=40,
             trials=trial + 1,
             algorithms=("recursive",),
             init=init,
@@ -195,7 +196,7 @@ class TestEngineAgainstLibraryOps:
     def test_recursive_subarray_trace(self):
         # 8 tracking antennas probe on their own; rate and MSE use all 16
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(60),
+            trajectory="sinusoidal", slots=60,
             trials=1,
             algorithms=("recursive",),
             track_antennas=8,
@@ -216,14 +217,14 @@ class TestEngineAgainstLibraryOps:
     def test_recursive_matches_scalar_replay(self, m, data, kind, omega, init, slots, seed):
         track = data.draw(st.integers(2, m), label="track_antennas")
         cfg = RunConfig(
-            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            trajectory=kind, slots=slots, omega=omega, num_antennas=m, trials=1,
             algorithms=("recursive",), track_antennas=track, init=init, seed=seed,
         )
         _check_recursive(cfg)
 
     def test_80211ad_dynamic_trace(self):
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(90),
+            trajectory="sinusoidal", slots=90,
             trials=1,
             algorithms=("80211ad",),
             seed=41,
@@ -244,7 +245,7 @@ class TestEngineAgainstLibraryOps:
         # three distinct candidate beams need at least 3 tracking antennas
         track = data.draw(st.integers(3, m), label="track_antennas")
         cfg = RunConfig(
-            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            trajectory=kind, slots=slots, omega=omega, num_antennas=m, trials=1,
             algorithms=("80211ad",), track_antennas=track, seed=seed,
         )
         _check_sweep_refine(cfg)
@@ -252,7 +253,7 @@ class TestEngineAgainstLibraryOps:
     def test_cs_static_trace(self):
         # static: re-estimate every slot from all pilots received so far
         cfg = RunConfig(
-            trajectory=Trajectory.static(40),
+            slots=40,
             trials=1,
             algorithms=("cs",),
             seed=43,
@@ -263,7 +264,7 @@ class TestEngineAgainstLibraryOps:
         # dynamic: once per 16-slot codebook frame, from the frame's last
         # 8 pilots; the estimate is held in between
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(80),
+            trajectory="sinusoidal", slots=80,
             trials=1,
             algorithms=("cs",),
             seed=44,
@@ -279,7 +280,7 @@ class TestEngineAgainstLibraryOps:
         # frames of m_t slots, each scored from its last m_t // 2 pilots on
         # the subarray; rate and MSE use all 16 antennas
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(slots),
+            trajectory="sinusoidal", slots=slots,
             trials=1,
             algorithms=("cs",),
             track_antennas=track_antennas,
@@ -300,14 +301,14 @@ class TestEngineAgainstLibraryOps:
         # dynamic windows of at least 3 probes: 6 or more tracking antennas
         track = data.draw(st.integers(6, m), label="track_antennas")
         cfg = RunConfig(
-            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            trajectory=kind, slots=slots, omega=omega, num_antennas=m, trials=1,
             algorithms=("cs",), track_antennas=track, seed=seed,
         )
         _check_cs(cfg)
 
     def test_single_trial_matches_batched_run(self):
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(30),
+            trajectory="sinusoidal", slots=30,
             trials=5,
             algorithms=("recursive",),
             seed=5,
@@ -319,10 +320,29 @@ class TestEngineAgainstLibraryOps:
         np.testing.assert_array_equal(solo.rate, batched.rate)
 
 
+_SUMMARY_ARRAYS = (
+    "mean_mse_h", "n_mse_times_imax", "mean_rate", "conv_frac", "final_x", "final_estimate"
+)
+
+
+def _small_config(kind, algorithms, m, track, slots, omega, trials, seed) -> dict:
+    """Settings of a small run whose array and tracking subarray every one of
+    ``algorithms`` accepts: ``ls`` needs the full array and ``80211ad`` 3
+    tracking antennas.  Dynamic ``cs`` gets at least 6, as on 5 or fewer its
+    one- or two-probe windows tie, and rounding breaks the tie."""
+    low = 6 if "cs" in algorithms and kind != "static" else 3 if "80211ad" in algorithms else 2
+    m = max(m, low)
+    track = None if track is None or "ls" in algorithms else min(max(track, low), m)
+    return dict(
+        trajectory=kind, slots=slots, omega=omega, num_antennas=m, track_antennas=track,
+        algorithms=algorithms, trials=trials, seed=seed,
+    )
+
+
 class TestDeterminism:
     def test_identical_runs_identical_csv(self, tmp_path):
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(25),
+            trajectory="sinusoidal", slots=25,
             trials=12,
             algorithms=("recursive", "80211ad", "ls", "cs"),
             seed=9,
@@ -339,24 +359,31 @@ class TestDeterminism:
         for name in cfg.algorithms:
             assert paths[0][name].read_bytes() == paths[1][name].read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path):
-        base = dict(
-            trajectory=Trajectory.static(20),
-            trials=14,
-            algorithms=("recursive", "cs"),
-            seed=3,
-            chunk_size=4,
+    @settings(max_examples=12)
+    @given(
+        kind=_KINDS,
+        algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=2, unique=True),
+        m=st.integers(3, 16),
+        track=st.none() | st.integers(2, 16),
+        slots=st.integers(1, 30),
+        omega=st.floats(0.0, 0.1),
+        trials=st.integers(5, 14),
+        chunk=st.integers(1, 4),
+        seed=st.integers(0, 2**40),
+    )
+    @example(kind="static", algorithms=["recursive", "cs"], m=16, track=None, slots=20,
+             omega=0.0, trials=14, chunk=4, seed=3)
+    def test_worker_count_invariance(self, kind, algorithms, m, track, slots, omega,
+                                     trials, chunk, seed):
+        # two or more chunks, so that two workers share them; every trial
+        # draws from its own substreams and chunks reduce in a fixed order
+        base = _small_config(kind, tuple(algorithms), m, track, slots, omega, trials, seed)
+        one, two = (
+            run_experiment(RunConfig(**base, chunk_size=chunk, jobs=jobs)) for jobs in (1, 2)
         )
-        files = []
-        for jobs in (1, 3):
-            cfg = RunConfig(**base, jobs=jobs)
-            for name, s in run_experiment(cfg).items():
-                p = tmp_path / f"j{jobs}_{name}.csv"
-                write_summary_csv(p, s)
-                files.append(p)
-        n = len(files) // 2
-        for a, b in zip(files[:n], files[n:]):
-            assert a.read_bytes() == b.read_bytes()
+        for name in algorithms:
+            for field in _SUMMARY_ARRAYS:
+                assert getattr(one[name], field).tobytes() == getattr(two[name], field).tobytes()
 
     # static cs is left out: its slot-1 estimate is a tie (one random probe
     # scores every grid point |y_1|) that the batch size's rounding breaks
@@ -364,20 +391,27 @@ class TestDeterminism:
         "algorithm, trajectory",
         [
             (alg, kind)
-            for alg in ("recursive", "80211ad", "ls")
-            for kind in ("static", "sinusoidal")
-        ]
-        + [("cs", "sinusoidal")],
+            for alg in ALGORITHMS
+            for kind in TRAJECTORIES
+            if (alg, kind) != ("cs", "static")
+        ],
     )
-    def test_chunking_only_reorders_rounding(self, algorithm, trajectory):
-        base = dict(
-            trajectory=getattr(Trajectory, trajectory)(40),
-            trials=10,
-            algorithms=(algorithm,),
-            seed=13,
-        )
-        s1 = run_experiment(RunConfig(**base, chunk_size=10))[algorithm]
-        s2 = run_experiment(RunConfig(**base, chunk_size=3))[algorithm]
+    @settings(max_examples=10)
+    @given(
+        m=st.integers(3, 16),
+        track=st.none() | st.integers(2, 16),
+        slots=st.integers(1, 40),
+        omega=st.floats(0.0, 0.1),
+        trials=st.integers(2, 12),
+        chunk=st.integers(1, 6),
+        seed=st.integers(0, 2**40),
+    )
+    @example(m=16, track=None, slots=40, omega=0.0, trials=10, chunk=3, seed=13)
+    def test_chunking_only_reorders_rounding(self, algorithm, trajectory, m, track, slots,
+                                             omega, trials, chunk, seed):
+        base = _small_config(trajectory, (algorithm,), m, track, slots, omega, trials, seed)
+        s1 = run_experiment(RunConfig(**base, chunk_size=trials))[algorithm]
+        s2 = run_experiment(RunConfig(**base, chunk_size=chunk))[algorithm]
         np.testing.assert_allclose(s1.mean_mse_h, s2.mean_mse_h, rtol=1e-12)
         np.testing.assert_allclose(s1.mean_rate, s2.mean_rate, rtol=1e-12)
 
@@ -385,7 +419,7 @@ class TestDeterminism:
 class TestSummaryContents:
     def test_crlb_reference_column(self):
         cfg = RunConfig(
-            trajectory=Trajectory.static(10), trials=2, algorithms=("recursive",)
+            slots=10, trials=2, algorithms=("recursive",)
         )
         s = run_experiment(cfg)["recursive"]
         limit = channel_mse_limit(G16, abs(cfg.beta) ** 2 / cfg.rho)
@@ -399,7 +433,7 @@ class TestSummaryContents:
 
     def test_ls_columns_without_direction_are_nan(self):
         cfg = RunConfig(
-            trajectory=Trajectory.static(8), trials=3, algorithms=("ls",)
+            slots=8, trials=3, algorithms=("ls",)
         )
         s = run_experiment(cfg)["ls"]
         assert np.isnan(s.n_mse_times_imax).all()
@@ -409,7 +443,7 @@ class TestSummaryContents:
 
     def test_csv_schema(self, tmp_path):
         cfg = RunConfig(
-            trajectory=Trajectory.static(5), trials=2, algorithms=("recursive",)
+            slots=5, trials=2, algorithms=("recursive",)
         )
         p = tmp_path / "s.csv"
         write_summary_csv(p, run_experiment(cfg)["recursive"])
@@ -420,7 +454,7 @@ class TestSummaryContents:
 
     def test_subset_tracking_uses_full_array_for_rate(self):
         cfg = RunConfig(
-            trajectory=Trajectory.static(60),
+            slots=60,
             trials=4,
             algorithms=("recursive",),
             track_antennas=4,
@@ -433,7 +467,7 @@ class TestSummaryContents:
         assert s.mean_rate[-1] > math.log2(1 + 1000 * 4) + 1.5
 
     def test_steady_means_skip_the_first_50_slots(self):
-        cfg = RunConfig(trajectory=Trajectory.sinusoidal(60), trials=3, algorithms=("ls",))
+        cfg = RunConfig(trajectory="sinusoidal", slots=60, trials=3, algorithms=("ls",))
         s = run_experiment(cfg)["ls"]
         assert s.steady_mean_rate == s.mean_rate[50:].mean()
         assert s.steady_mean_mse_h == s.mean_mse_h[50:].mean()
@@ -476,21 +510,21 @@ class TestSummaryContents:
             {"algorithms": ("80211ad",), "num_antennas": 2},
         ):
             with pytest.raises(ValueError):
-                RunConfig(trajectory=Trajectory.static(5), **bad)
+                RunConfig(slots=5, **bad)
         # sweep-and-refine probes the best beam and its two neighbours
         with pytest.raises(ValueError, match="^need at least 3 codebook beams$"):
-            RunConfig(trajectory=Trajectory.static(5), algorithms=("80211ad",), track_antennas=2)
-        RunConfig(trajectory=Trajectory.static(5), algorithms=("recursive",), track_antennas=2)
+            RunConfig(slots=5, algorithms=("80211ad",), track_antennas=2)
+        RunConfig(slots=5, algorithms=("recursive",), track_antennas=2)
         # the least-squares baseline may name the full array as its subarray
-        RunConfig(trajectory=Trajectory.static(5), algorithms=("ls",), track_antennas=16)
+        RunConfig(slots=5, algorithms=("ls",), track_antennas=16)
         # half-wavelength spacing is the largest without grating lobes
-        RunConfig(trajectory=Trajectory.static(5), spacing_over_wavelength=0.5)
+        RunConfig(slots=5, spacing_over_wavelength=0.5)
 
 
 @pytest.fixture(scope="module")
 def static_all():
     cfg = RunConfig(
-        trajectory=Trajectory.static(500),
+        slots=500,
         trials=500,
         algorithms=("recursive", "80211ad", "ls", "cs"),
         seed=23,
@@ -536,7 +570,7 @@ class TestTrackingProperties:
     def test_mainlobe_start_locks_in(self):
         # starts drawn inside the mainlobe stay there with high probability
         cfg = RunConfig(
-            trajectory=Trajectory.static(400),
+            slots=400,
             trials=500,
             algorithms=("recursive",),
             init="mainlobe",
@@ -550,7 +584,7 @@ class TestTrackingProperties:
         # sinusoidal motion at 10 dB: after warm-up the estimate stays within
         # half a mainlobe in nearly every slot
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(400),
+            trajectory="sinusoidal", slots=400,
             trials=150,
             algorithms=("recursive",),
             seed=18,
@@ -572,7 +606,7 @@ class TestLsAgainstLibraryEstimator:
         # static: re-estimated every slot from every pilot so far; slot n's
         # rate uses the phase-only beam of the estimate before it
         cfg = RunConfig(
-            trajectory=Trajectory.static(16),
+            slots=16,
             trials=1,
             algorithms=("ls",),
             seed=31,
@@ -591,7 +625,7 @@ class TestLsAgainstLibraryEstimator:
         # slots not a multiple of m end inside a codebook frame, whose
         # estimate a dynamic run never takes
         cfg = RunConfig(
-            trajectory=Trajectory(kind, slots, omega), num_antennas=m, trials=1,
+            trajectory=kind, slots=slots, omega=omega, num_antennas=m, trials=1,
             algorithms=("ls",), seed=seed,
         )
         _check_least_squares(cfg)
@@ -600,7 +634,7 @@ class TestLsAgainstLibraryEstimator:
         # dynamic: one estimate per 16-slot codebook frame from that frame's
         # 16 pilots, held until the next frame's last slot
         cfg = RunConfig(
-            trajectory=Trajectory.sinusoidal(56),
+            trajectory="sinusoidal", slots=56,
             trials=1,
             algorithms=("ls",),
             seed=32,

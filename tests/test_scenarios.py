@@ -6,19 +6,18 @@ import reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamtrack import RngPlan, Trajectory, complex_normal, generate
+from beamtrack import RngPlan, RunConfig, complex_normal, generate
 from beamtrack.scenarios import STREAM_TRAJECTORY
 
 
-def _one_trial(traj):
+def _one_trial(**trajectory):
     """Trial 0's direction sines at seed 0."""
-    return generate(traj, RngPlan(0), range(1))[0]
+    return generate(RunConfig(**trajectory), range(1))[0]
 
 
 class TestStatic:
     def test_constant_per_trial(self):
-        traj = Trajectory.static(100)
-        xs = _one_trial(traj)
+        xs = _one_trial(slots=100)
         assert xs.shape == (101,)
         assert np.all(xs == xs[0])
         assert -1 <= xs[0] <= 1
@@ -29,7 +28,7 @@ class TestSinusoidal:
         # angle (pi/3) sin(2 pi n/1000) plus 0.005 rad of Gaussian jitter,
         # drawn from the trial's substream: the swing is back at zero after
         # half a period and at its pi/3 peak after a quarter
-        xs = _one_trial(Trajectory.sinusoidal(600))
+        xs = _one_trial(trajectory="sinusoidal", slots=600)
         jitter = 0.005 * RngPlan(0).stream(0, STREAM_TRAJECTORY).standard_normal(601)
         swing = np.arcsin(xs) - jitter
         n = np.arange(601)
@@ -42,40 +41,38 @@ class TestSinusoidal:
 class TestFixedVelocity:
     def test_reflection_slot(self):
         # at 0.064 rad/slot the band edge pi/3 forces a reflection on slot 17
-        traj = Trajectory.fixed_velocity(40, omega=0.064)
-        theta = np.arcsin(_one_trial(traj))
+        theta = np.arcsin(_one_trial(trajectory="fixed-velocity", slots=40, omega=0.064))
         assert theta[16] == pytest.approx(16 * 0.064)
         assert theta[17] == pytest.approx(16 * 0.064 - 0.064)
 
     def test_exact_step_and_band(self):
-        traj = Trajectory.fixed_velocity(500, omega=0.11)
-        theta = np.arcsin(_one_trial(traj))
+        theta = np.arcsin(_one_trial(trajectory="fixed-velocity", slots=500, omega=0.11))
         np.testing.assert_allclose(np.abs(np.diff(theta)), 0.11, rtol=1e-12)
         assert np.all(np.abs(theta) <= math.pi / 3 + 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Trajectory.fixed_velocity(10, omega=-0.1)
+            RunConfig(trajectory="fixed-velocity", slots=10, omega=-0.1)
         with pytest.raises(ValueError):
-            Trajectory.fixed_velocity(0, omega=0.1)
+            RunConfig(trajectory="fixed-velocity", slots=0, omega=0.1)
         with pytest.raises(ValueError):
-            Trajectory.fixed_velocity(10, omega=2.0)
+            RunConfig(trajectory="fixed-velocity", slots=10, omega=2.0)
         with pytest.raises(ValueError):
-            Trajectory("wobbly", 10)
+            RunConfig(trajectory="wobbly", slots=10)
         for slots in (2.5, 10.0, True):
             with pytest.raises(ValueError):
-                Trajectory.static(slots)
+                RunConfig(slots=slots)
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
     def test_non_finite_omega_rejected(self, omega):
         with pytest.raises(ValueError, match="finite"):
-            Trajectory.fixed_velocity(10, omega=omega)
+            RunConfig(trajectory="fixed-velocity", slots=10, omega=omega)
 
 
 class TestGenerate:
     @settings(max_examples=100)
     @given(
-        kind=st.sampled_from(("static", "sinusoidal", "fixed_velocity")),
+        kind=st.sampled_from(("static", "sinusoidal", "fixed-velocity")),
         slots=st.integers(1, 50),
         omega=st.floats(0.0, math.pi / 3),
         seed=st.integers(0, 2**40),
@@ -84,17 +81,17 @@ class TestGenerate:
     )
     @example(kind="static", slots=1, omega=0.0, seed=0, start=2**32 - 3, count=6)
     @example(kind="sinusoidal", slots=50, omega=0.0, seed=7, start=2**32 - 2, count=4)
-    @example(kind="fixed_velocity", slots=50, omega=math.pi / 3, seed=1, start=0, count=3)
+    @example(kind="fixed-velocity", slots=50, omega=math.pi / 3, seed=1, start=0, count=3)
     def test_rows_match_scalar_oracle(self, kind, slots, omega, seed, start, count):
         # row k of the chunk is trial start + k drawn alone, bit for bit,
         # also across the 2**32 boundary of the trial's entropy words
-        traj = Trajectory(kind, slots, omega)
+        config = RunConfig(trajectory=kind, slots=slots, omega=omega, seed=seed)
         plan = RngPlan(seed)
         trials = range(start, start + count)
-        rows = generate(traj, plan, trials)
+        rows = generate(config, trials)
         assert rows.shape == (count, slots + 1)
         for row, trial in zip(rows, trials):
-            oracle = ref.trajectory(traj, plan.stream(trial, STREAM_TRAJECTORY))
+            oracle = ref.trajectory(config, plan.stream(trial, STREAM_TRAJECTORY))
             np.testing.assert_array_equal(row.view(np.uint64), oracle.view(np.uint64))
 
 
@@ -151,9 +148,9 @@ class TestRngPlan:
             next(RngPlan(0).batch(range(0, 4, 2), 0))
 
     def test_trajectories_shared_across_algorithms(self):
-        plan = RngPlan(7)
-        t1 = generate(Trajectory.static(5), plan, range(4, 5))
-        t2 = generate(Trajectory.static(5), plan, range(4, 5))
+        config = RunConfig(slots=5, seed=7)
+        t1 = generate(config, range(4, 5))
+        t2 = generate(config, range(4, 5))
         np.testing.assert_array_equal(t1, t2)
 
 

@@ -6,7 +6,6 @@ import pytest
 from beamtrack import (
     ArrayGeometry,
     RunConfig,
-    Trajectory,
     alpha_star,
     codebook_directions,
     dft_codebook,
@@ -24,10 +23,8 @@ G8 = ArrayGeometry(8)
 NOISELESS_DB = 300.0  # pilot noise of order 1e-15
 
 
-def _recursive_trace(trajectory, trial=0, **kw):
-    cfg = RunConfig(
-        trajectory=trajectory, trials=trial + 1, algorithms=("recursive",), **kw
-    )
+def _recursive_trace(trial=0, **kw):
+    cfg = RunConfig(trials=trial + 1, algorithms=("recursive",), **kw)
     return run_single_trial(cfg, "recursive", trial=trial)
 
 
@@ -39,7 +36,7 @@ def _noiseless_moves(kind, track, step, trials=8, slots=30, **kw):
     moved = 0
     for trial in range(trials):
         trace = _recursive_trace(
-            getattr(Trajectory, kind)(slots), trial, init="uniform", snr_db=NOISELESS_DB, **kw
+            trial, trajectory=kind, slots=slots, init="uniform", snr_db=NOISELESS_DB, **kw
         )
         for n in range(2, slots + 1):
             v, x = trace.x_hat[n - 2], trace.x[n - 1]
@@ -66,7 +63,7 @@ class TestStepSizeSchedule:
     def test_validation(self):
         for alpha in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="alpha must be positive and finite"):
-                RunConfig(trajectory=Trajectory.static(5), step_alpha=alpha)
+                RunConfig(slots=5, step_alpha=alpha)
 
 
 class TestAlphaStar:
@@ -139,7 +136,7 @@ class TestCoarseSweep:
         # cannot distinguish a direction from its wrap-around image, which
         # caps the strict rate just below the dictionary-limited one
         cfg = RunConfig(
-            trajectory=Trajectory.static(1), snr_db=10.0, sweep_dictionary_size=64,
+            slots=1, snr_db=10.0, sweep_dictionary_size=64,
             trials=10_000, seed=0,
         )
         assert initialization_hit_rate(cfg) >= 0.995
@@ -150,7 +147,7 @@ class TestCoarseSweep:
         rates = {
             initialization_hit_rate(
                 RunConfig(
-                    trajectory=Trajectory.static(1), snr_db=0.0, sweep_dictionary_size=16,
+                    slots=1, snr_db=0.0, sweep_dictionary_size=16,
                     trials=2_000, seed=3, chunk_size=chunk,
                 )
             )
@@ -167,14 +164,14 @@ class TestRecursiveStep:
         # zero angular velocity holds x = 0; the truth is a fixed point, and
         # at alpha_star the noiseless recursion reaches it within a few slots
         trace = _recursive_trace(
-            Trajectory.fixed_velocity(40, omega=0.0), snr_db=NOISELESS_DB
+            trajectory="fixed-velocity", slots=40, omega=0.0, snr_db=NOISELESS_DB
         )
         assert np.all(trace.x == 0.0)
         assert abs(trace.x_hat[0]) > 1e-6
         assert np.all(np.abs(trace.x_hat[10:]) < 1e-12)
 
     def test_clipping(self):
-        trace = _recursive_trace(Trajectory.sinusoidal(200), step_alpha=5.0, snr_db=0.0)
+        trace = _recursive_trace(trajectory="sinusoidal", slots=200, step_alpha=5.0, snr_db=0.0)
         assert np.any(np.abs(trace.x_hat) == 1.0)  # steps past the edge stop at it
 
     def test_noiseless_step_equals_drift(self):
@@ -186,7 +183,7 @@ class TestRecursiveStep:
     def test_estimate_always_in_range(self):
         for trial in range(20):
             trace = _recursive_trace(
-                Trajectory.sinusoidal(100), trial, track_antennas=8, step_alpha=5.0,
+                trial, trajectory="sinusoidal", slots=100, track_antennas=8, step_alpha=5.0,
                 snr_db=0.0, seed=1,
             )
             assert np.all(np.abs(trace.x_hat) <= 1.0)
