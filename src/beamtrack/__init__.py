@@ -5,17 +5,20 @@ closed-form bound and drift analytics they are checked against."""
 __version__ = "0.1.0"
 
 from .arraymodel import (
-    DEFAULT_BETA,
     ArrayGeometry,
     ChannelState,
+    alpha_star,
     channel_mse_limit,
+    codebook_directions,
     conjugate_beam,
     crlb_min,
+    dft_codebook,
     fisher_information,
     i_max,
     log_likelihood,
     mainlobe_halfwidth,
     observe,
+    sine_grid,
     stable_point_spacing,
     stable_points,
     steering_matrix,
@@ -34,6 +37,5 @@ from .harness import (
     write_summary_csv,
 )
 from .scenarios import RngPlan, complex_normal, generate
-from .trackers import alpha_star, codebook_directions, dft_codebook, sine_grid
 
 __all__ = [name for name in dir() if not name.startswith("_")]

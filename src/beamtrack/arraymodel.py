@@ -4,6 +4,9 @@ A beam direction is always the sine of the arrival angle, a dimensionless
 value in [-1, 1].  Steering-vector entries carry negative phase increments,
 so every array inner product is written ``w^H a(x)``.  Only the ratio of
 element spacing to wavelength enters any formula; absolute lengths never do.
+The grids and beams the trackers share live here too: the recursive
+tracker's optimal step coefficient, the uniform sine grid that the coarse
+sweep and sparse recovery score, and the DFT sweep codebook.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ __all__ = [
     "stable_point_spacing",
     "mainlobe_halfwidth",
     "channel_mse_limit",
-    "DEFAULT_BETA",
+    "alpha_star",
+    "sine_grid",
+    "codebook_directions",
+    "dft_codebook",
 ]
-
-# unit-magnitude complex gain at 45 degrees, the benchmark default
-DEFAULT_BETA = (1.0 + 1.0j) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,14 +66,13 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """Single-path channel: direction sine, complex gain and per-antenna SNR.
+    """Single-path channel: direction sine and per-antenna SNR.
 
-    ``snr`` is the linear per-antenna SNR; the implied noise power is
-    ``|beta|^2 / snr``.
+    ``snr`` is the linear per-antenna SNR; pilots are normalized to unit
+    channel gain, so the implied noise power is ``1 / snr``.
     """
 
     x: float
-    beta: complex = DEFAULT_BETA
     snr: float = 10.0
 
     def __post_init__(self) -> None:
@@ -213,3 +215,31 @@ def channel_mse_limit(geom: ArrayGeometry, noise_power: float) -> float:
     """
     m = geom.num_antennas
     return (2 * m - 1) * noise_power / (3.0 * (m - 1))
+
+
+def alpha_star(geom: ArrayGeometry) -> float:
+    """Step-size coefficient giving the fastest asymptotic convergence,
+    ``lambda / (sqrt(M) (M-1) pi d)``."""
+    m = geom.num_antennas
+    return 1.0 / (math.sqrt(m) * (m - 1) * math.pi * geom.spacing_over_wavelength)
+
+
+def sine_grid(size: int) -> np.ndarray:
+    """The ``size`` uniform sine-space points ``(2k - 1 - size)/size`` for
+    k = 1..size, symmetric about zero and strictly inside (-1, 1)."""
+    k = np.arange(1, size + 1)
+    return (2 * k - 1 - size) / size
+
+
+def codebook_directions(geom: ArrayGeometry) -> np.ndarray:
+    """The M uniformly spaced sweep directions: the M-point sine grid."""
+    return sine_grid(geom.num_antennas)
+
+
+def dft_codebook(geom: ArrayGeometry) -> np.ndarray:
+    """Sweep beams, one conjugate beam per codebook direction (one per row).
+    At half-wavelength spacing the M beams are orthonormal, so the codebook
+    is unitary."""
+    return steering_matrix(geom, codebook_directions(geom)) / math.sqrt(
+        geom.num_antennas
+    )

@@ -30,9 +30,11 @@ import numpy as np
 
 from . import __version__, harness
 from .arraymodel import (
+    alpha_star,
     channel_mse_limit,
     crlb_min,
     i_max,
+    stable_point_spacing,
     stable_points,
     steering_matrix,
     steering_vector,
@@ -44,7 +46,6 @@ from .harness import (
     initialization_hit_rate,
     run_experiment,
 )
-from .trackers import alpha_star
 
 _CORES = os.cpu_count() or 1
 _MOVING = ("sinusoidal", "fixed-velocity")  # the trajectories of `dynamic`
@@ -52,15 +53,13 @@ _MOVING = ("sinusoidal", "fixed-velocity")  # the trajectories of `dynamic`
 
 def _json(value):
     """A RunConfig default as a config file spells it."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
     return list(value) if isinstance(value, tuple) else value
 
 
 _FIELDS = {f.name: _json(f.default) for f in fields(RunConfig)}
 # static and sweep-speed set the trajectory themselves
 _SIMULATION = [name for name in _FIELDS if name not in ("trajectory", "omega")]
-_GEOMETRY = ["num_antennas", "spacing_over_wavelength"]
+_GEOMETRY = ["num_antennas"]
 
 
 def _reads(names, **defaults) -> dict:
@@ -83,7 +82,7 @@ _COMMANDS = {
                             _reads(_SIMULATION, trials=200, slots=2000, jobs=_CORES,
                                    omega_grid=np.geomspace(1e-3, 0.3, 20).tolist())),
     "crlb": _Command("print bound tables for a configuration",
-                     _reads([*_GEOMETRY, "snr_db", "beta"])),
+                     _reads([*_GEOMETRY, "snr_db"])),
     "analyze-stable-points": _Command("drift-function analysis",
                                       _reads(_GEOMETRY, num_antennas=8, x=0.5, samples=2001)),
     "init-quality": _Command("coarse-sweep hit probability",
@@ -178,8 +177,13 @@ def _parser() -> argparse.ArgumentParser:
 def _load_file_config(path: Path | None, command: str) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        file_cfg = json.load(fh)
+    try:
+        file_cfg = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise SystemExit(f"beamtrack: cannot read config file {path}: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise SystemExit(f"beamtrack: config file {path} must hold a JSON object, "
+                         f"got {type(file_cfg).__name__}")
     for keys, what in ((_KNOWN, "unknown key(s)"),
                        (_COMMANDS[command].reads, f"key(s) that {command} does not read")):
         extra = ", ".join(sorted(set(file_cfg) - set(keys)))
@@ -206,8 +210,6 @@ def _run_config(settings: dict, **overrides) -> RunConfig:
     the run with one ``beamtrack: <reason>`` line on stderr."""
     kw = {k: v for k, v in {**settings, **overrides}.items() if k in _FIELDS}
     try:
-        if "beta" in kw:
-            kw["beta"] = complex(*kw["beta"])
         kw["algorithms"] = tuple(kw.get("algorithms", ()))
         return RunConfig(**kw)
     except (TypeError, ValueError) as exc:
@@ -416,9 +418,8 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
 def _cmd_crlb(args, settings: dict) -> int:
     cfg = _run_config(settings)
     geom, snr_db, rho = cfg.geometry, cfg.snr_db, cfg.rho
-    sigma2 = abs(cfg.beta) ** 2 / rho  # the noise power of ChannelState
     imax = i_max(geom, rho)
-    limit = channel_mse_limit(geom, sigma2)
+    limit = channel_mse_limit(geom, 1.0 / rho)  # noise power 1/rho, as in ChannelState
     astar = alpha_star(geom)
     print(f"antennas: {geom.num_antennas}, d/lambda: {geom.spacing_over_wavelength}")
     print(f"snr: {snr_db} dB (linear {rho:.6g})")
@@ -462,7 +463,7 @@ def _cmd_stable_points(args, settings: dict) -> int:
         "probe direction v",
     )
     print(f"stable points for x={x}, M={m}: " + ", ".join(f"{v:.6g}" for v in pts))
-    print(f"spacing: {1.0 / ((m - 1) * geom.spacing_over_wavelength):.6g}")
+    print(f"spacing: {stable_point_spacing(geom):.6g}")
     out.manifest(settings)
     return 0
 

@@ -36,7 +36,6 @@ the results depend on the evaluation order, and another order would move them.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -45,10 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arraymodel import (
-    DEFAULT_BETA,
     ArrayGeometry,
+    alpha_star,
+    codebook_directions,
+    dft_codebook,
     i_max,
     mainlobe_halfwidth,
+    sine_grid,
     steering_matrix,
 )
 from .scenarios import (
@@ -60,7 +62,6 @@ from .scenarios import (
     RngPlan,
     generate,
 )
-from .trackers import alpha_star, codebook_directions, dft_codebook, sine_grid
 
 __all__ = [
     "ALGORITHMS",
@@ -85,11 +86,11 @@ CS_DICTIONARY_SIZE = 1024
 QPSK = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])  # random-probe phase alphabet
 
 
-def h_prime_norm_sq(geom: ArrayGeometry, beta: complex) -> float:
+def h_prime_norm_sq(geom: ArrayGeometry) -> float:
     """Squared norm of the channel-response derivative, direction independent."""
     m = geom.num_antennas
     idx_sq_sum = (m - 1) * m * (2 * m - 1) / 6.0
-    return abs(beta) ** 2 * geom.phase_step**2 * idx_sq_sum
+    return geom.phase_step**2 * idx_sq_sum
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +107,15 @@ _INT_FIELDS = (
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one Monte Carlo experiment.  The defaults
-    are the paper's benchmark array on one static slot."""
+    are the paper's benchmark array on one static slot.  The array has
+    half-wavelength spacing and unit channel gain: the SNR ``rho`` already
+    holds the gain, and pilots are normalized to it."""
 
     trajectory: str = "static"  # one of scenarios.TRAJECTORIES
     slots: int = 1
     omega: float = 0.0  # fixed-velocity step (rad/slot)
     num_antennas: int = 16
-    spacing_over_wavelength: float = 0.5
     snr_db: float = 10.0
-    beta: complex = DEFAULT_BETA
     algorithms: tuple[str, ...] = ALGORITHMS
     trials: int = 1000
     track_antennas: int | None = None
@@ -158,12 +159,6 @@ class RunConfig:
         size = self.sweep_dictionary_size
         if size is not None and size < 1:
             raise ValueError(f"sweep_dictionary_size must be at least 1, got {size}")
-        d = self.spacing_over_wavelength
-        if not 0.0 < d <= 0.5:
-            # beyond half a wavelength the manifold's period lambda/d drops
-            # below 2, so grating lobes alias directions inside [-1, 1] and
-            # the DFT codebook is no longer orthogonal
-            raise ValueError(f"spacing_over_wavelength must lie in (0, 0.5], got {d}")
         track = self.track_geometry  # rejects < 2 antennas and a subarray out of range
         if "ls" in self.algorithms and track != self.geometry:
             raise ValueError("least-squares baseline needs the full array")
@@ -172,15 +167,13 @@ class RunConfig:
             raise ValueError("need at least 3 codebook beams")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        if not (cmath.isfinite(self.beta) and self.beta != 0):
-            raise ValueError(f"beta must be finite and nonzero, got {self.beta}")
         alpha = self.step_alpha
         if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
     @property
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.num_antennas, self.spacing_over_wavelength)
+        return ArrayGeometry(self.num_antennas)
 
     @property
     def track_geometry(self) -> ArrayGeometry:
@@ -289,7 +282,7 @@ class _DirectionTracker:
     def __init__(self, config: RunConfig):
         self.track = config.track_geometry
         self.m, self.k = config.num_antennas, config.geometry.phase_step
-        self.rho, self.beta2 = config.rho, abs(config.beta) ** 2
+        self.rho = config.rho
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         before = self.direction
@@ -298,7 +291,7 @@ class _DirectionTracker:
         self.update(n, x_n, noise, ip)
         if self.direction is not before:  # an update that keeps it reuses ip
             ip = _inner(self.k, self.m, self.direction - x_n)
-        return rate, self.beta2 * (2.0 * self.m - 2.0 * np.real(ip)), self.direction
+        return rate, 2.0 * self.m - 2.0 * np.real(ip), self.direction
 
     def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
         """Pilots of conjugate tracking-subarray beams toward ``probe_dir``."""
@@ -374,11 +367,11 @@ def ls_data_beam(h_hat: np.ndarray) -> np.ndarray:
 
 
 class _LeastSquares:
-    """Least-squares channel estimate and its phase-only data beam.  With the
-    square DFT codebook the estimate is the per-beam mean pilot times
-    ``pinv(conj(codebook))``: static runs average every pilot so far and
-    re-estimate each slot; dynamic runs keep each beam's latest pilot and
-    re-estimate at each codebook frame's last slot.  The probes are the fixed
+    """Least-squares channel estimate and its phase-only data beam.  The
+    half-wavelength DFT codebook is unitary, so the estimate is the per-beam
+    mean pilot times the codebook itself: static runs average every pilot so
+    far and re-estimate each slot; dynamic runs keep each beam's latest pilot
+    and re-estimate at each codebook frame's last slot.  The probes are the fixed
     codebook, so a slot computes only what changed.  A static run's ``a(x)``
     and noiseless codebook pilots are computed once per chunk (``x`` never
     moves), and a slot adds its noise to one of them.  The conjugate data
@@ -387,10 +380,9 @@ class _LeastSquares:
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         self.geom = config.geometry
-        self.rho, self.beta2 = config.rho, abs(config.beta) ** 2
+        self.rho = config.rho
         self.static = config.trajectory == "static"
         self.beams = dft_codebook(self.geom)  # rows of conj(beams) probe h
-        self.combine = np.linalg.pinv(np.conj(self.beams)).T
         self.sums, self.counts = warm.copy(), np.ones(len(self.beams))
         if self.static:
             self.a = steering_matrix(self.geom, x0)
@@ -399,7 +391,7 @@ class _LeastSquares:
         self._estimate()
 
     def _estimate(self) -> None:
-        self.h_hat = (self.sums / self.counts) @ self.combine
+        self.h_hat = (self.sums / self.counts) @ self.beams
         self.w_conj = np.conj(ls_data_beam(self.h_hat))
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
@@ -415,8 +407,7 @@ class _LeastSquares:
         rate = np.log2(1.0 + self.rho * np.abs((self.w_conj * a).sum(axis=1)) ** 2)
         if self.static or n % m == 0:
             self._estimate()
-        # h_hat estimates the gain-normalized response; scale by |beta|^2
-        return rate, self.beta2 * (np.abs(self.h_hat - a) ** 2).sum(axis=1), None
+        return rate, (np.abs(self.h_hat - a) ** 2).sum(axis=1), None
 
 
 def _cs_lag_atoms(atoms: np.ndarray) -> np.ndarray:
@@ -465,6 +456,11 @@ class _CompressedSensing(_DirectionTracker):
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
+        # initial estimate: the coarse sweep over the CS grid, which is the
+        # normalized matched filter of the warm-up pilots (the codebook is
+        # unitary, so every atom has energy M); taken before the (T, grid)
+        # buffers below exist, to keep the peak down
+        self.direction = _sweep_estimate(self.track, CS_DICTIONARY_SIZE, warm)
         m_t, slots = self.track.num_antennas, config.slots
         self.probes = np.empty((len(trials), slots, m_t), dtype=np.int8)
         rngs = RngPlan(config.seed).batch(trials, STREAM_PROBE, _ALG_TAGS["cs"])
@@ -483,7 +479,6 @@ class _CompressedSensing(_DirectionTracker):
             self.denom = np.zeros(grid_shape)
             self.phi_c = np.empty_like(self.numer)
             self.mag = np.empty_like(self.denom)
-            filt, mag = self.phi_c, self.mag
         else:
             self.window = np.empty((len(trials), self.k_win), dtype=complex)
             # lag_pick[q*m_t + p, p - q] = 1 for p >= q: one product sums
@@ -496,13 +491,6 @@ class _CompressedSensing(_DirectionTracker):
             self.scratch = (
                 np.empty(grid_shape, dtype=complex), np.empty(grid_shape), np.empty(grid_shape)
             )
-            filt, mag = self.scratch[:2]
-        # initial estimate: matched filter over the warm-up sweep pilots
-        phi0 = np.conj(dft_codebook(self.track)) @ atoms.T  # (m_t, grid)
-        np.abs(np.matmul(warm, np.conj(phi0), out=filt), out=mag)
-        mag /= np.linalg.norm(phi0, axis=0)
-        self.direction = self.grid[np.argmax(mag, axis=1)]
-        if not self.static:  # built after phi0 is freed, to keep the peak down
             self.lag_atoms = _cs_lag_atoms(atoms)
 
     def _pilot(self, n: int, x_n: np.ndarray, noise: np.ndarray):
@@ -645,7 +633,7 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
     else:
         n_mse_imax = slots * (sqerr_conv / conv_count) * imax_track
         conv_frac = lock_sum / trials
-    crlb_ref = h_prime_norm_sq(config.geometry, config.beta) / (slots * imax_track)
+    crlb_ref = h_prime_norm_sq(config.geometry) / (slots * imax_track)
 
     skip = min(STEADY_SKIP, n_slots - 1)
     return RunSummary(

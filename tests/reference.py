@@ -61,10 +61,10 @@ def trajectory(cfg, rng):
     return np.sin(theta)
 
 
-def mse_h(geom, x_hat, x, beta):
-    """Squared channel-response error ``||beta a(x_hat) - beta a(x)||^2``."""
+def mse_h(geom, x_hat, x):
+    """Squared channel-response error ``||a(x_hat) - a(x)||^2``."""
     diff = steering_vector(geom, x_hat) - steering_vector(geom, x)
-    return float(abs(beta) ** 2 * np.sum(np.abs(diff) ** 2))
+    return float(np.sum(np.abs(diff) ** 2))
 
 
 def achievable_rate(geom, w_data, x, rho):
@@ -111,7 +111,7 @@ def draws(cfg, trial, algorithm):
 
 
 def _pilot(cfg, geom, x, w, z):
-    return observe(geom, ChannelState(x, beta=cfg.beta, snr=cfg.rho), w, z)
+    return observe(geom, ChannelState(x, snr=cfg.rho), w, z)
 
 
 def _warm_up(cfg, xs, noise):
@@ -129,7 +129,7 @@ def direction_metrics(cfg, xs, estimates):
         achievable_rate(geom, conjugate_beam(geom, estimates[n - 1]), xs[n], cfg.rho)
         for n in range(1, len(xs))
     ]
-    mses = [mse_h(geom, estimates[n], xs[n], cfg.beta) for n in range(1, len(xs))]
+    mses = [mse_h(geom, estimates[n], xs[n]) for n in range(1, len(xs))]
     return rates, mses
 
 
@@ -200,7 +200,7 @@ def least_squares(cfg, trial):
         elif n % m == 0:
             h_hat = ls_estimate(weights[-m:], obs[-m:])
         err = h_hat - steering_vector(geom, xs[n])
-        mses.append(abs(cfg.beta) ** 2 * float(np.sum(np.abs(err) ** 2)))
+        mses.append(float(np.sum(np.abs(err) ** 2)))
     return rates, mses
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from beamtrack import (
-    DEFAULT_BETA,
     ArrayGeometry,
     ChannelState,
     RunConfig,
@@ -125,7 +124,7 @@ def test_criterion_1_crlb_convergence(static_run):
     n = summary.slots[-1]
     x, x_hat = summary.final_x, summary.final_estimate
     conv = np.abs(x_hat - x) < 0.5 * mainlobe_halfwidth(G16)
-    mse = abs(DEFAULT_BETA) ** 2 * np.sum(
+    mse = np.sum(
         np.abs(steering_matrix(G16, x_hat) - steering_matrix(G16, x)) ** 2, axis=1
     )
     unconditional = n * summary.mean_mse_h[-1]

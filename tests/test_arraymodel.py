@@ -314,8 +314,6 @@ class TestChannelMseLimit:
 
         for m, rho in ((8, 3.0), (16, 10.0)):
             geom = ArrayGeometry(m)
-            beta = 0.6 - 0.8j  # unit magnitude
-            sigma2 = abs(beta) ** 2 / rho
-            assert h_prime_norm_sq(geom, beta) / i_max(geom, rho) == pytest.approx(
-                channel_mse_limit(geom, sigma2), rel=1e-12
+            assert h_prime_norm_sq(geom) / i_max(geom, rho) == pytest.approx(
+                channel_mse_limit(geom, 1.0 / rho), rel=1e-12
             )

@@ -85,9 +85,7 @@ class TestLsEstimate:
     """The engine's least-squares estimate and its phase-only data beam."""
 
     def test_noiseless_full_sweep_exact(self):
-        cfg = _config(
-            "ls", slots=20, snr_db=NOISELESS_DB, beta=(1 + 1j) / math.sqrt(2)
-        )
+        cfg = _config("ls", slots=20, snr_db=NOISELESS_DB)
         trace = run_single_trial(cfg, "ls")
         assert np.all(trace.mse_h < 1e-20)
         # the beam of an exact estimate collects the full array gain
@@ -104,7 +102,7 @@ class TestLsEstimate:
         # at slot 16 every beam has two pilots (warm-up and slot), halving it
         cfg = _config("ls", slots=16, trials=2000, snr_db=10.0, seed=4)
         s = run_experiment(cfg)["ls"]
-        assert s.mean_mse_h[15] == pytest.approx(abs(cfg.beta) ** 2 * predicted / 2, rel=0.1)
+        assert s.mean_mse_h[15] == pytest.approx(predicted / 2, rel=0.1)
 
     def test_phase_only_beam_from_exact_estimate(self):
         h = (2.0 - 1.0j) * steering_vector(G16, 0.7)

@@ -46,19 +46,6 @@ class TestCrlbCommand:
         assert "crlb.csv" in manifest["outputs"]
 
 
-    def test_beta_sets_the_noise_power(self, tmp_path, capsys):
-        # sigma^2 = |beta|^2 / rho: |beta| = 2 quadruples the channel-MSE limit
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"beta": [2, 0]}))
-        assert cli.main(["crlb", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-        assert "channel-MSE limit (n * MSE_h): 0.2755555556" in capsys.readouterr().out
-        manifest = json.loads((tmp_path / "o" / "run.json").read_text())
-        assert manifest["config"]["beta"] == [2.0, 0.0]
-        assert manifest["results"]["channel_mse_limit"] == pytest.approx(4 * 31 / 450, rel=1e-15)
-        rows = read_csv(tmp_path / "o" / "crlb.csv")
-        assert float(rows[0]["crlb_h"]) == pytest.approx(4 * 31 / 450, rel=1e-11)
-
-
 class TestStablePointsCommand:
     def test_spacing_for_eight_antennas(self, tmp_path):
         res = run_cli(
@@ -367,15 +354,6 @@ class TestErrors:
         assert res.stderr.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
-    def test_rejected_spacing_in_config_one_line(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"spacing_over_wavelength": 0.6}))
-        res = run_cli("crlb", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-        assert res.returncode == 1
-        assert res.stderr.startswith("beamtrack: spacing_over_wavelength")
-        assert res.stderr.count("\n") == 1
-        assert not (tmp_path / "o").exists()
-
     def test_rejected_seed_in_config_one_line(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": -1, "trials": 2, "slots": 3}))
@@ -390,11 +368,8 @@ class TestErrors:
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"step_alpha": math.nan}, "alpha must be positive and finite, got nan"),
             ({"slots": 2.5}, "slots must be an integer, got 2.5"),
-            ({"beta": [math.nan, 0]}, "beta must be finite and nonzero, got (nan+0j)"),
-            ({"beta": [math.inf, 1]}, "beta must be finite and nonzero, got (inf+1j)"),
-            ({"beta": [0, 0]}, "beta must be finite and nonzero, got 0j"),
         ],
-        ids=["trials", "step_alpha", "slots", "beta_nan", "beta_inf", "beta_zero"],
+        ids=["trials", "step_alpha", "slots"],
     )
     def test_rejected_count_or_step_in_config_one_line(self, tmp_path, setting, message):
         cfg_path = tmp_path / "cfg.json"
@@ -405,9 +380,12 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
 
     # --out and the subcommand decide where a run writes and what; the
-    # step schedule and the steady-state skip are fixed
+    # step schedule, the steady-state skip, the half-wavelength spacing and
+    # the unit channel gain are fixed
     @pytest.mark.parametrize(
-        "key", ["out_dir", "out_prefix", "step_kind", "step_n0", "steady_skip"]
+        "key",
+        ["out_dir", "out_prefix", "step_kind", "step_n0", "steady_skip", "beta",
+         "spacing_over_wavelength"],
     )
     def test_output_key_in_config_is_unknown(self, tmp_path, key):
         cfg_path = tmp_path / "cfg.json"
@@ -426,7 +404,6 @@ class TestErrors:
             ("crlb", "slots"),
             ("crlb", "trajectory"),
             ("analyze-stable-points", "snr_db"),
-            ("analyze-stable-points", "beta"),
             ("analyze-stable-points", "seed"),
             ("init-quality", "snr_db"),
             ("init-quality", "algorithms"),
@@ -484,6 +461,26 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert exc.value.code == f"beamtrack: {message}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read config file {path}: [Errno 2] No such file or directory: "),
+            ('{"seed": 1,', "cannot read config file {path}: Expecting property name"),
+            ("5", "config file {path} must hold a JSON object, got int"),
+            ('["num_antennas"]', "config file {path} must hold a JSON object, got list"),
+        ],
+        ids=["missing", "malformed", "number", "list"],
+    )
+    def test_bad_config_file_one_line(self, tmp_path, content, message):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        res = run_cli("crlb", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("beamtrack: " + message.format(path=cfg_path))
+        assert res.stderr.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_flag_of_another_command_usage_error(self, tmp_path):

@@ -73,12 +73,11 @@ CLI_RUNS = {
         "--m0-factors", "1,2",
     ],
 }
-# every file a run writes, its stdout, and its run.json with the output
-# directory's own settings (``out_dir``, ``out_prefix``) left out of the echo
+# every file a run writes, its stdout, and its run.json
 CLI_DIGESTS = {
     "analyze-stable-points": {
         "run.json":
-            "d77cdbd7d62c07206b83d73962ba189b22a887edc108c98e608bbc2d7b216ff3",
+            "ed01df3be366b24333addb9d7d5d12eab8881c7ce0b88f594af254c1ff27089b",
         "stable_points.csv":
             "700467d6f9116577c83272b2c367762951a0b9ffc5a1dc5636eedab54eefca78",
         "stable_points.gp":
@@ -92,7 +91,7 @@ CLI_DIGESTS = {
         "crlb.csv":
             "65abef0418cce6e58502a8a2970d79dd22b53c3c7fd969a2da8d1ad5cdf9c11e",
         "run.json":
-            "9971919a4bf1210f33b312e4ed59b8fc59366958c01f2788550cf48226dfd40f",
+            "bc9670113db8600d050ca9547bbf91de2f1339d867ec4b83c01494b3fdb00396",
         "stdout":
             "1eeb58b4978883f321bd2d48b6c2f5d6a7d9e30dd64d2e44b8af83ae6901500b",
     },
@@ -110,7 +109,7 @@ CLI_DIGESTS = {
         "dynamic_tracking.gp":
             "5942ea0a1e607c06264c32f525725aba05227561a8b95b9a8a52e30ec40fd876",
         "run.json":
-            "8c4b6c8f815efde85d0c2023e4f1db7236072f89c84c224182c5dae16c429036",
+            "b87a0d06850be2470951d038400d23f6fc44e3d793065261bb1fec3015f7c19b",
         "stdout":
             "8e1235d156720ed8f88965619aa9b10e137b739a57a0ac39b172e05fd8dbfe58",
     },
@@ -136,7 +135,7 @@ CLI_DIGESTS = {
         "dynamic_tracking.gp":
             "6466818e1ad2d987004ae3b1e2c76b031d2e123ea160d1eecc0a6fb17c2beb3c",
         "run.json":
-            "f67790009b76761642cdec7326bd18373782ac439df990ea44a72d6db415bade",
+            "6baf7f75a40dde2afec8fec47f33957f0d31a78f0d0d67a4eedfc60842fe123d",
         "stdout":
             "f192d7fc74bd3b501c6ae15de68358be79341226a768bed5779d5e7a16946563",
     },
@@ -146,13 +145,13 @@ CLI_DIGESTS = {
         "init_quality.gp":
             "07cbad4391167612672981e8937c2f051410aab4a9b4d2d609fd897660b1538b",
         "run.json":
-            "ee6b87e3bb0347725d8a19c9f4d666a6caa130f702471fcc77e3eb82a1f7f6f7",
+            "e08932c24b14f81b16e2548aab8a6d18b7d86e3c5bfe99e91b4e2af6938c9693",
         "stdout":
             "88e50387ce9d5a387adb94f386bfd8bdcdc0d7ecc86c91e82a9c18dc5f91102d",
     },
     "static": {
         "run.json":
-            "2697cfaf12f3c4506441a7bab26a493a43dcdc8f2bcde12683ae799d79fef4d9",
+            "1ba67766846d3a7d34801e8991392b68a739cbef9135933cebfc029ec6ef5346",
         "static_80211ad.csv":
             "dcc125eb8770c5c72c6d9e3bee128dca16b739ee0525a00ff8ca2d08c8374dd5",
         "static_ls.csv":
@@ -166,7 +165,7 @@ CLI_DIGESTS = {
     },
     "sweep-speed": {
         "run.json":
-            "460bd4a27b77fa1f05e3a1a30d521cc2fef4f3c407794539663c53c5d322f7dc",
+            "3b4faabe5771d86d4cac3004d558f15274de953aac125a84437bb09de81870d3",
         "stdout":
             "f93a55967cd662ba5dc547180a68a00207e69c3c71e4d6fc74b178ec20a50f9a",
         "sweep_80211ad.csv":
@@ -189,13 +188,6 @@ CLI_DIGESTS = {
 }
 
 
-def _manifest_echo(manifest: dict) -> bytes:
-    config = dict(manifest["config"])
-    for key in ("out_dir", "out_prefix"):
-        config.pop(key, None)
-    return json.dumps({**manifest, "config": config}, sort_keys=True).encode()
-
-
 @pytest.mark.parametrize("run", sorted(CLI_RUNS))
 def test_every_cli_output_matches_golden_digests(run, tmp_path, capsys):
     out = tmp_path / "out"
@@ -206,7 +198,7 @@ def test_every_cli_output_matches_golden_digests(run, tmp_path, capsys):
     assert sorted(manifest["outputs"]) == sorted(written)
     for name in written:
         got[name] = _sha256((out / name).read_bytes())
-    got["run.json"] = _sha256(_manifest_echo(manifest))
+    got["run.json"] = _sha256(json.dumps(manifest, sort_keys=True).encode())
     assert got == CLI_DIGESTS[run]
 
 

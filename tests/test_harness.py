@@ -38,7 +38,7 @@ class TestMetrics:
     """The scalar metrics of the reference replays, against closed forms."""
 
     def test_mse_zero_at_truth(self):
-        assert ref.mse_h(G16, 0.3, 0.3, 1 + 1j) == 0.0
+        assert ref.mse_h(G16, 0.3, 0.3) == 0.0
 
     def test_mse_upper_bound(self):
         # exact supremum of ||a(v) - a(x)||^2 computed by grid search; it sits
@@ -51,16 +51,15 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         for _ in range(200):
             xh, x = rng.uniform(-1, 1, 2)
-            assert ref.mse_h(G16, xh, x, (1 + 1j) / math.sqrt(2)) <= sup + 1e-9
+            assert ref.mse_h(G16, xh, x) <= sup + 1e-9
 
     def test_mse_matches_inner_product_form(self):
         rng = np.random.default_rng(1)
-        beta = 0.8 - 0.6j
         for _ in range(50):
             xh, x = rng.uniform(-1, 1, 2)
             ip = np.vdot(steering_vector(G16, xh), steering_vector(G16, x))
-            expected = abs(beta) ** 2 * (32 - 2 * ip.real)
-            assert ref.mse_h(G16, xh, x, beta) == pytest.approx(expected, rel=1e-12)
+            expected = 32 - 2 * ip.real
+            assert ref.mse_h(G16, xh, x) == pytest.approx(expected, rel=1e-12)
 
     def test_rate_matched(self):
         w = conjugate_beam(G16, 0.4)
@@ -422,12 +421,12 @@ class TestSummaryContents:
             slots=10, trials=2, algorithms=("recursive",)
         )
         s = run_experiment(cfg)["recursive"]
-        limit = channel_mse_limit(G16, abs(cfg.beta) ** 2 / cfg.rho)
+        limit = channel_mse_limit(G16, 1.0 / cfg.rho)
         np.testing.assert_allclose(s.crlb_h_ref * s.slots, limit, rtol=1e-12)
         # identical to the derivative/information form
         np.testing.assert_allclose(
             s.crlb_h_ref,
-            h_prime_norm_sq(G16, cfg.beta) / (s.slots * i_max(G16, cfg.rho)),
+            h_prime_norm_sq(G16) / (s.slots * i_max(G16, cfg.rho)),
             rtol=1e-12,
         )
 
@@ -486,7 +485,6 @@ class TestSummaryContents:
             {"num_antennas": 1, "step_alpha": 0.5},
             {"track_antennas": 17},
             {"algorithms": ("ls",), "track_antennas": 8},
-            {"spacing_over_wavelength": 0.6},
             {"seed": -1},
             {"seed": 1.0},
             {"seed": True},
@@ -503,9 +501,6 @@ class TestSummaryContents:
             {"sweep_dictionary_size": 32.0},
             {"step_alpha": math.nan},
             {"step_alpha": math.inf},
-            {"beta": complex(math.nan, 0.0)},
-            {"beta": complex(math.inf, 1.0)},
-            {"beta": 0j},
             {"algorithms": ("80211ad",), "track_antennas": 2},
             {"algorithms": ("80211ad",), "num_antennas": 2},
         ):
@@ -517,8 +512,10 @@ class TestSummaryContents:
         RunConfig(slots=5, algorithms=("recursive",), track_antennas=2)
         # the least-squares baseline may name the full array as its subarray
         RunConfig(slots=5, algorithms=("ls",), track_antennas=16)
-        # half-wavelength spacing is the largest without grating lobes
-        RunConfig(slots=5, spacing_over_wavelength=0.5)
+        # the spacing is half a wavelength and the channel gain is one
+        for fixed in ({"spacing_over_wavelength": 0.5}, {"beta": 1.0}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                RunConfig(slots=5, **fixed)
 
 
 @pytest.fixture(scope="module")
@@ -555,7 +552,7 @@ class TestStaticLandscape:
     def test_grid_tracker_floors_at_quantization(self, static_all):
         # sparse recovery floors at the 1024-point grid resolution
         s = static_all["cs"]
-        quant_floor = h_prime_norm_sq(G16, (1 + 1j) / math.sqrt(2)) * (1 / 1024) ** 2 / 3
+        quant_floor = h_prime_norm_sq(G16) * (1 / 1024) ** 2 / 3
         assert s.mean_mse_h[-1] > 0.5 * quant_floor
         assert s.mean_mse_h[-1] < 40 * quant_floor
 

@@ -104,6 +104,11 @@ class TestDftCodebook:
                     assert gain == pytest.approx(math.sqrt(16))
                 else:
                     assert gain < 1e-10
+        # unitary for every M, so least squares combines with the codebook
+        # itself and the coarse sweep's score is the normalized matched filter
+        for m in range(2, 33):
+            beams = dft_codebook(ArrayGeometry(m))
+            np.testing.assert_allclose(beams @ beams.conj().T, np.eye(m), rtol=0, atol=1e-12)
 
 
 class TestSweepDictionary:
