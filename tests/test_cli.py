@@ -368,8 +368,17 @@ class TestErrors:
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"step_alpha": math.nan}, "alpha must be positive and finite, got nan"),
             ({"slots": 2.5}, "slots must be an integer, got 2.5"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"num_antennas": None}, "num_antennas must be an integer, got None"),
+            ({"chunk_size": None}, "chunk_size must be an integer, got None"),
+            ({"snr_db": None}, "snr_db must be a real number, got None"),
+            ({"omega": None}, "omega must be a real number, got None"),
+            ({"step_alpha": "x"}, "step_alpha must be a real number, got 'x'"),
+            ({"track_antennas": 20}, "track_antennas must be from 2 to 16, got 20"),
         ],
-        ids=["trials", "step_alpha", "slots"],
+        ids=["trials", "step_alpha", "slots", "seed_null", "num_antennas_null",
+             "chunk_size_null", "snr_db_null", "omega_null", "step_alpha_text",
+             "track_antennas_range"],
     )
     def test_rejected_count_or_step_in_config_one_line(self, tmp_path, setting, message):
         cfg_path = tmp_path / "cfg.json"

@@ -81,38 +81,32 @@ class TestKernel:
     @settings(max_examples=200)
     @given(
         m=st.integers(2, 64),
-        d=st.floats(0.0, 0.5, exclude_min=True),
         free=st.lists(st.floats(-2.0, 2.0), max_size=20),
         offsets=st.lists(st.floats(-1e-9, 1e-9), min_size=3, max_size=3),
     )
     # just outside the guard band next to delta = +-2, where m * phi/2 rounds
-    @example(m=63, d=0.5, free=[2 - 1e-7, -2 + 1e-6], offsets=[1e-9, -1e-9, 1e-9])
-    @example(m=64, d=0.5, free=[], offsets=[-1e-9, 1e-9, -1e-9])
-    def test_closed_form_matches_direct_sum(self, m, d, free, offsets):
-        edges = np.array([0.0, 2.0, -2.0])  # singular under d/lambda <= 0.5
+    @example(m=63, free=[2 - 1e-7, -2 + 1e-6], offsets=[1e-9, -1e-9, 1e-9])
+    @example(m=64, free=[], offsets=[-1e-9, 1e-9, -1e-9])
+    def test_closed_form_matches_direct_sum(self, m, free, offsets):
+        edges = np.array([0.0, 2.0, -2.0])  # the kernel's singular points
         near = np.clip(edges + np.array(offsets), -2.0, 2.0)
         delta = np.concatenate([edges, near, free])
-        k = 2.0 * math.pi * d
-        direct = np.exp(1j * k * np.outer(delta, np.arange(m))).sum(axis=1)
+        direct = np.exp(1j * math.pi * np.outer(delta, np.arange(m))).sum(axis=1)
         # the direct sum's phases reach 2*pi*m and each is rounded, about
         # 7e-16 m^2 in all; the guard band's limit drops an m^3 sin^2 term,
         # at most 2.2e-15 m^2 for m <= 64; so 1e-14 m^2 bounds both
-        np.testing.assert_allclose(_inner(k, m, delta), direct, rtol=0, atol=1e-14 * m**2)
+        np.testing.assert_allclose(_inner(m, delta), direct, rtol=0, atol=1e-14 * m**2)
 
 
 class TestCsWindowScore:
-    @given(
-        m=st.integers(2, 32),
-        d=st.floats(0.0, 0.5, exclude_min=True),
-        data=st.data(),
-    )
-    def test_sufficient_statistics_match_direct_sums(self, m, d, data):
+    @given(m=st.integers(2, 32), data=st.data())
+    def test_sufficient_statistics_match_direct_sums(self, m, data):
         k = data.draw(st.integers(1, m), label="window")
         picks = np.frombuffer(data.draw(st.binary(min_size=k * m, max_size=k * m)), np.uint8)
         pilot = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
         y = np.array(data.draw(st.lists(pilot, min_size=k, max_size=k)), dtype=complex)
         w = QPSK[(picks % 4).reshape(k, m)] / math.sqrt(m)
-        atoms = steering_matrix(ArrayGeometry(m, d), sine_grid(CS_DICTIONARY_SIZE))
+        atoms = steering_matrix(ArrayGeometry(m), sine_grid(CS_DICTIONARY_SIZE))
         atoms_conj_t = np.conj(atoms).T
         r = y @ w
         c = np.array([np.sum(w[:, : m - lag] * np.conj(w[:, lag:])) for lag in range(m)])
@@ -503,19 +497,51 @@ class TestSummaryContents:
             {"step_alpha": math.inf},
             {"algorithms": ("80211ad",), "track_antennas": 2},
             {"algorithms": ("80211ad",), "num_antennas": 2},
+            # None only where it picks a derived default; no bool or text
+            # where a number is meant
+            {"seed": None},
+            {"num_antennas": None},
+            {"chunk_size": None},
+            {"slots": None},
+            {"trials": None},
+            {"jobs": None},
+            {"snr_db": None},
+            {"snr_db": "10"},
+            {"snr_db": True},
+            {"omega": None},
+            {"trajectory": "fixed-velocity", "omega": True},
+            {"omega": "0.1"},
+            {"step_alpha": "x"},
+            {"step_alpha": False},
         ):
             with pytest.raises(ValueError):
-                RunConfig(slots=5, **bad)
+                RunConfig(**{"slots": 5, **bad})
         # sweep-and-refine probes the best beam and its two neighbours
         with pytest.raises(ValueError, match="^need at least 3 codebook beams$"):
             RunConfig(slots=5, algorithms=("80211ad",), track_antennas=2)
         RunConfig(slots=5, algorithms=("recursive",), track_antennas=2)
         # the least-squares baseline may name the full array as its subarray
         RunConfig(slots=5, algorithms=("ls",), track_antennas=16)
+        # the fields with a derived default take None
+        RunConfig(slots=5, track_antennas=None, sweep_dictionary_size=None, step_alpha=None)
+        # each rejection names the key
+        for bad, key in (
+            ({"seed": None}, "seed"),
+            ({"snr_db": None}, "snr_db"),
+            ({"omega": None}, "omega"),
+            ({"step_alpha": "x"}, "step_alpha"),
+            ({"track_antennas": 17}, "track_antennas"),
+        ):
+            with pytest.raises(ValueError, match=f"^{key} must be "):
+                RunConfig(slots=5, **bad)
         # the spacing is half a wavelength and the channel gain is one
-        for fixed in ({"spacing_over_wavelength": 0.5}, {"beta": 1.0}):
-            with pytest.raises(TypeError, match="unexpected keyword argument"):
-                RunConfig(slots=5, **fixed)
+        for build in (
+            lambda: RunConfig(slots=5, spacing_over_wavelength=0.5),
+            lambda: RunConfig(slots=5, beta=1.0),
+            lambda: ArrayGeometry(8, 0.5),
+        ):
+            with pytest.raises(TypeError, match="argument"):
+                build()
 
 
 @pytest.fixture(scope="module")
