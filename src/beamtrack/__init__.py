@@ -6,18 +6,12 @@ __version__ = "0.1.0"
 
 from .arraymodel import (
     ArrayGeometry,
-    ChannelState,
     alpha_star,
     channel_mse_limit,
-    codebook_directions,
-    conjugate_beam,
     crlb_min,
     dft_codebook,
-    fisher_information,
     i_max,
-    log_likelihood,
     mainlobe_halfwidth,
-    observe,
     sine_grid,
     stable_point_spacing,
     stable_points,
@@ -36,6 +30,6 @@ from .harness import (
     run_single_trial,
     write_summary_csv,
 )
-from .scenarios import RngPlan, complex_normal, generate
+from .scenarios import RngPlan, generate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,13 +1,18 @@
-"""Physical and statistical model of a uniform linear analog-beamforming array.
+"""Geometry and closed-form analytics of a uniform linear analog-beamforming
+array.
 
 A beam direction is always the sine of the arrival angle, a dimensionless
 value in [-1, 1].  Steering-vector entries carry negative phase increments,
 so every array inner product is written ``w^H a(x)``.  The elements sit
 half a wavelength apart, so the phase advance per element and unit sine is
-pi, and every formula below is written for that spacing.
+pi, and every formula below is written for that spacing: the peak Fisher
+information and the CRLB, the tracking drift and its stable points, the
+mainlobe and the channel-MSE limit.
 The grids and beams the trackers share live here too: the recursive
 tracker's optimal step coefficient, the uniform sine grid that the coarse
-sweep and sparse recovery score, and the DFT sweep codebook.
+sweep and sparse recovery score, and the DFT sweep codebook.  The pilot
+model and the Fisher information of an arbitrary probe, which these forms
+are checked against, live in the tests' scalar oracle.
 """
 
 from __future__ import annotations
@@ -19,13 +24,8 @@ import numpy as np
 
 __all__ = [
     "ArrayGeometry",
-    "ChannelState",
     "steering_vector",
     "steering_matrix",
-    "conjugate_beam",
-    "observe",
-    "log_likelihood",
-    "fisher_information",
     "i_max",
     "crlb_min",
     "surrogate_f",
@@ -35,7 +35,6 @@ __all__ = [
     "channel_mse_limit",
     "alpha_star",
     "sine_grid",
-    "codebook_directions",
     "dft_codebook",
 ]
 
@@ -50,30 +49,6 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.num_antennas < 2:
             raise ValueError(f"need at least 2 antennas, got {self.num_antennas}")
-
-    def subset(self, num_antennas: int) -> "ArrayGeometry":
-        """Geometry of the first ``num_antennas`` elements."""
-        if not 2 <= num_antennas <= self.num_antennas:
-            raise ValueError(f"subset size {num_antennas} out of range")
-        return ArrayGeometry(num_antennas)
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    """Single-path channel: direction sine and per-antenna SNR.
-
-    ``snr`` is the linear per-antenna SNR; pilots are normalized to unit
-    channel gain, so the implied noise power is ``1 / snr``.
-    """
-
-    x: float
-    snr: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.x <= 1.0:
-            raise ValueError(f"direction sine {self.x} outside [-1, 1]")
-        if self.snr <= 0:
-            raise ValueError("SNR must be positive")
 
 
 def _check_direction(x: float) -> None:
@@ -99,54 +74,6 @@ def steering_matrix(geom: ArrayGeometry, xs: np.ndarray) -> np.ndarray:
         raise ValueError("direction sines outside [-1, 1]")
     idx = np.arange(geom.num_antennas)
     return np.exp(-1j * math.pi * np.multiply.outer(xs, idx))
-
-
-def conjugate_beam(geom: ArrayGeometry, x_hat: float) -> np.ndarray:
-    """Unit-norm phase-shifter weights matched to direction ``x_hat``.
-
-    Equals ``a(x_hat)/sqrt(M)``: each entry has modulus ``1/sqrt(M)`` and the
-    beam collects the full array gain when probing its own direction.
-    """
-    return steering_vector(geom, x_hat) / math.sqrt(geom.num_antennas)
-
-
-def observe(
-    geom: ArrayGeometry, chan: ChannelState, w: np.ndarray, noise: complex
-) -> complex:
-    """One normalized pilot observation ``y = w^H a(x) + noise/sqrt(snr)``.
-
-    ``noise`` must be a circularly symmetric complex standard-Gaussian sample
-    (real and imaginary parts independent N(0, 1/2)); it is supplied by the
-    caller so that this function stays pure.
-    """
-    a = steering_vector(geom, chan.x)
-    return complex(np.sum(np.conj(w) * a) + noise / math.sqrt(chan.snr))
-
-
-def log_likelihood(
-    geom: ArrayGeometry, chan: ChannelState, y: complex, x: float, w: np.ndarray
-) -> float:
-    """Log-density of observation ``y`` under direction ``x`` and probe ``w``."""
-    a = steering_vector(geom, x)
-    resid = y - np.sum(np.conj(w) * a)
-    return float(math.log(chan.snr / math.pi) - chan.snr * abs(resid) ** 2)
-
-
-def fisher_information(
-    geom: ArrayGeometry, chan: ChannelState, x: float, w: np.ndarray
-) -> float:
-    """Fisher information about the direction sine for probing weights ``w``.
-
-    Computed as ``(2*snr/M) * |sum_m g_m exp(1j*(phi_m - g_m*x))|^2`` where
-    ``g_m = pi*m`` and ``phi_m`` is the phase dialed into the
-    m-th phase shifter (weight entry ``exp(-1j*phi_m)/sqrt(M)``).
-    """
-    _check_direction(x)
-    m = geom.num_antennas
-    gains = math.pi * np.arange(m)
-    shifter_phases = -np.angle(w)
-    s = np.sum(gains * np.exp(1j * (shifter_phases - gains * x)))
-    return 2.0 * chan.snr / m * abs(s) ** 2
 
 
 def i_max(geom: ArrayGeometry, rho: float) -> float:
@@ -222,14 +149,8 @@ def sine_grid(size: int) -> np.ndarray:
     return (2 * k - 1 - size) / size
 
 
-def codebook_directions(geom: ArrayGeometry) -> np.ndarray:
-    """The M uniformly spaced sweep directions: the M-point sine grid."""
-    return sine_grid(geom.num_antennas)
-
-
 def dft_codebook(geom: ArrayGeometry) -> np.ndarray:
-    """Sweep beams, one conjugate beam per codebook direction (one per row).
-    The M beams are orthonormal, so the codebook is unitary."""
-    return steering_matrix(geom, codebook_directions(geom)) / math.sqrt(
-        geom.num_antennas
-    )
+    """Sweep beams, one conjugate beam per point of the M-point sine grid (one
+    per row).  The M beams are orthonormal, so the codebook is unitary."""
+    m = geom.num_antennas
+    return steering_matrix(geom, sine_grid(m)) / math.sqrt(m)

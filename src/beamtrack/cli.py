@@ -419,7 +419,7 @@ def _cmd_crlb(args, settings: dict) -> int:
     cfg = _run_config(settings)
     geom, snr_db, rho = cfg.geometry, cfg.snr_db, cfg.rho
     imax = i_max(geom, rho)
-    limit = channel_mse_limit(geom, 1.0 / rho)  # noise power 1/rho, as in ChannelState
+    limit = channel_mse_limit(geom, 1.0 / rho)  # unit-gain pilots: noise power 1/rho
     astar = alpha_star(geom)
     print(f"antennas: {geom.num_antennas}, d/lambda: 0.5")
     print(f"snr: {snr_db} dB (linear {rho:.6g})")

@@ -47,7 +47,6 @@ import numpy as np
 from .arraymodel import (
     ArrayGeometry,
     alpha_star,
-    codebook_directions,
     dft_codebook,
     i_max,
     mainlobe_halfwidth,
@@ -145,19 +144,19 @@ class RunConfig:
         if self.trajectory not in TRAJECTORIES:
             raise ValueError(f"unknown trajectory kind {self.trajectory!r}")
         if not math.isfinite(self.omega):
-            raise ValueError(f"angular velocity must be finite, got {self.omega}")
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if self.trajectory == "fixed-velocity":
             if self.omega < 0:
-                raise ValueError("angular velocity must be nonnegative")
+                raise ValueError(f"omega must be nonnegative, got {self.omega}")
             if self.omega > ANGLE_BAND:
-                raise ValueError("angular velocity exceeds the reflection band")
+                raise ValueError(f"omega must be at most the band pi/3, got {self.omega}")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
         if self.slots < 1:
-            raise ValueError("need at least one slot")
+            raise ValueError(f"slots must be at least 1, got {self.slots}")
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in ("sweep", "uniform", "mainlobe"):
@@ -169,12 +168,13 @@ class RunConfig:
         size = self.sweep_dictionary_size
         if size is not None and size < 1:
             raise ValueError(f"sweep_dictionary_size must be at least 1, got {size}")
-        geom = self.geometry  # rejects < 2 antennas
+        if self.num_antennas < 2:
+            raise ValueError(f"num_antennas must be at least 2, got {self.num_antennas}")
         sub = self.track_antennas
-        if sub is not None and not 2 <= sub <= geom.num_antennas:
-            raise ValueError(f"track_antennas must be from 2 to {geom.num_antennas}, got {sub}")
+        if sub is not None and not 2 <= sub <= self.num_antennas:
+            raise ValueError(f"track_antennas must be from 2 to {self.num_antennas}, got {sub}")
         track = self.track_geometry
-        if "ls" in self.algorithms and track != geom:
+        if "ls" in self.algorithms and track != self.geometry:
             raise ValueError("least-squares baseline needs the full array")
         if "80211ad" in self.algorithms and track.num_antennas < 3:
             # a refinement round probes the best beam and its two neighbours
@@ -183,7 +183,7 @@ class RunConfig:
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         alpha = self.step_alpha
         if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+            raise ValueError(f"step_alpha must be positive and finite, got {alpha}")
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -191,9 +191,7 @@ class RunConfig:
 
     @property
     def track_geometry(self) -> ArrayGeometry:
-        if self.track_antennas is None:
-            return self.geometry
-        return self.geometry.subset(self.track_antennas)
+        return ArrayGeometry(self.track_antennas or self.num_antennas)
 
     @property
     def rho(self) -> float:
@@ -353,7 +351,7 @@ class _SweepRefine(_DirectionTracker):
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
-        self.dirs = codebook_directions(self.track)
+        self.dirs = sine_grid(self.track.num_antennas)
         self.best = np.argmax(np.abs(warm), axis=1)
         self.direction = self.dirs[self.best]
         self.mags = np.empty((len(trials), 3))

@@ -31,7 +31,6 @@ __all__ = [
     "STREAM_OBSERVATION",
     "STREAM_PROBE",
     "STREAM_INIT",
-    "complex_normal",
 ]
 
 # stream identifiers for substream derivation
@@ -199,9 +198,3 @@ def _pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Circularly symmetric complex standard-Gaussian samples (unit variance)."""
-    pair = rng.standard_normal(size=tuple(np.atleast_1d(size)) + (2,))
-    return (pair[..., 0] + 1j * pair[..., 1]) * math.sqrt(0.5)

@@ -1,4 +1,9 @@
-"""Scalar reference replays of the four algorithms.
+"""Scalar pilot model and reference replays of the four algorithms.
+
+The pilot model is one normalized observation ``y = w^H a(x) + z/sqrt(rho)``
+of a probe ``w`` (``observe``), its log-likelihood and the Fisher
+information of an arbitrary probe.  The package's closed forms (``i_max``,
+the drift ``f``) are checked against it.
 
 Each replay runs one trial of a ``RunConfig`` slot by slot with plain
 scalar operations: its direction sines one trial at a time (``trajectory``),
@@ -17,15 +22,10 @@ import math
 import numpy as np
 
 from beamtrack import (
-    ChannelState,
     RngPlan,
     alpha_star,
-    codebook_directions,
-    complex_normal,
-    conjugate_beam,
     dft_codebook,
     mainlobe_halfwidth,
-    observe,
     sine_grid,
     steering_matrix,
     steering_vector,
@@ -39,6 +39,56 @@ from beamtrack.scenarios import (
 )
 
 CS_GRID = sine_grid(CS_DICTIONARY_SIZE)
+
+
+def complex_normal(rng, size):
+    """Circularly symmetric complex standard-Gaussian samples (unit variance)."""
+    pair = rng.standard_normal(size=tuple(np.atleast_1d(size)) + (2,))
+    return (pair[..., 0] + 1j * pair[..., 1]) * math.sqrt(0.5)
+
+
+def conjugate_beam(geom, x_hat):
+    """Unit-norm phase-shifter weights matched to direction ``x_hat``.
+
+    Equals ``a(x_hat)/sqrt(M)``: each entry has modulus ``1/sqrt(M)`` and the
+    beam collects the full array gain when probing its own direction.
+    """
+    return steering_vector(geom, x_hat) / math.sqrt(geom.num_antennas)
+
+
+def observe(geom, x, rho, w, noise):
+    """One normalized pilot observation ``y = w^H a(x) + noise/sqrt(rho)``
+    from direction sine ``x`` at linear per-antenna SNR ``rho``.
+
+    ``noise`` must be a circularly symmetric complex standard-Gaussian sample
+    (real and imaginary parts independent N(0, 1/2)); it is supplied by the
+    caller so that this function stays pure.
+    """
+    a = steering_vector(geom, x)
+    return complex(np.sum(np.conj(w) * a) + noise / math.sqrt(rho))
+
+
+def log_likelihood(geom, rho, y, x, w):
+    """Log-density of observation ``y`` under direction ``x`` and probe ``w``."""
+    a = steering_vector(geom, x)
+    resid = y - np.sum(np.conj(w) * a)
+    return float(math.log(rho / math.pi) - rho * abs(resid) ** 2)
+
+
+def fisher_information(geom, rho, x, w):
+    """Fisher information about the direction sine for probing weights ``w``.
+
+    Computed as ``(2*rho/M) * |sum_m g_m exp(1j*(phi_m - g_m*x))|^2`` where
+    ``g_m = pi*m`` and ``phi_m`` is the phase dialed into the
+    m-th phase shifter (weight entry ``exp(-1j*phi_m)/sqrt(M)``).
+    """
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"direction sine {x} outside [-1, 1]")
+    m = geom.num_antennas
+    gains = math.pi * np.arange(m)
+    shifter_phases = -np.angle(w)
+    s = np.sum(gains * np.exp(1j * (shifter_phases - gains * x)))
+    return 2.0 * rho / m * abs(s) ** 2
 
 
 def trajectory(cfg, rng):
@@ -138,14 +188,10 @@ def draws(cfg, trial, algorithm):
     return xs, noise
 
 
-def _pilot(cfg, geom, x, w, z):
-    return observe(geom, ChannelState(x, snr=cfg.rho), w, z)
-
-
 def _warm_up(cfg, xs, noise):
     """The M codebook pilots of the warm-up sweep on the tracking subarray."""
     track = cfg.track_geometry
-    return [_pilot(cfg, track, xs[0], w, z) for w, z in zip(dft_codebook(track), noise)]
+    return [observe(track, xs[0], cfg.rho, w, z) for w, z in zip(dft_codebook(track), noise)]
 
 
 def direction_metrics(cfg, xs, estimates):
@@ -180,7 +226,7 @@ def recursive(cfg, trial):
     estimates = [x_hat]
     for n in range(1, len(xs)):
         step = alpha / n if cfg.trajectory == "static" else alpha
-        y = _pilot(cfg, track, xs[n], conjugate_beam(track, x_hat), noise[m_t + n - 1])
+        y = observe(track, xs[n], cfg.rho, conjugate_beam(track, x_hat), noise[m_t + n - 1])
         x_hat = min(max(x_hat - step * y.imag, -1.0), 1.0)
         estimates.append(x_hat)
     return xs, estimates
@@ -193,13 +239,13 @@ def sweep_refine(cfg, trial):
     track = cfg.track_geometry
     m_t = track.num_antennas
     xs, noise = draws(cfg, trial, "80211ad")
-    beams, dirs = dft_codebook(track), codebook_directions(track)
+    beams, dirs = dft_codebook(track), sine_grid(m_t)
     best = int(np.argmax(np.abs(_warm_up(cfg, xs, noise))))
     estimates, mags = [dirs[best]], []
     for n in range(1, len(xs)):
         first = min(max(best, 1), m_t - 2) - 1
         probe = first + len(mags)
-        mags.append(abs(_pilot(cfg, track, xs[n], beams[probe], noise[m_t + n - 1])))
+        mags.append(abs(observe(track, xs[n], cfg.rho, beams[probe], noise[m_t + n - 1])))
         if len(mags) == 3:
             best, mags = first + int(np.argmax(mags)), []
         estimates.append(dirs[best])
@@ -222,7 +268,7 @@ def least_squares(cfg, trial):
         rates.append(achievable_rate(geom, ls_data_beam(h_hat), xs[n], cfg.rho))
         d = (n - 1) % m
         weights.append(beams[d])
-        obs.append(_pilot(cfg, geom, xs[n], beams[d], noise[m + n - 1]))
+        obs.append(observe(geom, xs[n], cfg.rho, beams[d], noise[m + n - 1]))
         if cfg.trajectory == "static":
             h_hat = ls_estimate(weights, obs)
         elif n % m == 0:
@@ -245,7 +291,7 @@ def compressed_sensing(cfg, trial):
     picks = probe_rng.integers(0, 4, size=(cfg.slots, m_t), dtype=np.int8)
     weights = QPSK[picks] / math.sqrt(m_t)
     obs = [
-        _pilot(cfg, track, xs[n], weights[n - 1], noise[m_t + n - 1])
+        observe(track, xs[n], cfg.rho, weights[n - 1], noise[m_t + n - 1])
         for n in range(1, len(xs))
     ]
     scores = [cs_scores(track, dft_codebook(track), _warm_up(cfg, xs, noise))]

@@ -5,25 +5,22 @@ import pytest
 import reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import complex_normal, conjugate_beam, fisher_information, log_likelihood, observe
 
 from beamtrack import (
     ArrayGeometry,
-    ChannelState,
     alpha_star,
     channel_mse_limit,
-    conjugate_beam,
     crlb_min,
-    fisher_information,
+    dft_codebook,
     i_max,
-    log_likelihood,
     mainlobe_halfwidth,
-    observe,
+    sine_grid,
     stable_point_spacing,
     stable_points,
     steering_vector,
     surrogate_f,
 )
-from beamtrack.scenarios import complex_normal
 
 G16 = ArrayGeometry(16)
 G8 = ArrayGeometry(8)
@@ -72,34 +69,32 @@ class TestConjugateBeam:
 
 class TestObserve:
     def test_noiseless_matched(self):
-        chan = ChannelState(0.25, snr=10.0)
-        y = observe(G16, chan, conjugate_beam(G16, 0.25), 0j)
+        y = observe(G16, 0.25, 10.0, conjugate_beam(G16, 0.25), 0j)
         assert y == pytest.approx(4.0)
 
     def test_orthogonal_codebook_directions(self):
         g = ArrayGeometry(2)
-        y = observe(g, ChannelState(0.0), conjugate_beam(g, 1.0), 0j)
+        y = observe(g, 0.0, 10.0, conjugate_beam(g, 1.0), 0j)
         assert abs(y) == pytest.approx(0.0, abs=1e-15)
 
     def test_noise_variance(self):
         # Monte Carlo oracle: residual power must equal 1/snr
         rng = np.random.default_rng(7)
-        chan = ChannelState(0.4, snr=5.0)
+        x, snr = 0.4, 5.0
         w = conjugate_beam(G8, -0.2)
-        clean = observe(G8, chan, w, 0j)
+        clean = observe(G8, x, snr, w, 0j)
         z = complex_normal(rng, 200_000)
-        resid = np.abs(z / math.sqrt(chan.snr)) ** 2
-        assert resid.mean() == pytest.approx(1.0 / chan.snr, rel=0.02)
+        resid = np.abs(z / math.sqrt(snr)) ** 2
+        assert resid.mean() == pytest.approx(1.0 / snr, rel=0.02)
         # spot-check observe applies the same scaling
-        y = observe(G8, chan, w, complex(z[0]))
-        assert y - clean == pytest.approx(z[0] / math.sqrt(chan.snr))
+        y = observe(G8, x, snr, w, complex(z[0]))
+        assert y - clean == pytest.approx(z[0] / math.sqrt(snr))
 
 
 class TestFisherInformation:
     def test_matched_equals_maximum(self):
-        chan = ChannelState(0.3, snr=10.0)
         w = conjugate_beam(G16, 0.3)
-        val = fisher_information(G16, chan, 0.3, w)
+        val = fisher_information(G16, 10.0, 0.3, w)
         assert abs(val - i_max(G16, 10.0)) <= 1e-9 * i_max(G16, 10.0)
 
     def test_hand_evaluated_maximum(self):
@@ -114,27 +109,24 @@ class TestFisherInformation:
 
     def test_never_exceeds_maximum(self):
         rng = np.random.default_rng(3)
-        chan = ChannelState(0.1, snr=10.0)
         cap = i_max(G8, 10.0)
         for _ in range(1000):
             w = np.exp(1j * rng.uniform(-np.pi, np.pi, 8)) / math.sqrt(8)
-            assert fisher_information(G8, chan, 0.1, w) <= cap * (1 + 1e-12)
+            assert fisher_information(G8, 10.0, 0.1, w) <= cap * (1 + 1e-12)
 
     def test_global_phase_also_attains_maximum(self):
-        chan = ChannelState(-0.6, snr=2.0)
         w = conjugate_beam(G8, -0.6) * np.exp(1j * 1.234)
-        val = fisher_information(G8, chan, -0.6, w)
+        val = fisher_information(G8, 2.0, -0.6, w)
         assert val == pytest.approx(i_max(G8, 2.0), rel=1e-9)
 
     def test_finite_difference_oracle(self):
         # -E[d^2/dx^2 log p] estimated with common random numbers and
         # Richardson-extrapolated central second differences (h = 1e-4)
         geom, x, rho = G8, 0.2, 10.0
-        chan = ChannelState(x, snr=rho)
         w = conjugate_beam(geom, x)
         h = 1e-4
         rng = np.random.default_rng(11)
-        y = observe(geom, chan, w, 0j) + complex_normal(rng, 100_000) / math.sqrt(rho)
+        y = observe(geom, x, rho, w, 0j) + complex_normal(rng, 100_000) / math.sqrt(rho)
 
         def mean_neg_d2(step):
             mus = [
@@ -145,7 +137,7 @@ class TestFisherInformation:
             return rho * (sq[0] - 2 * sq[1] + sq[2]) / step**2
 
         est = (4 * mean_neg_d2(h / 2) - mean_neg_d2(h)) / 3
-        truth = fisher_information(geom, chan, x, w)
+        truth = fisher_information(geom, rho, x, w)
         assert est == pytest.approx(truth, rel=0.01)
 
 
@@ -172,7 +164,7 @@ class TestSurrogateDrift:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             v, x = rng.uniform(-1, 1, 2)
-            y = observe(G16, ChannelState(x), conjugate_beam(G16, v), 0j)
+            y = observe(G16, x, 10.0, conjugate_beam(G16, v), 0j)
             assert abs(np.imag(y) + surrogate_f(G16, v, x)) < 1e-10
 
     def test_sign_pattern_inside_mainlobe(self):
@@ -264,47 +256,36 @@ class TestGeneralSpacingOracle:
 
 class TestLogLikelihood:
     def test_peak_value(self):
-        chan = ChannelState(0.1, snr=4.0)
         w = conjugate_beam(G8, 0.5)
-        y = observe(G8, chan, w, 0j)
-        assert log_likelihood(G8, chan, y, 0.1, w) == pytest.approx(
+        y = observe(G8, 0.1, 4.0, w, 0j)
+        assert log_likelihood(G8, 4.0, y, 0.1, w) == pytest.approx(
             math.log(4.0 / math.pi)
         )
 
     def test_decreases_with_residual(self):
-        chan = ChannelState(0.1, snr=4.0)
         w = conjugate_beam(G8, 0.1)
-        y0 = observe(G8, chan, w, 0j)
-        vals = [log_likelihood(G8, chan, y0 + off, 0.1, w) for off in (0, 0.1, 0.3, 1.0)]
+        y0 = observe(G8, 0.1, 4.0, w, 0j)
+        vals = [log_likelihood(G8, 4.0, y0 + off, 0.1, w) for off in (0, 0.1, 0.3, 1.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_score_proportional_to_negative_imag(self):
         # at the probed direction the likelihood slope in x is a fixed
         # negative multiple of Im{y}
         geom, x_hat, rho = G8, -0.35, 10.0
-        chan = ChannelState(0.2, snr=rho)
         w = conjugate_beam(geom, x_hat)
         h = 1e-6
         rng = np.random.default_rng(21)
         ratios = []
         for _ in range(50):
-            y = complex(observe(geom, chan, w, complex_normal(rng, 1)[0]))
+            y = complex(observe(geom, 0.2, rho, w, complex_normal(rng, 1)[0]))
             slope = (
-                log_likelihood(geom, chan, y, x_hat + h, w)
-                - log_likelihood(geom, chan, y, x_hat - h, w)
+                log_likelihood(geom, rho, y, x_hat + h, w)
+                - log_likelihood(geom, rho, y, x_hat - h, w)
             ) / (2 * h)
             ratios.append(slope / np.imag(y))
         ratios = np.asarray(ratios)
         assert np.all(ratios < 0)
         assert ratios.std() / abs(ratios.mean()) < 1e-4
-
-
-class TestChannelState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelState(1.5)
-        with pytest.raises(ValueError):
-            ChannelState(0.0, snr=0.0)
 
 
 class TestChannelMseLimit:
@@ -321,3 +302,52 @@ class TestChannelMseLimit:
             assert h_prime_norm_sq(geom) / i_max(geom, rho) == pytest.approx(
                 channel_mse_limit(geom, 1.0 / rho), rel=1e-12
             )
+
+
+class TestAlphaStar:
+    def test_sixteen_antennas(self):
+        assert alpha_star(G16) == pytest.approx(1 / (30 * math.pi))
+        assert alpha_star(G16) == pytest.approx(0.0106103, rel=1e-5)
+
+    def test_eight_antennas(self):
+        assert alpha_star(G8) == pytest.approx(2 / (7 * math.sqrt(8) * math.pi))
+        assert alpha_star(G8) == pytest.approx(0.0321542, rel=1e-5)
+
+    def test_square_times_information_is_twice_snr(self):
+        for m, rho in ((4, 1.0), (8, 10.0), (16, 2.5)):
+            geom = ArrayGeometry(m)
+            assert alpha_star(geom) ** 2 * i_max(geom, rho) == pytest.approx(
+                2 * rho, rel=1e-12
+            )
+
+
+class TestDftCodebook:
+    def test_four_antenna_directions(self):
+        np.testing.assert_allclose(sine_grid(4), [-0.75, -0.25, 0.25, 0.75])
+
+    def test_uniform_grid(self):
+        dirs = sine_grid(16)
+        np.testing.assert_allclose(np.diff(dirs), 2 / 16)
+        np.testing.assert_allclose(dirs, -dirs[::-1])
+
+    def test_orthogonality_at_half_wavelength(self):
+        beams = dft_codebook(G16)
+        dirs = sine_grid(16)
+        for i in range(16):
+            for j in range(16):
+                gain = abs(np.vdot(beams[i], steering_vector(G16, dirs[j])))
+                if i == j:
+                    assert gain == pytest.approx(math.sqrt(16))
+                else:
+                    assert gain < 1e-10
+        # unitary for every M, so least squares combines with the codebook
+        # itself and the coarse sweep's score is the normalized matched filter
+        for m in range(2, 33):
+            beams = dft_codebook(ArrayGeometry(m))
+            np.testing.assert_allclose(beams @ beams.conj().T, np.eye(m), rtol=0, atol=1e-12)
+
+
+class TestSineGrid:
+    def test_points(self):
+        np.testing.assert_allclose(sine_grid(4), [-0.75, -0.25, 0.25, 0.75])
+        assert np.all(np.abs(sine_grid(33)) < 1.0)

@@ -366,7 +366,7 @@ class TestErrors:
         "setting, message",
         [
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
-            ({"step_alpha": math.nan}, "alpha must be positive and finite, got nan"),
+            ({"step_alpha": math.nan}, "step_alpha must be positive and finite, got nan"),
             ({"slots": 2.5}, "slots must be an integer, got 2.5"),
             ({"seed": None}, "seed must be an integer, got None"),
             ({"num_antennas": None}, "num_antennas must be an integer, got None"),
@@ -375,10 +375,19 @@ class TestErrors:
             ({"omega": None}, "omega must be a real number, got None"),
             ({"step_alpha": "x"}, "step_alpha must be a real number, got 'x'"),
             ({"track_antennas": 20}, "track_antennas must be from 2 to 16, got 20"),
+            ({"omega": math.inf}, "omega must be finite, got inf"),
+            ({"trajectory": "fixed-velocity", "omega": -0.1},
+             "omega must be nonnegative, got -0.1"),
+            ({"trajectory": "fixed-velocity", "omega": 2.0},
+             "omega must be at most the band pi/3, got 2.0"),
+            ({"slots": 0}, "slots must be at least 1, got 0"),
+            ({"trials": 0}, "trials must be at least 1, got 0"),
+            ({"num_antennas": 1}, "num_antennas must be at least 2, got 1"),
         ],
         ids=["trials", "step_alpha", "slots", "seed_null", "num_antennas_null",
              "chunk_size_null", "snr_db_null", "omega_null", "step_alpha_text",
-             "track_antennas_range"],
+             "track_antennas_range", "omega_infinite", "omega_negative", "omega_band",
+             "slots_zero", "trials_zero", "num_antennas_one"],
     )
     def test_rejected_count_or_step_in_config_one_line(self, tmp_path, setting, message):
         cfg_path = tmp_path / "cfg.json"

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+import beamtrack
 from beamtrack import cli
 
 # 24 trials in chunks of 10, so the reduction over chunks is covered too
@@ -217,3 +218,19 @@ def test_run_json_config_replays_the_run(run, tmp_path, capsys):
     assert json.loads((again / "run.json").read_text()) == manifest
     for name in manifest["outputs"]:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+# the package exports what a subcommand runs; the pilot model, the Fisher
+# information of an arbitrary probe and the scalar replays live in
+# tests/reference.py
+PUBLIC_NAMES = [
+    "ALGORITHMS", "ArrayGeometry", "RngPlan", "RunConfig", "RunSummary", "TrialRecord",
+    "alpha_star", "arraymodel", "channel_mse_limit", "crlb_min", "dft_codebook", "generate",
+    "h_prime_norm_sq", "harness", "i_max", "initialization_hit_rate", "mainlobe_halfwidth",
+    "run_experiment", "run_single_trial", "scenarios", "sine_grid", "stable_point_spacing",
+    "stable_points", "steering_matrix", "steering_vector", "surrogate_f", "write_summary_csv",
+]
+
+
+def test_public_names():
+    assert sorted(beamtrack.__all__) == PUBLIC_NAMES
