@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from beamtrack import (
     ArrayGeometry,
     RunConfig,
-    codebook_directions,
     dft_codebook,
     run_experiment,
     run_single_trial,
@@ -19,7 +18,7 @@ from beamtrack import (
 from beamtrack.harness import QPSK, ls_data_beam
 
 G16 = ArrayGeometry(16)
-DIRS = codebook_directions(G16)
+DIRS = sine_grid(16)
 NOISELESS_DB = 300.0  # pilot noise of order 1e-15
 
 
