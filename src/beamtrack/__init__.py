@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .arraymodel import (
     ArrayGeometry,
     alpha_star,
+    array_kernel,
     channel_mse_limit,
     crlb_min,
     dft_codebook,
@@ -16,7 +17,6 @@ from .arraymodel import (
     stable_point_spacing,
     stable_points,
     steering_matrix,
-    steering_vector,
     surrogate_f,
 )
 from .harness import (

@@ -8,11 +8,15 @@ half a wavelength apart, so the phase advance per element and unit sine is
 pi, and every formula below is written for that spacing: the peak Fisher
 information and the CRLB, the tracking drift and its stable points, the
 mainlobe and the channel-MSE limit.
+The one implementation of the array inner product ``a(v)^H a(x)`` is the
+closed-form ``array_kernel``: the engine's pilots, rates and channel MSEs
+and the drift ``surrogate_f`` all evaluate it.
 The grids and beams the trackers share live here too: the recursive
 tracker's optimal step coefficient, the uniform sine grid that the coarse
 sweep and sparse recovery score, and the DFT sweep codebook.  The pilot
-model and the Fisher information of an arbitrary probe, which these forms
-are checked against, live in the tests' scalar oracle.
+model, the scalar steering vector and the Fisher information of an
+arbitrary probe, which these forms are checked against, live in the tests'
+scalar oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 
 __all__ = [
     "ArrayGeometry",
-    "steering_vector",
     "steering_matrix",
+    "array_kernel",
     "i_max",
     "crlb_min",
     "surrogate_f",
@@ -51,29 +55,42 @@ class ArrayGeometry:
             raise ValueError(f"need at least 2 antennas, got {self.num_antennas}")
 
 
-def _check_direction(x: float) -> None:
-    if not -1.0 <= x <= 1.0:
+def _check_direction(x: float | np.ndarray) -> None:
+    if not np.all(np.abs(x) <= 1.0):
         raise ValueError(f"direction sine {x} outside [-1, 1]")
 
 
-def steering_vector(geom: ArrayGeometry, x: float) -> np.ndarray:
-    """Per-antenna phase signature of a plane wave from sine-direction ``x``.
-
-    Entry m (0-based) is ``exp(-1j * pi * m * x)``; the squared norm is the
-    antenna count.
-    """
-    _check_direction(x)
-    idx = np.arange(geom.num_antennas)
-    return np.exp(-1j * math.pi * x * idx)
-
-
-def steering_matrix(geom: ArrayGeometry, xs: np.ndarray) -> np.ndarray:
-    """Stack of steering vectors, one row per direction in ``xs``."""
+def steering_matrix(geom: ArrayGeometry, xs: float | np.ndarray) -> np.ndarray:
+    """Stack of steering vectors, one row per direction in ``xs``.  A scalar
+    ``xs`` gives the one steering vector ``a(xs)``: entry m (0-based) is
+    ``exp(-1j * pi * m * x)``, and its squared norm is the antenna count."""
     xs = np.asarray(xs, dtype=float)
-    if xs.size and (xs.min() < -1.0 or xs.max() > 1.0):
-        raise ValueError("direction sines outside [-1, 1]")
+    _check_direction(xs)
     idx = np.arange(geom.num_antennas)
     return np.exp(-1j * math.pi * np.multiply.outer(xs, idx))
+
+
+def array_kernel(geom: ArrayGeometry, delta: np.ndarray) -> np.ndarray:
+    """Steering inner product a(v)^H a(x) for an array of delta = v - x,
+    elementwise: the Dirichlet kernel ``e^{j phi (m-1)/2} sin(m phi/2) /
+    sin(phi/2)`` of ``phi = pi * delta``, which is the sum of ``e^{j phi i}``
+    over i < m.  The sum is 2*pi-periodic in phi, so phi is first wrapped
+    into [-pi, pi]: ``sin(m phi/2)`` then keeps its relative accuracy next to
+    the zero at phi = +-2*pi (delta = +-2), where ``m * phi/2`` would
+    otherwise round away the small remainder.  Where ``|sin(phi/2)| < 1e-8``
+    the ratio is its limit ``m cos(m phi/2)/cos(phi/2)``."""
+    m = geom.num_antennas
+    half = (0.5 * math.pi) * delta
+    half -= np.pi * np.round(half / np.pi)
+    s = np.sin(half)
+    ratio = np.sin(m * half)
+    near_zero = np.abs(s) < 1e-8
+    if near_zero.any():
+        s[near_zero] = 1.0
+        h = half[near_zero]
+        ratio[near_zero] = m * np.cos(m * h) / np.cos(h)
+    ratio /= s
+    return np.exp((1j * (m - 1)) * half) * ratio
 
 
 def i_max(geom: ArrayGeometry, rho: float) -> float:
@@ -92,15 +109,17 @@ def crlb_min(geom: ArrayGeometry, rho: float, n: int) -> float:
     return 1.0 / (n * i_max(geom, rho))
 
 
-def surrogate_f(geom: ArrayGeometry, v: float, x: float) -> float:
-    """Mean drift of the recursive tracker probing ``v`` while the truth is ``x``.
+def surrogate_f(geom: ArrayGeometry, v: float | np.ndarray, x: float) -> float | np.ndarray:
+    """Mean drift of the recursive tracker probing ``v`` while the truth is
+    ``x``: a float for a scalar ``v``, an array for an array of them.
 
     Equals ``-Im{a(v)^H a(x)} / sqrt(M)``; for a noiseless pilot taken with the
     conjugate beam at ``v`` the observation satisfies ``Im{y} = -f(v, x)``.
     """
-    av = steering_vector(geom, v)
-    ax = steering_vector(geom, x)
-    return float(-np.imag(np.sum(np.conj(av) * ax)) / math.sqrt(geom.num_antennas))
+    _check_direction(v)
+    _check_direction(x)
+    f = -array_kernel(geom, np.atleast_1d(np.subtract(v, x))).imag / math.sqrt(geom.num_antennas)
+    return f if np.ndim(v) else float(f[0])
 
 
 def stable_point_spacing(geom: ArrayGeometry) -> float:

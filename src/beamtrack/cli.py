@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
@@ -31,13 +32,12 @@ import numpy as np
 from . import __version__, harness
 from .arraymodel import (
     alpha_star,
+    array_kernel,
     channel_mse_limit,
     crlb_min,
     i_max,
     stable_point_spacing,
     stable_points,
-    steering_matrix,
-    steering_vector,
     surrogate_f,
 )
 from .harness import (
@@ -65,31 +65,6 @@ _GEOMETRY = ["num_antennas"]
 def _reads(names, **defaults) -> dict:
     """The keys ``names`` at their RunConfig defaults, then ``defaults``."""
     return {**{name: _FIELDS[name] for name in names}, **defaults}
-
-
-class _Command(NamedTuple):
-    summary: str
-    reads: dict  # every key the subcommand reads -> its default
-
-
-_COMMANDS = {
-    "static": _Command("fixed-direction convergence benchmark",
-                       _reads(_SIMULATION, trials=10000, slots=1000, jobs=_CORES)),
-    "dynamic": _Command("moving-direction tracking benchmark",
-                        _reads(_SIMULATION, trials=1000, slots=1000, jobs=_CORES,
-                               trajectory="sinusoidal", omega=0.01)),
-    "sweep-speed": _Command("rate/MSE versus angular velocity",
-                            _reads(_SIMULATION, trials=200, slots=2000, jobs=_CORES,
-                                   omega_grid=np.geomspace(1e-3, 0.3, 20).tolist())),
-    "crlb": _Command("print bound tables for a configuration",
-                     _reads([*_GEOMETRY, "snr_db"])),
-    "analyze-stable-points": _Command("drift-function analysis",
-                                      _reads(_GEOMETRY, num_antennas=8, x=0.5, samples=2001)),
-    "init-quality": _Command("coarse-sweep hit probability",
-                             _reads([*_GEOMETRY, "trials", "seed"], trials=10000,
-                                    snr_grid=[0.0, 5.0, 10.0], m0_factors=[1, 2, 4])),
-}
-_KNOWN = set().union(*(command.reads for command in _COMMANDS.values()))
 
 
 def _words(text: str) -> list[str]:
@@ -440,19 +415,14 @@ def _cmd_stable_points(args, settings: dict) -> int:
     x = settings["x"]
     vs = np.linspace(-1.0, 1.0, settings["samples"])
     m = geom.num_antennas
-    inner = np.conj(steering_matrix(geom, vs)) @ steering_vector(geom, x)
-    fs = -np.imag(inner) / math.sqrt(m)
-    gains = np.abs(inner) / math.sqrt(m)
+    gains = np.abs(array_kernel(geom, vs - x)) / math.sqrt(m)
     pts = stable_points(geom, x)
     eps = 1e-6
-    rows = []
-    for v in pts:
-        lo, hi = max(v - eps, -1.0), min(v + eps, 1.0)
-        slope = (surrogate_f(geom, hi, x) - surrogate_f(geom, lo, x)) / (hi - lo)
-        rows.append((v, surrogate_f(geom, v, x), slope))
+    lo, hi = np.maximum(pts - eps, -1.0), np.minimum(pts + eps, 1.0)
+    slopes = (surrogate_f(geom, hi, x) - surrogate_f(geom, lo, x)) / (hi - lo)
     out = _Output(args.out, "analyze-stable-points")
-    out.table("stable_points_curve.csv", "v,f,gain", zip(vs, fs, gains))
-    out.table("stable_points.csv", "v,f,slope", rows)
+    out.table("stable_points_curve.csv", "v,f,gain", zip(vs, surrogate_f(geom, vs, x), gains))
+    out.table("stable_points.csv", "v,f,slope", zip(pts, surrogate_f(geom, pts, x), slopes))
     out.plot(
         "stable_points.gp",
         [
@@ -493,17 +463,35 @@ def _cmd_init_quality(args, settings: dict) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    summary: str
+    run: Callable[..., int]  # run(args, settings) -> exit status
+    reads: dict  # every key the subcommand reads -> its default
+
+
+_COMMANDS = {
+    "static": _Command("fixed-direction convergence benchmark", _cmd_static,
+                       _reads(_SIMULATION, trials=10000, slots=1000, jobs=_CORES)),
+    "dynamic": _Command("moving-direction tracking benchmark", _cmd_dynamic,
+                        _reads(_SIMULATION, trials=1000, slots=1000, jobs=_CORES,
+                               trajectory="sinusoidal", omega=0.01)),
+    "sweep-speed": _Command("rate/MSE versus angular velocity", _cmd_sweep_speed,
+                            _reads(_SIMULATION, trials=200, slots=2000, jobs=_CORES,
+                                   omega_grid=np.geomspace(1e-3, 0.3, 20).tolist())),
+    "crlb": _Command("print bound tables for a configuration", _cmd_crlb,
+                     _reads([*_GEOMETRY, "snr_db"])),
+    "analyze-stable-points": _Command("drift-function analysis", _cmd_stable_points,
+                                      _reads(_GEOMETRY, num_antennas=8, x=0.5, samples=2001)),
+    "init-quality": _Command("coarse-sweep hit probability", _cmd_init_quality,
+                             _reads([*_GEOMETRY, "trials", "seed"], trials=10000,
+                                    snr_grid=[0.0, 5.0, 10.0], m0_factors=[1, 2, 4])),
+}
+_KNOWN = set().union(*(command.reads for command in _COMMANDS.values()))
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {
-        "static": _cmd_static,
-        "dynamic": _cmd_dynamic,
-        "sweep-speed": _cmd_sweep_speed,
-        "crlb": _cmd_crlb,
-        "analyze-stable-points": _cmd_stable_points,
-        "init-quality": _cmd_init_quality,
-    }
-    return handlers[args.command](args, _settings(args))
+    return _COMMANDS[args.command].run(args, _settings(args))
 
 
 if __name__ == "__main__":

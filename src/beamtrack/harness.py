@@ -47,6 +47,7 @@ import numpy as np
 from .arraymodel import (
     ArrayGeometry,
     alpha_star,
+    array_kernel,
     dft_codebook,
     i_max,
     mainlobe_halfwidth,
@@ -208,7 +209,6 @@ class TrialRecord:
     """Per-slot trace of a single trial (direction estimates are NaN for the
     least-squares baseline, which tracks the channel response instead)."""
 
-    algorithm: str
     x: np.ndarray
     x_hat: np.ndarray
     mse_h: np.ndarray
@@ -251,26 +251,9 @@ class _ChunkOut:
     trace: TrialRecord  # the chunk's first trial
 
 
-def _inner(m: int, delta: np.ndarray) -> np.ndarray:
-    """Steering inner product a(v)^H a(x) for delta = v - x, elementwise: the
-    Dirichlet kernel ``e^{j phi (m-1)/2} sin(m phi/2) / sin(phi/2)`` of
-    ``phi = pi * delta``, which is the sum of ``e^{j phi i}`` over i < m.
-    The sum is 2*pi-periodic in phi, so phi is first wrapped into [-pi, pi]:
-    ``sin(m phi/2)`` then keeps its relative accuracy next to the zero at
-    phi = +-2*pi (delta = +-2), where ``m * phi/2`` would otherwise round
-    away the small remainder.  Where ``|sin(phi/2)| < 1e-8`` the ratio is its
-    limit ``m cos(m phi/2)/cos(phi/2)``."""
-    half = (0.5 * math.pi) * delta
-    half -= np.pi * np.round(half / np.pi)
-    s = np.sin(half)
-    ratio = np.sin(m * half)
-    near_zero = np.abs(s) < 1e-8
-    if near_zero.any():
-        s[near_zero] = 1.0
-        h = half[near_zero]
-        ratio[near_zero] = m * np.cos(m * h) / np.cos(h)
-    ratio /= s
-    return np.exp((1j * (m - 1)) * half) * ratio
+# the engine calls the kernel through this module-level name, so that a
+# profiler that rebinds it times every call
+_inner = array_kernel
 
 
 def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.ndarray:
@@ -292,24 +275,24 @@ class _DirectionTracker:
     and the MSE then reuses ``ip``."""
 
     def __init__(self, config: RunConfig):
+        self.geom = config.geometry
         self.track = config.track_geometry
         self.m = config.num_antennas
         self.rho = config.rho
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         before = self.direction
-        ip = _inner(self.m, before - x_n)
+        ip = _inner(self.geom, before - x_n)
         rate = np.log2(1.0 + self.rho * np.abs(ip) ** 2 / self.m)
         self.update(n, x_n, noise, ip)
         if self.direction is not before:  # an update that keeps it reuses ip
-            ip = _inner(self.m, self.direction - x_n)
+            ip = _inner(self.geom, self.direction - x_n)
         return rate, 2.0 * self.m - 2.0 * np.real(ip), self.direction
 
     def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
         """Pilots of conjugate tracking-subarray beams toward ``probe_dir``."""
-        m_t = self.track.num_antennas
-        ip = _inner(m_t, probe_dir - x_n)
-        return ip / math.sqrt(m_t) + noise
+        ip = _inner(self.track, probe_dir - x_n)
+        return ip / math.sqrt(self.track.num_antennas) + noise
 
 
 class _Recursive(_DirectionTracker):
@@ -577,8 +560,7 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     mse_sum, rate_sum, lock_sum = np.zeros((3, n_slots))
     sqerr = np.zeros((len(trials), n_slots))
     trace = TrialRecord(
-        algorithm, x_traj[0, 1:].copy(), np.full(n_slots, np.nan),
-        np.zeros(n_slots), np.zeros(n_slots),
+        x_traj[0, 1:].copy(), np.full(n_slots, np.nan), np.zeros(n_slots), np.zeros(n_slots)
     )
     for n in range(1, n_slots + 1):
         x_n = x_traj[:, n]

@@ -90,17 +90,14 @@ class RngPlan:
 
     master_seed: int
 
-    def stream(self, trial: int, stream_id: int, tag: int = 0) -> np.random.Generator:
-        ss = np.random.SeedSequence((self.master_seed, trial, stream_id, tag))
-        return np.random.Generator(np.random.PCG64(ss))
-
     def batch(
         self, trials: range, stream_id: int, tag: int = 0
     ) -> Iterator[np.random.Generator]:
-        """``stream(t, stream_id, tag)`` for each t of ``trials`` in turn, draw
-        for draw, as one reused Generator whose state is set per trial; use
-        each before advancing.  The seed hash runs once per 2**32-aligned
-        span of trials, vectorized, instead of once per trial."""
+        """The PCG64 generator of ``SeedSequence((master_seed, t, stream_id,
+        tag))`` for each t of ``trials`` in turn, draw for draw, as one reused
+        Generator whose state is set per trial; use each before advancing.
+        The seed hash runs once per 2**32-aligned span of trials, vectorized,
+        instead of once per trial."""
         if trials.step != 1:
             raise ValueError(f"trials must be a range with step 1, got {trials}")
         rng = np.random.Generator(np.random.PCG64())

@@ -1,17 +1,18 @@
 """Scalar pilot model and reference replays of the four algorithms.
 
 The pilot model is one normalized observation ``y = w^H a(x) + z/sqrt(rho)``
-of a probe ``w`` (``observe``), its log-likelihood and the Fisher
-information of an arbitrary probe.  The package's closed forms (``i_max``,
-the drift ``f``) are checked against it.
+of a probe ``w`` (``observe``) with the explicit steering vector ``a(x)``
+(``steering_vector``), its log-likelihood and the Fisher information of an
+arbitrary probe.  The package's closed forms (``i_max``, the drift ``f``,
+the array kernel) are checked against it.
 
 Each replay runs one trial of a ``RunConfig`` slot by slot with plain
 scalar operations: its direction sines one trial at a time (``trajectory``),
 one ``observe`` per pilot, ``np.linalg.lstsq`` for least squares, and a
 direct matched filter over the sine grid for the coarse sweep and sparse
 recovery.  It draws the trial's truth, noise, probes and initial state
-from the same substreams as the engine, so the engine's per-slot trace
-must match it.
+from the same substreams as the engine, one ``SeedSequence`` at a time
+(``stream``), so the engine's per-slot trace must match it.
 
 It also holds the paper's closed forms at a general element spacing ``d``,
 in wavelengths (``general_*``); the package writes them for ``d = 1/2``.
@@ -22,13 +23,11 @@ import math
 import numpy as np
 
 from beamtrack import (
-    RngPlan,
     alpha_star,
     dft_codebook,
     mainlobe_halfwidth,
     sine_grid,
     steering_matrix,
-    steering_vector,
 )
 from beamtrack.harness import ALGORITHMS, CS_DICTIONARY_SIZE, QPSK, ls_data_beam
 from beamtrack.scenarios import (
@@ -39,6 +38,27 @@ from beamtrack.scenarios import (
 )
 
 CS_GRID = sine_grid(CS_DICTIONARY_SIZE)
+
+
+def _check_direction(x):
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"direction sine {x} outside [-1, 1]")
+
+
+def stream(seed, trial, stream_id, tag=0):
+    """Trial ``trial``'s substream ``stream_id`` under ``tag``: the PCG64
+    generator of ``SeedSequence((seed, trial, stream_id, tag))``, which
+    ``RngPlan(seed).batch`` must reproduce draw for draw."""
+    ss = np.random.SeedSequence((seed, trial, stream_id, tag))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def steering_vector(geom, x):
+    """Per-antenna phase signature of a plane wave from sine-direction ``x``:
+    entry m (0-based) is ``exp(-1j * pi * m * x)``, one explicit exponential
+    per antenna."""
+    _check_direction(x)
+    return np.exp(-1j * math.pi * x * np.arange(geom.num_antennas))
 
 
 def complex_normal(rng, size):
@@ -82,8 +102,7 @@ def fisher_information(geom, rho, x, w):
     ``g_m = pi*m`` and ``phi_m`` is the phase dialed into the
     m-th phase shifter (weight entry ``exp(-1j*phi_m)/sqrt(M)``).
     """
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"direction sine {x} outside [-1, 1]")
+    _check_direction(x)
     m = geom.num_antennas
     gains = math.pi * np.arange(m)
     shifter_phases = -np.angle(w)
@@ -179,11 +198,11 @@ def cs_scores(geom, weights, observations):
 def draws(cfg, trial, algorithm):
     """Truth ``xs`` (index 0: the warm-up anchor) and the standard complex
     noise of the warm-up sweep and slots, as the engine draws them."""
-    plan = RngPlan(cfg.seed)
-    xs = trajectory(cfg, plan.stream(trial, STREAM_TRAJECTORY))
+    xs = trajectory(cfg, stream(cfg.seed, trial, STREAM_TRAJECTORY))
     tag = ALGORITHMS.index(algorithm) + 1
     noise = complex_normal(
-        plan.stream(trial, STREAM_OBSERVATION, tag), cfg.track_geometry.num_antennas + cfg.slots
+        stream(cfg.seed, trial, STREAM_OBSERVATION, tag),
+        cfg.track_geometry.num_antennas + cfg.slots,
     )
     return xs, noise
 
@@ -217,10 +236,10 @@ def recursive(cfg, trial):
     if cfg.init == "sweep":
         x_hat = coarse_sweep(track, cfg.resolved_dictionary_size(), _warm_up(cfg, xs, noise))
     elif cfg.init == "uniform":
-        x_hat = RngPlan(cfg.seed).stream(trial, STREAM_INIT).uniform(-1.0, 1.0)
+        x_hat = stream(cfg.seed, trial, STREAM_INIT).uniform(-1.0, 1.0)
     else:
         hw = mainlobe_halfwidth(track)
-        offset = RngPlan(cfg.seed).stream(trial, STREAM_INIT).uniform(-hw, hw)
+        offset = stream(cfg.seed, trial, STREAM_INIT).uniform(-hw, hw)
         x_hat = min(max(xs[0] + offset, -1.0), 1.0)
     alpha = alpha_star(track) if cfg.step_alpha is None else cfg.step_alpha
     estimates = [x_hat]
@@ -287,7 +306,7 @@ def compressed_sensing(cfg, trial):
     track = cfg.track_geometry
     m_t = track.num_antennas
     xs, noise = draws(cfg, trial, "cs")
-    probe_rng = RngPlan(cfg.seed).stream(trial, STREAM_PROBE, ALGORITHMS.index("cs") + 1)
+    probe_rng = stream(cfg.seed, trial, STREAM_PROBE, ALGORITHMS.index("cs") + 1)
     picks = probe_rng.integers(0, 4, size=(cfg.slots, m_t), dtype=np.int8)
     weights = QPSK[picks] / math.sqrt(m_t)
     obs = [

@@ -12,7 +12,13 @@ import time
 
 import numpy as np
 import pytest
-from reference import complex_normal, conjugate_beam, fisher_information, observe
+from reference import (
+    complex_normal,
+    conjugate_beam,
+    fisher_information,
+    observe,
+    steering_vector,
+)
 
 from beamtrack import (
     ArrayGeometry,
@@ -24,7 +30,6 @@ from beamtrack import (
     stable_point_spacing,
     stable_points,
     steering_matrix,
-    steering_vector,
     surrogate_f,
 )
 from beamtrack.scenarios import generate
@@ -251,7 +256,7 @@ def test_criterion_6a_speed_point(speed_point_run):
     # harness's causal slot convention with no motion model), averaged over
     # the same steady slots (from 51 on) as steady_mean_rate
     g8 = ArrayGeometry(8)
-    drift = max(abs(surrogate_f(g8, v, 0.0)) for v in np.linspace(-1.0, 1.0, 20_001))
+    drift = np.abs(surrogate_f(g8, np.linspace(-1.0, 1.0, 20_001), 0.0)).max()
     ceiling = alpha_star(g8) * drift
     x = generate(
         RunConfig(trajectory="fixed-velocity", slots=3000, omega=0.064, seed=106), range(1)

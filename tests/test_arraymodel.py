@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 import reference as ref
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import complex_normal, conjugate_beam, fisher_information, log_likelihood, observe
+from reference import (
+    complex_normal,
+    conjugate_beam,
+    fisher_information,
+    log_likelihood,
+    observe,
+    steering_vector,
+)
 
 from beamtrack import (
     ArrayGeometry,
     alpha_star,
+    array_kernel,
     channel_mse_limit,
     crlb_min,
     dft_codebook,
@@ -18,7 +26,7 @@ from beamtrack import (
     sine_grid,
     stable_point_spacing,
     stable_points,
-    steering_vector,
+    steering_matrix,
     surrogate_f,
 )
 
@@ -27,29 +35,54 @@ G8 = ArrayGeometry(8)
 
 
 class TestSteeringVector:
+    """``steering_matrix`` of one scalar direction: the steering vector."""
+
     def test_broadside_all_ones(self):
-        np.testing.assert_allclose(steering_vector(ArrayGeometry(4), 0.0), np.ones(4))
+        np.testing.assert_allclose(steering_matrix(ArrayGeometry(4), 0.0), np.ones(4))
 
     def test_endfire_two_elements(self):
         np.testing.assert_allclose(
-            steering_vector(ArrayGeometry(2), 1.0), [1.0, -1.0], atol=1e-15
+            steering_matrix(ArrayGeometry(2), 1.0), [1.0, -1.0], atol=1e-15
         )
 
     def test_unit_modulus_and_norm(self):
         rng = np.random.default_rng(0)
         for x in rng.uniform(-1, 1, 50):
-            a = steering_vector(G8, x)
+            a = steering_matrix(G8, x)
             np.testing.assert_allclose(np.abs(a), 1.0)
             assert np.linalg.norm(a) ** 2 == pytest.approx(8.0)
             assert a[0] == pytest.approx(1.0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            steering_vector(G8, 1.2)
+            steering_matrix(G8, 1.2)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             ArrayGeometry(1)
+
+
+class TestKernel:
+    @settings(max_examples=200)
+    @given(
+        m=st.integers(2, 64),
+        free=st.lists(st.floats(-2.0, 2.0), max_size=20),
+        offsets=st.lists(st.floats(-1e-9, 1e-9), min_size=3, max_size=3),
+    )
+    # just outside the guard band next to delta = +-2, where m * phi/2 rounds
+    @example(m=63, free=[2 - 1e-7, -2 + 1e-6], offsets=[1e-9, -1e-9, 1e-9])
+    @example(m=64, free=[], offsets=[-1e-9, 1e-9, -1e-9])
+    def test_closed_form_matches_direct_sum(self, m, free, offsets):
+        edges = np.array([0.0, 2.0, -2.0])  # the kernel's singular points
+        near = np.clip(edges + np.array(offsets), -2.0, 2.0)
+        delta = np.concatenate([edges, near, free])
+        direct = np.exp(1j * math.pi * np.outer(delta, np.arange(m))).sum(axis=1)
+        # the direct sum's phases reach 2*pi*m and each is rounded, about
+        # 7e-16 m^2 in all; the guard band's limit drops an m^3 sin^2 term,
+        # at most 2.2e-15 m^2 for m <= 64; so 1e-14 m^2 bounds both
+        np.testing.assert_allclose(
+            array_kernel(ArrayGeometry(m), delta), direct, rtol=0, atol=1e-14 * m**2
+        )
 
 
 class TestConjugateBeam:
@@ -180,6 +213,19 @@ class TestSurrogateDrift:
             v = x + 2 * k / 7
             if -1 < v <= 1:
                 assert surrogate_f(G8, v, x) == pytest.approx(0.0, abs=1e-12)
+
+    def test_array_input_matches_scalar_calls(self):
+        vs = np.linspace(-1.0, 1.0, 41)
+        fs = surrogate_f(G16, vs, 0.3)
+        assert isinstance(fs, np.ndarray) and fs.shape == vs.shape
+        assert isinstance(surrogate_f(G16, 0.1, 0.3), float)
+        np.testing.assert_array_equal(fs, [surrogate_f(G16, v, 0.3) for v in vs])
+
+    def test_out_of_range_direction_rejected(self):
+        with pytest.raises(ValueError):
+            surrogate_f(G8, np.array([0.0, 1.2]), 0.3)
+        with pytest.raises(ValueError):
+            surrogate_f(G8, 0.0, -1.5)
 
 
 class TestStablePoints:
@@ -323,7 +369,8 @@ class TestAlphaStar:
 
 class TestDftCodebook:
     def test_four_antenna_directions(self):
-        np.testing.assert_allclose(sine_grid(4), [-0.75, -0.25, 0.25, 0.75])
+        geom = ArrayGeometry(4)
+        np.testing.assert_array_equal(dft_codebook(geom), steering_matrix(geom, sine_grid(4)) / 2)
 
     def test_uniform_grid(self):
         dirs = sine_grid(16)

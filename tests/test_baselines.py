@@ -13,7 +13,6 @@ from beamtrack import (
     run_experiment,
     run_single_trial,
     sine_grid,
-    steering_vector,
 )
 from beamtrack.harness import QPSK, ls_data_beam
 
@@ -104,10 +103,10 @@ class TestLsEstimate:
         assert s.mean_mse_h[15] == pytest.approx(predicted / 2, rel=0.1)
 
     def test_phase_only_beam_from_exact_estimate(self):
-        h = (2.0 - 1.0j) * steering_vector(G16, 0.7)
+        h = (2.0 - 1.0j) * ref.steering_vector(G16, 0.7)
         w = ls_data_beam(h)
         np.testing.assert_allclose(np.abs(w), 1 / 4)
-        assert abs(np.vdot(w, steering_vector(G16, 0.7))) ** 2 == pytest.approx(16.0)
+        assert abs(np.vdot(w, ref.steering_vector(G16, 0.7))) ** 2 == pytest.approx(16.0)
 
     # entries of modulus up to 1e6 and down to the smallest normal float, with
     # exact zeros mixed in, as +0j (np.angle(-0.0) is pi); each row is one
@@ -146,7 +145,7 @@ class TestCsEstimate:
         # the reference estimator that the engine's CS replays are scored by
         x = sine_grid(1024)[700]
         weights = _qpsk_probes(np.random.default_rng(3), 8)
-        obs = np.conj(weights) @ steering_vector(G16, x)
+        obs = np.conj(weights) @ ref.steering_vector(G16, x)
         scores = ref.cs_scores(G16, weights, obs)
         assert ref.CS_GRID[np.argmax(scores)] == pytest.approx(x)
 

@@ -31,6 +31,15 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def test_package_entry_point_prints_version():
+    # ``python -m beamtrack`` runs the package's __main__, which calls cli.main
+    res = subprocess.run(
+        [sys.executable, "-m", "beamtrack", "--version"], capture_output=True, text=True
+    )
+    assert res.returncode == 0
+    assert res.stdout.strip() == "0.1.0"
+
+
 class TestCrlbCommand:
     def test_values_and_outputs(self, tmp_path):
         res = run_cli("crlb", "--out", str(tmp_path), "--antennas", "16", "--snr-db", "10")

@@ -80,11 +80,11 @@ CLI_DIGESTS = {
         "run.json":
             "ed01df3be366b24333addb9d7d5d12eab8881c7ce0b88f594af254c1ff27089b",
         "stable_points.csv":
-            "700467d6f9116577c83272b2c367762951a0b9ffc5a1dc5636eedab54eefca78",
+            "574260a65567ebedb17571507d5cd71fe7f968a2654cd882dc37faffc03e5ac4",
         "stable_points.gp":
             "120ebdbed20de0a7900d6e9b4e6692680ddf4e0e8b60fe7779f310d9c11fc8f5",
         "stable_points_curve.csv":
-            "d4ef53d4cded627620fde934bd8c468a5fb8e2f6fdb990f07c3d77b4049da2b7",
+            "323ed8ec46bcd67dc5a8994506f2ec4c3ee47bd563495b9c354c3de19ac14da4",
         "stdout":
             "9165709b503301bdf7a56eb7bce77aee0c2bbf1122428e7915007abe90682c04",
     },
@@ -220,15 +220,16 @@ def test_run_json_config_replays_the_run(run, tmp_path, capsys):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
-# the package exports what a subcommand runs; the pilot model, the Fisher
-# information of an arbitrary probe and the scalar replays live in
-# tests/reference.py
+# the package exports what a subcommand runs; the pilot model, the scalar
+# steering vector and substream, the Fisher information of an arbitrary probe
+# and the scalar replays live in tests/reference.py
 PUBLIC_NAMES = [
     "ALGORITHMS", "ArrayGeometry", "RngPlan", "RunConfig", "RunSummary", "TrialRecord",
-    "alpha_star", "arraymodel", "channel_mse_limit", "crlb_min", "dft_codebook", "generate",
-    "h_prime_norm_sq", "harness", "i_max", "initialization_hit_rate", "mainlobe_halfwidth",
-    "run_experiment", "run_single_trial", "scenarios", "sine_grid", "stable_point_spacing",
-    "stable_points", "steering_matrix", "steering_vector", "surrogate_f", "write_summary_csv",
+    "alpha_star", "array_kernel", "arraymodel", "channel_mse_limit", "crlb_min", "dft_codebook",
+    "generate", "h_prime_norm_sq", "harness", "i_max", "initialization_hit_rate",
+    "mainlobe_halfwidth", "run_experiment", "run_single_trial", "scenarios", "sine_grid",
+    "stable_point_spacing", "stable_points", "steering_matrix", "surrogate_f",
+    "write_summary_csv",
 ]
 
 

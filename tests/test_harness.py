@@ -20,7 +20,6 @@ from beamtrack import (
     run_single_trial,
     sine_grid,
     steering_matrix,
-    steering_vector,
     surrogate_f,
     write_summary_csv,
 )
@@ -30,7 +29,6 @@ from beamtrack.harness import (
     QPSK,
     _cs_lag_atoms,
     _cs_window_score,
-    _inner,
     _sweep_estimate,
 )
 from beamtrack.scenarios import TRAJECTORIES
@@ -63,7 +61,7 @@ class TestMetrics:
         rng = np.random.default_rng(1)
         for _ in range(50):
             xh, x = rng.uniform(-1, 1, 2)
-            ip = np.vdot(steering_vector(G16, xh), steering_vector(G16, x))
+            ip = np.vdot(ref.steering_vector(G16, xh), ref.steering_vector(G16, x))
             expected = 32 - 2 * ip.real
             assert ref.mse_h(G16, xh, x) == pytest.approx(expected, rel=1e-12)
 
@@ -81,27 +79,6 @@ class TestMetrics:
         assert ref.achievable_rate(g2, ref.conjugate_beam(g2, 1.0), 0.0, 10.0) == pytest.approx(
             0.0, abs=1e-12
         )
-
-
-class TestKernel:
-    @settings(max_examples=200)
-    @given(
-        m=st.integers(2, 64),
-        free=st.lists(st.floats(-2.0, 2.0), max_size=20),
-        offsets=st.lists(st.floats(-1e-9, 1e-9), min_size=3, max_size=3),
-    )
-    # just outside the guard band next to delta = +-2, where m * phi/2 rounds
-    @example(m=63, free=[2 - 1e-7, -2 + 1e-6], offsets=[1e-9, -1e-9, 1e-9])
-    @example(m=64, free=[], offsets=[-1e-9, 1e-9, -1e-9])
-    def test_closed_form_matches_direct_sum(self, m, free, offsets):
-        edges = np.array([0.0, 2.0, -2.0])  # the kernel's singular points
-        near = np.clip(edges + np.array(offsets), -2.0, 2.0)
-        delta = np.concatenate([edges, near, free])
-        direct = np.exp(1j * math.pi * np.outer(delta, np.arange(m))).sum(axis=1)
-        # the direct sum's phases reach 2*pi*m and each is rounded, about
-        # 7e-16 m^2 in all; the guard band's limit drops an m^3 sin^2 term,
-        # at most 2.2e-15 m^2 for m <= 64; so 1e-14 m^2 bounds both
-        np.testing.assert_allclose(_inner(m, delta), direct, rtol=0, atol=1e-14 * m**2)
 
 
 class TestCsWindowScore:
@@ -208,7 +185,7 @@ class TestRecursiveStep:
 
 def _noiseless_sweep_pilots(geom, x):
     beams = dft_codebook(geom)
-    return beams.conj() @ steering_vector(geom, x)
+    return beams.conj() @ ref.steering_vector(geom, x)
 
 
 class TestCoarseSweep:
