@@ -128,15 +128,20 @@ def stable_point_spacing(geom: ArrayGeometry) -> float:
 
 
 def stable_points(geom: ArrayGeometry, x: float) -> np.ndarray:
-    """Attractors of the recursion in (-1, 1]: ``x`` plus integer multiples
-    of the stable-point spacing.  Sorted ascending; ``x`` itself is the only
-    attractor with full array gain."""
+    """The M-1 attractors of the recursion in (-1, 1]: ``x`` plus integer
+    multiples of the stable-point spacing, each once.  Sorted ascending;
+    ``x`` itself is the only attractor with full array gain; for x = -1 it
+    is listed as its alias 1."""
     _check_direction(x)
-    spacing = stable_point_spacing(geom)
-    k_lo = math.floor((-1.0 - x) / spacing) + 1  # strictly above -1
-    k_hi = math.floor((1.0 - x) / spacing)  # at most +1
-    ks = np.arange(k_lo, k_hi + 1)
-    return x + ks * spacing
+    x = 1.0 if x == -1 else float(x)
+    m = geom.num_antennas
+    p, q = x.as_integer_ratio()
+    k_lo = -((q + p) * (m - 1)) // (2 * q) + 1  # first k with x + 2k/(M-1) > -1, exactly
+    pts = x + np.arange(k_lo, k_lo + m - 1) * stable_point_spacing(geom)
+    # a point may round across +-1; a(v) is 2-periodic, so wrap it by 2
+    pts[pts > 1.0] -= 2.0
+    pts[pts <= -1.0] += 2.0
+    return np.sort(pts)
 
 
 def mainlobe_halfwidth(geom: ArrayGeometry) -> float:

@@ -110,6 +110,11 @@ _TYPED_FIELDS = {
     **dict.fromkeys(("omega", "snr_db", "step_alpha"), (numbers.Real, "a real number")),
 }
 _DERIVED_DEFAULT = ("track_antennas", "sweep_dictionary_size", "step_alpha")
+# the least value of each count; an unset sweep_dictionary_size is not checked
+_LEAST = {
+    "slots": 1, "trials": 1, "chunk_size": 1, "jobs": 1, "sweep_dictionary_size": 1,
+    "num_antennas": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -144,33 +149,28 @@ class RunConfig:
                 raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.trajectory not in TRAJECTORIES:
             raise ValueError(f"unknown trajectory kind {self.trajectory!r}")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
+        for name in ("omega", "snr_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.trajectory == "fixed-velocity":
             if self.omega < 0:
                 raise ValueError(f"omega must be nonnegative, got {self.omega}")
             if self.omega > ANGLE_BAND:
                 raise ValueError(f"omega must be at most the band pi/3, got {self.omega}")
-        for name in self.algorithms:
+        for k, name in enumerate(self.algorithms):
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        if self.slots < 1:
-            raise ValueError(f"slots must be at least 1, got {self.slots}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+            if name in self.algorithms[:k]:
+                raise ValueError(f"algorithms must be distinct, got {name!r} twice")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in ("sweep", "uniform", "mainlobe"):
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {self.chunk_size}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        size = self.sweep_dictionary_size
-        if size is not None and size < 1:
-            raise ValueError(f"sweep_dictionary_size must be at least 1, got {size}")
-        if self.num_antennas < 2:
-            raise ValueError(f"num_antennas must be at least 2, got {self.num_antennas}")
         sub = self.track_antennas
         if sub is not None and not 2 <= sub <= self.num_antennas:
             raise ValueError(f"track_antennas must be from 2 to {self.num_antennas}, got {sub}")
@@ -180,8 +180,6 @@ class RunConfig:
         if "80211ad" in self.algorithms and track.num_antennas < 3:
             # a refinement round probes the best beam and its two neighbours
             raise ValueError("need at least 3 codebook beams")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         alpha = self.step_alpha
         if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"step_alpha must be positive and finite, got {alpha}")
@@ -245,7 +243,6 @@ class _ChunkOut:
     rate_sum: np.ndarray
     lock_sum: np.ndarray
     sqerr_conv_sum: np.ndarray
-    conv_count: float
     final_x: np.ndarray
     final_est: np.ndarray
     trace: TrialRecord  # the chunk's first trial
@@ -571,21 +568,19 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
         if est is not None:
             err = est - x_n
             sqerr[:, n - 1] = err**2
-            lock_sum[n - 1] = np.count_nonzero(np.abs(err) < 0.5 * hw_track)
+            locked = np.abs(err) < 0.5 * hw_track  # the one lock test
+            lock_sum[n - 1] = np.count_nonzero(locked)
             trace.x_hat[n - 1] = est[0]
 
-    if est is None:  # no direction estimate
-        conv_count = math.nan
+    if est is None:  # no direction estimate, so no lock either
+        lock_sum[:] = np.nan
         sqerr_conv_sum = np.full(n_slots, np.nan)
         final_est = np.full(len(trials), np.nan)
-    else:
-        conv = np.abs(sqerr[:, -1]) ** 0.5 < 0.5 * hw_track
-        conv_count = float(np.count_nonzero(conv))
-        sqerr_conv_sum = sqerr[conv].sum(axis=0)
+    else:  # the converged trials are those locked at the last slot
+        sqerr_conv_sum = sqerr[locked].sum(axis=0)
         final_est = np.asarray(est, dtype=float)
     return _ChunkOut(
-        mse_sum, rate_sum, lock_sum, sqerr_conv_sum, conv_count,
-        x_traj[:, -1].copy(), final_est, trace,
+        mse_sum, rate_sum, lock_sum, sqerr_conv_sum, x_traj[:, -1].copy(), final_est, trace
     )
 
 
@@ -611,9 +606,9 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
 
     n_slots = config.slots
     # deterministic reduction in chunk order
-    mse_sum, rate_sum, lock_sum, sqerr_conv, conv_count = (
+    mse_sum, rate_sum, lock_sum, sqerr_conv = (
         sum(getattr(out, name) for out in outs)
-        for name in ("mse_sum", "rate_sum", "lock_sum", "sqerr_conv_sum", "conv_count")
+        for name in ("mse_sum", "rate_sum", "lock_sum", "sqerr_conv_sum")
     )
 
     trials = config.trials
@@ -621,12 +616,10 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
     mean_mse = mse_sum / trials
     mean_rate = rate_sum / trials
     imax_track = i_max(config.track_geometry, config.rho)
-    if math.isnan(conv_count) or conv_count == 0:
-        n_mse_imax = np.full(n_slots, np.nan)
-        conv_frac = np.full(n_slots, np.nan)
-    else:
+    conv_count = float(lock_sum[-1])  # NaN without a direction estimate
+    n_mse_imax = np.full(n_slots, np.nan)
+    if conv_count > 0:
         n_mse_imax = slots * (sqerr_conv / conv_count) * imax_track
-        conv_frac = lock_sum / trials
     crlb_ref = h_prime_norm_sq(config.geometry) / (slots * imax_track)
 
     skip = min(STEADY_SKIP, n_slots - 1)
@@ -636,7 +629,7 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
         mean_mse_h=mean_mse,
         n_mse_times_imax=n_mse_imax,
         mean_rate=mean_rate,
-        conv_frac=conv_frac,
+        conv_frac=lock_sum / trials,
         crlb_h_ref=crlb_ref,
         trials=trials,
         converged_trials=conv_count,

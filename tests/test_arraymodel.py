@@ -242,7 +242,26 @@ class TestStablePoints:
     def test_range_is_half_open(self):
         pts = stable_points(G16, 0.2)
         assert pts.min() > -1.0
-        assert pts.max() <= 1.0 + 1e-12
+        assert pts.max() <= 1.0
+        assert len(pts) == 15
+
+    @settings(max_examples=500)
+    @given(m=st.integers(2, 64), x=st.floats(-1.0, 1.0))
+    @example(m=21, x=-0.7)
+    @example(m=26, x=0.12)
+    @example(m=8, x=-1.0)
+    def test_each_attractor_once_in_range(self, m, x):
+        # x + 2k/(M-1) is 2-periodic in k over M-1 steps, so (-1, 1] holds
+        # exactly M-1 attractors; one within rounding of +-1 is listed once
+        pts = stable_points(ArrayGeometry(m), x)
+        assert len(pts) == m - 1
+        assert pts.min() > -1.0 and pts.max() <= 1.0
+        assert np.all(np.diff(pts) > 0)
+        assert (x if x > -1.0 else 1.0) in pts
+        steps = (pts - x) * (m - 1) / 2
+        ks = np.round(steps)
+        np.testing.assert_allclose(steps, ks, rtol=0, atol=1e-9)
+        assert len(set(ks.astype(int) % (m - 1))) == m - 1
 
     @pytest.mark.parametrize("m", [4, 8, 16])
     def test_zeros_with_negative_slope(self, m):

@@ -70,6 +70,17 @@ class TestStablePointsCommand:
         assert (tmp_path / "stable_points_curve.csv").exists()
         assert (tmp_path / "stable_points.gp").exists()
 
+    def test_point_rounding_past_one_is_wrapped(self, tmp_path):
+        # -0.7 + 17 * 0.1 rounds to 1.0000000000000002, past the endfire edge
+        res = run_cli(
+            "analyze-stable-points", "--antennas", "21", "--x", "-0.7",
+            "--out", str(tmp_path),
+        )
+        assert res.returncode == 0, res.stderr
+        pts = [float(r["v"]) for r in read_csv(tmp_path / "stable_points.csv")]
+        assert len(pts) == 20
+        assert -1.0 < min(pts) and max(pts) <= 1.0
+
 
 class TestInitQualityCommand:
     def test_reports_hit_rates(self, tmp_path):
@@ -200,6 +211,17 @@ class TestSweepSpeedCommand:
             rows = read_csv(tmp_path / name)
             assert [float(r["omega"]) for r in rows] == [0.01, 0.1]
         assert (tmp_path / "sweep_rate.gp").exists()
+
+    def test_lost_lock_reads_zero_not_nan(self, tmp_path):
+        # at 0.1 rad/slot no cs trial holds its lock at the last slot; the
+        # converged fraction is then 0, and only ls, with no direction, is nan
+        argv = ["sweep-speed", "--seed", "5", "--trials", "6", "--slots", "40", "--jobs", "1",
+                "--omega-grid", "0.01,0.1", "--algorithms", "cs,ls", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        cs, ls = (read_csv(tmp_path / f"sweep_{name}.csv") for name in ("cs", "ls"))
+        assert [float(r["omega"]) for r in cs] == [0.01, 0.1]
+        assert cs[1]["conv_frac"] == "0"
+        assert all(r["conv_frac"] == "nan" for r in ls)
 
     def test_track_antennas_restriction(self, tmp_path):
         res = run_cli(
@@ -333,6 +355,15 @@ class TestErrors:
         )
         assert res.returncode == 1
         assert res.stderr == "beamtrack: unknown algorithm 'magic'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_algorithm(self, tmp_path):
+        res = run_cli(
+            "static", "--algorithms", "recursive,recursive", "--trials", "2", "--slots", "3",
+            "--out", str(tmp_path / "o"),
+        )
+        assert res.returncode == 1
+        assert res.stderr == "beamtrack: algorithms must be distinct, got 'recursive' twice\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

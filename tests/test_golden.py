@@ -98,7 +98,7 @@ CLI_DIGESTS = {
     },
     "dynamic-fixed-velocity": {
         "dynamic_cs.csv":
-            "0a6123cfea361bcbbb68999da16cc2665d72e0c2e447ac606f595c9123f5bf46",
+            "923b02c3d7b3d555da555559f25500d409222ec921bfb5a516a46f16e61c0c73",
         "dynamic_rate.gp":
             "32c4cd37372520461d448517dc64163e6e1d844ba75ca67618d35e33a64848ed",
         "dynamic_recursive.csv":
@@ -118,7 +118,7 @@ CLI_DIGESTS = {
         "dynamic_80211ad.csv":
             "7fd59e4c77368d1202eebb52f7035ee011eeeedb58af3e7e05ec0f80f5841799",
         "dynamic_cs.csv":
-            "3805faf713a21dde35648626cd06943dc4a6f6d9ca7d92ce02cfde62ba23543e",
+            "6a8e1ff3d17f56c6fc175506d0c81ab508401c2bd649cb9004544e64e57ae220",
         "dynamic_ls.csv":
             "4b3b117d991f7ced197271a0f0023b9d624db1f579859e45886a81ff0249ca4e",
         "dynamic_rate.gp":
@@ -172,7 +172,7 @@ CLI_DIGESTS = {
         "sweep_80211ad.csv":
             "34bfa5ba59cc9822506bd03a3c87b7fb03e0add57de6fbf73de94f3d221dd475",
         "sweep_cs.csv":
-            "227fad158d82d43b4543f9a46f7ef4b3b01dcd97921bd9af152f268b8e17166c",
+            "cbe4727a6807a3a3df4921ed3c866b8ffe4c972299f7cd578faff9c27e7764f9",
         "sweep_ls.csv":
             "4799c018d19efdcd0cded8801cdf471e93d654666969f9851f23ada6f1c2b0a9",
         "sweep_mse.gp":

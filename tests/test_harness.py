@@ -534,8 +534,26 @@ class TestSummaryContents:
         s = run_experiment(cfg)["ls"]
         assert np.isnan(s.n_mse_times_imax).all()
         assert np.isnan(s.conv_frac).all()
+        assert math.isnan(s.converged_trials)
         assert np.isfinite(s.mean_mse_h).all()
         assert np.isfinite(s.mean_rate).all()
+
+    def test_lock_fraction_without_converged_trials(self):
+        # both trials lose the fast target by the last slot, yet each slot's
+        # lock fraction is still read off the traces; only the n*MSE*I_max
+        # column, an average over the converged trials, has nothing to show
+        cfg = RunConfig(
+            trajectory="fixed-velocity", omega=0.2, slots=40, trials=2,
+            algorithms=("recursive",), snr_db=-5, seed=0,
+        )
+        s = run_experiment(cfg)["recursive"]
+        hw = mainlobe_halfwidth(cfg.track_geometry)
+        traces = [run_single_trial(cfg, "recursive", t) for t in range(cfg.trials)]
+        locked = [np.abs(tr.x_hat - tr.x) < 0.5 * hw for tr in traces]
+        np.testing.assert_array_equal(s.conv_frac, np.mean(locked, axis=0))
+        assert s.conv_frac.max() > 0
+        assert s.converged_trials == 0
+        assert np.isnan(s.n_mse_times_imax).all()
 
     def test_csv_schema(self, tmp_path):
         cfg = RunConfig(
@@ -600,6 +618,7 @@ class TestSummaryContents:
             {"step_alpha": math.inf},
             {"algorithms": ("80211ad",), "track_antennas": 2},
             {"algorithms": ("80211ad",), "num_antennas": 2},
+            {"algorithms": ("recursive", "cs", "recursive")},
             # None only where it picks a derived default; no bool or text
             # where a number is meant
             {"seed": None},
@@ -634,6 +653,7 @@ class TestSummaryContents:
             ({"omega": None}, "omega"),
             ({"step_alpha": "x"}, "step_alpha"),
             ({"track_antennas": 17}, "track_antennas"),
+            ({"algorithms": ("ls", "ls")}, "algorithms"),
         ):
             with pytest.raises(ValueError, match=f"^{key} must be "):
                 RunConfig(slots=5, **bad)
