@@ -11,6 +11,7 @@ from .arraymodel import (
     channel_mse_limit,
     crlb_min,
     dft_codebook,
+    h_prime_norm_sq,
     i_max,
     mainlobe_halfwidth,
     sine_grid,
@@ -24,11 +25,9 @@ from .harness import (
     RunConfig,
     RunSummary,
     TrialRecord,
-    h_prime_norm_sq,
     initialization_hit_rate,
     run_experiment,
     run_single_trial,
-    write_summary_csv,
 )
 from .scenarios import RngPlan, generate
 

@@ -6,8 +6,8 @@ value in [-1, 1].  Steering-vector entries carry negative phase increments,
 so every array inner product is written ``w^H a(x)``.  The elements sit
 half a wavelength apart, so the phase advance per element and unit sine is
 pi, and every formula below is written for that spacing: the peak Fisher
-information and the CRLB, the tracking drift and its stable points, the
-mainlobe and the channel-MSE limit.
+information, the channel-response derivative and the CRLB, the tracking
+drift and its stable points, the mainlobe and the channel-MSE limit.
 The one implementation of the array inner product ``a(v)^H a(x)`` is the
 closed-form ``array_kernel``: the engine's pilots, rates and channel MSEs
 and the drift ``surrogate_f`` all evaluate it.
@@ -31,6 +31,7 @@ __all__ = [
     "steering_matrix",
     "array_kernel",
     "i_max",
+    "h_prime_norm_sq",
     "crlb_min",
     "surrogate_f",
     "stable_points",
@@ -100,6 +101,13 @@ def i_max(geom: ArrayGeometry, rho: float) -> float:
     """
     m = geom.num_antennas
     return 0.5 * m * (m - 1) ** 2 * math.pi**2 * rho
+
+
+def h_prime_norm_sq(geom: ArrayGeometry) -> float:
+    """Squared norm of the channel-response derivative, direction independent."""
+    m = geom.num_antennas
+    idx_sq_sum = (m - 1) * m * (2 * m - 1) / 6.0
+    return math.pi**2 * idx_sq_sum
 
 
 def crlb_min(geom: ArrayGeometry, rho: float, n: int) -> float:

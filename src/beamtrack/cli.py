@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, harness
+from . import __version__
 from .arraymodel import (
     alpha_star,
     array_kernel,
@@ -191,6 +191,9 @@ def _run_config(settings: dict, **overrides) -> RunConfig:
         raise SystemExit(f"beamtrack: {exc}") from None
 
 
+CSV_HEADER = "slot,mean_mse_h,n_mse_times_imax,mean_rate,conv_frac,crlb_h_ref"
+
+
 def _cell(value) -> str:
     return str(value) if isinstance(value, int) else f"{value:.12g}"
 
@@ -204,7 +207,10 @@ class _Output:
     only, so nothing outside the directory is touched."""
 
     def __init__(self, directory: Path, command: str):
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(f"beamtrack: cannot create --out {directory}: {exc}") from None
         try:
             earlier = json.loads((directory / "run.json").read_text())["outputs"]
         except (OSError, ValueError, TypeError, KeyError):
@@ -229,9 +235,10 @@ class _Output:
                 fh.write(",".join(map(_cell, row)) + "\n")
 
     def summary(self, name: str, summary) -> None:
-        # looked up on the module, so perfbench's tracer, which rebinds the
-        # harness attribute, times every summary CSV
-        harness.write_summary_csv(self._path(name), summary)
+        """A run's summary table, one row per slot; the slots are ints."""
+        columns = (summary.slots, summary.mean_mse_h, summary.n_mse_times_imax,
+                   summary.mean_rate, summary.conv_frac, summary.crlb_h_ref)
+        self.table(name, CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
     def plot(self, name: str, clauses, xlabel: str, ylabel=None, logscale=None) -> None:
         """A gnuplot script plotting ``clauses`` from the run's CSV files."""
@@ -344,7 +351,7 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
     if subset is not None:
         subsets = [subset]
     else:
-        subsets = [m for m in (16, 8, 4) if m <= full.num_antennas]
+        subsets = [m for m in (16, 8, 4) if m <= full.num_antennas] or [full.num_antennas]
     runs = [
         (f"recursive_m{mt}", {"algorithms": ("recursive",), "track_antennas": mt})
         for mt in (subsets if "recursive" in full.algorithms else [])
@@ -491,6 +498,11 @@ _KNOWN = set().union(*(command.reads for command in _COMMANDS.values()))
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # an --out that is, or lies under, an existing non-directory ends the run
+    # before it computes
+    for path in (args.out, *args.out.parents):
+        if path.exists() and not path.is_dir():
+            raise SystemExit(f"beamtrack: --out {args.out}: {path} is not a directory")
     return _COMMANDS[args.command].run(args, _settings(args))
 
 

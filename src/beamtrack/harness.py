@@ -4,7 +4,8 @@ algorithm.
 Holds the run configuration, the four batch trackers (``_Recursive``, the
 paper's recursive tracker; ``_SweepRefine``, ``_LeastSquares`` and
 ``_CompressedSensing``, the pilot-parity baselines), the chunk engine that
-drives them, the across-trial aggregates and the summary CSV writer.
+drives them and the across-trial aggregates; it returns arrays and opens no
+file.
 Trials are advanced in vectorized chunks, one batch tracker per algorithm.
 Every trial draws its trajectory, noise, probes and initial state from its
 own substreams, so a run's results are bit-identical for any worker count.
@@ -36,7 +37,6 @@ the results depend on the evaluation order, and another order would move them.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +49,7 @@ from .arraymodel import (
     alpha_star,
     array_kernel,
     dft_codebook,
+    h_prime_norm_sq,
     i_max,
     mainlobe_halfwidth,
     sine_grid,
@@ -69,29 +70,17 @@ __all__ = [
     "RunConfig",
     "RunSummary",
     "TrialRecord",
-    "CSV_HEADER",
-    "h_prime_norm_sq",
     "run_experiment",
     "run_single_trial",
     "initialization_hit_rate",
-    "write_summary_csv",
 ]
 
 ALGORITHMS = ("recursive", "80211ad", "ls", "cs")
 _ALG_TAGS = {name: k + 1 for k, name in enumerate(ALGORITHMS)}
 
-CSV_HEADER = "slot,mean_mse_h,n_mse_times_imax,mean_rate,conv_frac,crlb_h_ref"
-
 STEADY_SKIP = 50  # leading slots left out of the steady-state means
 CS_DICTIONARY_SIZE = 1024
 QPSK = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])  # random-probe phase alphabet
-
-
-def h_prime_norm_sq(geom: ArrayGeometry) -> float:
-    """Squared norm of the channel-response derivative, direction independent."""
-    m = geom.num_antennas
-    idx_sq_sum = (m - 1) * m * (2 * m - 1) / 6.0
-    return math.pi**2 * idx_sq_sum
 
 
 # ---------------------------------------------------------------------------
@@ -668,20 +657,3 @@ def initialization_hit_rate(config: RunConfig) -> float:
         x0 = _sweep_estimate(track, size, warm)
         hits += int(np.count_nonzero(np.abs(x0 - x_traj[:, 0]) < hw))
     return hits / config.trials
-
-
-def write_summary_csv(path, summary: RunSummary) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
-        for k in range(len(summary.slots)):
-            writer.writerow(
-                [
-                    int(summary.slots[k]),
-                    f"{summary.mean_mse_h[k]:.12g}",
-                    f"{summary.n_mse_times_imax[k]:.12g}",
-                    f"{summary.mean_rate[k]:.12g}",
-                    f"{summary.conv_frac[k]:.12g}",
-                    f"{summary.crlb_h_ref[k]:.12g}",
-                ]
-            )

@@ -164,6 +164,12 @@ def general_i_max(m, d, rho):
     return 2.0 * m * (m - 1) ** 2 * math.pi**2 * d**2 * rho
 
 
+def general_h_prime_norm_sq(m, d):
+    """Squared norm of the channel-response derivative,
+    ``(2 pi d/lambda)^2 (M-1) M (2M-1)/6``."""
+    return general_phase_step(d) ** 2 * ((m - 1) * m * (2 * m - 1) / 6.0)
+
+
 def general_alpha_star(m, d):
     """Optimal step coefficient ``lambda/(sqrt(M) (M-1) pi d)``."""
     return 1.0 / (math.sqrt(m) * (m - 1) * math.pi * d)

@@ -21,6 +21,7 @@ from beamtrack import (
     channel_mse_limit,
     crlb_min,
     dft_codebook,
+    h_prime_norm_sq,
     i_max,
     mainlobe_halfwidth,
     sine_grid,
@@ -314,6 +315,7 @@ class TestGeneralSpacingOracle:
             assert alpha_star(geom) == ref.general_alpha_star(m, 0.5)
             assert mainlobe_halfwidth(geom) == ref.general_mainlobe_halfwidth(m, 0.5)
             assert stable_point_spacing(geom) == ref.general_stable_point_spacing(m, 0.5)
+            assert h_prime_norm_sq(geom) == ref.general_h_prime_norm_sq(m, 0.5)
             for snr_db in (-20.0, -3.0, 0.0, 7.5, 10.0, 30.0):
                 rho = 10.0 ** (snr_db / 10.0)
                 assert i_max(geom, rho) == ref.general_i_max(m, 0.5, rho)
@@ -360,8 +362,6 @@ class TestChannelMseLimit:
         assert channel_mse_limit(G16, 0.1) == pytest.approx(0.068889, rel=1e-4)
 
     def test_matches_derivative_over_information(self):
-        from beamtrack import h_prime_norm_sq
-
         for m, rho in ((8, 3.0), (16, 10.0)):
             geom = ArrayGeometry(m)
             assert h_prime_norm_sq(geom) / i_max(geom, rho) == pytest.approx(

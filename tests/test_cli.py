@@ -242,6 +242,20 @@ class TestSweepSpeedCommand:
         assert sorted(p.name for p in out.glob("sweep_*.csv")) == ["sweep_ls.csv"]
         assert json.loads((out / "run.json").read_text())["config"]["algorithms"] == ["ls"]
 
+    def test_recursive_on_fewer_than_four_antennas_runs_the_full_array(
+        self, tmp_path, capsys
+    ):
+        # no subarray size of 16, 8 or 4 fits three antennas
+        argv = ["sweep-speed", "--antennas", "3", "--algorithms", "recursive", "--trials", "2",
+                "--slots", "10", "--jobs", "1", "--omega-grid", "0.01", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("recursive_m3: ")
+        rows = read_csv(tmp_path / "sweep_recursive_m3.csv")
+        assert [float(r["omega"]) for r in rows] == [0.01]
+        for script in ("sweep_rate.gp", "sweep_mse.gp"):
+            last = (tmp_path / script).read_text().splitlines()[-1]
+            assert last.startswith("plot 'sweep_recursive_m3.csv' ")
+
     def test_track_antennas_from_config_file(self, tmp_path):
         # the baselines run on the full array, so ls may join a subarray sweep
         cfg_path = tmp_path / "cfg.json"
@@ -540,6 +554,28 @@ class TestErrors:
         assert res.stderr.startswith("beamtrack: " + message.format(path=cfg_path))
         assert res.stderr.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_one_line(self, tmp_path, under):
+        # rejected before the run computes: nothing printed, nothing written
+        blocker = tmp_path / "taken"
+        blocker.write_text("x")
+        out = blocker / "sub" if under else blocker
+        res = run_cli("crlb", "--out", str(out))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == f"beamtrack: --out {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "x"
+
+    def test_output_directory_not_created_one_line(self, tmp_path, capsys):
+        denied = PermissionError(13, "Permission denied")
+        with mock.patch.object(Path, "mkdir", side_effect=denied):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["crlb", "--out", str(tmp_path / "o")])
+        assert exc.value.code == (
+            f"beamtrack: cannot create --out {tmp_path / 'o'}: "
+            "[Errno 13] Permission denied"
+        )
 
     def test_flag_of_another_command_usage_error(self, tmp_path):
         res = run_cli("crlb", "--trials", "5", "--out", str(tmp_path))

@@ -23,13 +23,13 @@ RUNS = {
     "dynamic": ("recursive", "80211ad", "ls", "cs"),  # sinusoidal trajectory
 }
 DIGESTS = {
-    "static_recursive.csv": "5cbdef3dc294c56ece26be8831bebc66319d31d368f7f99baa943708818ff3b8",
-    "static_80211ad.csv": "cff6b31b4ba983f02e5db46eec8e5ac5b98e2d5b785106b05bf807b240a6f971",
-    "static_ls.csv": "37fc2269a594d99d403bebb05b86c8004cd279193eeb1c86433f2700e9f38909",
-    "dynamic_recursive.csv": "f51c4f3f300a9176853deaca2e3b343a2d2b0a8059f9459258bf3cddacc84211",
-    "dynamic_80211ad.csv": "35962b677c2736d3def4ca715a32a5e69543aa4394daefe461b4ab77025f2981",
-    "dynamic_ls.csv": "69e00a02ba0b2fcd2757771e4bcc0042215542bdbb0626708e03748e2de8d252",
-    "dynamic_cs.csv": "3b8bf507626b28d4bce1ec9df968582233b1e0fc3ed4634e3151a77bfaeccf75",
+    "static_recursive.csv": "519ba919cada3b8e366b78adb6ff824dc2721bb587c2d6511e161408cb9a2a34",
+    "static_80211ad.csv": "e1ab241d47af0efc3d09c33f4dc0ef9525efdafcee5c94e377e0c2374546f209",
+    "static_ls.csv": "6a1498c118d2b5a135f3685769e70e13a259c7be5f2a6e74ed8ed1c3f8a43cac",
+    "dynamic_recursive.csv": "6ad0f36ecd853f1251d1ecf1495f7fc23f023cb3afb2425b4318e8cfac349d75",
+    "dynamic_80211ad.csv": "b4a28b5738366a1c38308aedcbb0001565d14254b46fe986dd169d26aedcfcc0",
+    "dynamic_ls.csv": "a7813777df944ce32eb79f08aba550ca36062b8a5b321791300c640146b0a9f9",
+    "dynamic_cs.csv": "be59ce0431608685b573f1e32deb9e906482c6de671adf25b20660b96eb4db42",
 }
 
 
@@ -98,11 +98,11 @@ CLI_DIGESTS = {
     },
     "dynamic-fixed-velocity": {
         "dynamic_cs.csv":
-            "923b02c3d7b3d555da555559f25500d409222ec921bfb5a516a46f16e61c0c73",
+            "74f243b5f44aa36800eb88b99ed8952cb4098c7874abce70df93bd1837b136ba",
         "dynamic_rate.gp":
             "32c4cd37372520461d448517dc64163e6e1d844ba75ca67618d35e33a64848ed",
         "dynamic_recursive.csv":
-            "d144550bffa9ef9b4bcc9cf9b723cbfba1dc6474f90fe3f8230e65b266531007",
+            "57388763ed9eaa22fca771c14baccffdc95a9e6185145847f44e203547a9d60a",
         "dynamic_trace_cs.csv":
             "17e5d93f2249c9562ad59caa5603aa09a45b25f8b8bc2c0cff1d4797f38f555f",
         "dynamic_trace_recursive.csv":
@@ -116,15 +116,15 @@ CLI_DIGESTS = {
     },
     "dynamic-sinusoidal": {
         "dynamic_80211ad.csv":
-            "7fd59e4c77368d1202eebb52f7035ee011eeeedb58af3e7e05ec0f80f5841799",
+            "44a9ee607a5c7e42edfaaf7dacc658f24f21fbd4de5aea07ebbd12645c4b8d51",
         "dynamic_cs.csv":
-            "6a8e1ff3d17f56c6fc175506d0c81ab508401c2bd649cb9004544e64e57ae220",
+            "4b97428a388da07438f384fbdb0c8052daf68d27e2735890aa9590399312863b",
         "dynamic_ls.csv":
-            "4b3b117d991f7ced197271a0f0023b9d624db1f579859e45886a81ff0249ca4e",
+            "585657799162f7db141422094ca63813b9cd3164076612e2012fa931d7b46187",
         "dynamic_rate.gp":
             "ffc14b2af553627e5adc6375ceb9d2b05773d80521f1eb0b310281fbccbd8f83",
         "dynamic_recursive.csv":
-            "8266a29c03b1027f504d33453f0a5a2fcd033984a20100c24c91b15f01dda440",
+            "eed99ae97e8097c08d9f537a201bd9bd4f8a3cc70986925cd769675c374cd0b5",
         "dynamic_trace_80211ad.csv":
             "b0f0af37d53ba6e05799e049274b8feaa0a92d14528761b6750f09f4b96ef92b",
         "dynamic_trace_cs.csv":
@@ -154,13 +154,13 @@ CLI_DIGESTS = {
         "run.json":
             "1ba67766846d3a7d34801e8991392b68a739cbef9135933cebfc029ec6ef5346",
         "static_80211ad.csv":
-            "dcc125eb8770c5c72c6d9e3bee128dca16b739ee0525a00ff8ca2d08c8374dd5",
+            "870a3a41abbbe05888c264a180332fcd770ebf7bd26d9ba64a02075b1d714b7c",
         "static_ls.csv":
-            "d73b80ee31cc566c9bb8648cef071df74c0a0970f0c6498243c75f462b670f92",
+            "7d343c7bf16f2b92f34817159055f81b06b0312df07078156a99ffe821d47326",
         "static_mse.gp":
             "44d85602eea5fde2df5a48ae5917cffde9087ab02c85d4734bf9666af090cf22",
         "static_recursive.csv":
-            "ae37c59187b5c5d69c4701164b101437ee2b2e87c2b826f10df447e8577f3308",
+            "c06fc92c682bd9978145b355e21ded1ef060c16b3a4891107eb7ce2e83f08f2c",
         "stdout":
             "5cdee646d23bad60f7cc23295f8789c2b007a724e4e17ed320ff33478dacc36e",
     },
@@ -229,7 +229,6 @@ PUBLIC_NAMES = [
     "generate", "h_prime_norm_sq", "harness", "i_max", "initialization_hit_rate",
     "mainlobe_halfwidth", "run_experiment", "run_single_trial", "scenarios", "sine_grid",
     "stable_point_spacing", "stable_points", "steering_matrix", "surrogate_f",
-    "write_summary_csv",
 ]
 
 
