@@ -295,12 +295,12 @@ class _Recursive(_DirectionTracker):
             size = config.resolved_dictionary_size()
             self.direction = _sweep_estimate(self.track, size, warm)
             return
-        rngs = RngPlan(config.seed).batch(trials, STREAM_INIT)
+        plan = RngPlan(config.seed)
         if config.init == "uniform":
-            self.direction = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
+            self.direction = plan.uniform(trials, STREAM_INIT, -1.0, 1.0)
         else:  # mainlobe
             hw = mainlobe_halfwidth(self.track)
-            offs = np.array([rng.uniform(-hw, hw) for rng in rngs])
+            offs = plan.uniform(trials, STREAM_INIT, -hw, hw)
             self.direction = np.clip(x0 + offs, -1.0, 1.0)
 
     def update(self, n, x_n, noise, ip):

@@ -8,6 +8,12 @@ A run's trajectory is three ``RunConfig`` fields: ``trajectory``, one of
   * 'fixed-velocity': the angle advances by exactly ``omega`` radians per
     slot, reversing direction before it would leave [-pi/3, pi/3]
     (``ANGLE_BAND``).
+
+Every random draw comes from a per-trial substream (``RngPlan``): trial t's
+stream s under tag g is the PCG64 generator of ``SeedSequence((seed, t, s,
+g))``.  A chunk's seeded PCG64 states are computed at once, vectorized over
+its trials, and a substream that is drawn from once, such as a static truth,
+is its first ``uniform`` output in closed form, with no generator.
 """
 
 from __future__ import annotations
@@ -52,18 +58,20 @@ ANGLE_BAND = math.pi / 3.0
 def generate(config: RunConfig, trials: range) -> np.ndarray:
     """Direction sines of ``trials`` of a run, one row per trial: column 0 is
     the warm-up anchor, columns 1..slots are the tracked slots.  A row's
-    draws come from its trial's ``STREAM_TRAJECTORY`` substream."""
+    draws come from its trial's ``STREAM_TRAJECTORY`` substream; a static
+    row is that substream's first ``uniform(-1, 1)`` draw, computed for the
+    whole chunk in closed form (``RngPlan.uniform``)."""
     n = config.slots
     x = np.empty((len(trials), n + 1))
-    rngs = RngPlan(config.seed).batch(trials, STREAM_TRAJECTORY)
+    plan = RngPlan(config.seed)
     if config.trajectory == "static":
-        x[:] = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])[:, None]
+        x[:] = plan.uniform(trials, STREAM_TRAJECTORY, -1.0, 1.0)[:, None]
     elif config.trajectory == "sinusoidal":
         # |angle| stays below pi/2: the jitter would need a 105-sigma draw;
         # built in place, as the chunk's largest array
         slots = np.arange(n + 1)
         theta = _SINE_AMPLITUDE * np.sin(2.0 * np.pi * slots / _SINE_PERIOD)
-        for row, rng in zip(x, rngs):
+        for row, rng in zip(x, plan.batch(trials, STREAM_TRAJECTORY)):
             rng.standard_normal(out=row)
         x *= _SINE_JITTER
         x += theta
@@ -86,6 +94,9 @@ class RngPlan:
 
     Every (trial, stream, tag) triple gets an independent generator, so trial
     results do not depend on batching, worker count or evaluation order.
+    Trial t's substream is the PCG64 generator of ``SeedSequence((master_seed,
+    t, stream_id, tag))``; a chunk's seeded states are computed at once, and
+    a substream that is drawn from once (``uniform``) needs no generator.
     """
 
     master_seed: int
@@ -93,29 +104,53 @@ class RngPlan:
     def batch(
         self, trials: range, stream_id: int, tag: int = 0
     ) -> Iterator[np.random.Generator]:
-        """The PCG64 generator of ``SeedSequence((master_seed, t, stream_id,
-        tag))`` for each t of ``trials`` in turn, draw for draw, as one reused
-        Generator whose state is set per trial; use each before advancing.
-        The seed hash runs once per 2**32-aligned span of trials, vectorized,
-        instead of once per trial."""
-        if trials.step != 1:
-            raise ValueError(f"trials must be a range with step 1, got {trials}")
+        """The substream generator of each t of ``trials`` in turn, draw for
+        draw, as one reused Generator whose state is set per trial; use each
+        before advancing."""
         rng = np.random.Generator(np.random.PCG64())
         bit_generator = rng.bit_generator
+        for state_hi, state_lo, inc_hi, inc_lo in zip(
+            *self._seeded(trials, stream_id, tag).tolist()
+        ):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+    def uniform(
+        self, trials: range, stream_id: int, low: float, high: float, tag: int = 0
+    ) -> np.ndarray:
+        """Each trial's first ``uniform(low, high)`` draw of its substream,
+        bit for bit, in closed form: one more LCG step, PCG64's XSL-RR output
+        and numpy's ``low + (high - low) * (out >> 11) * 2**-53``."""
+        state_hi, state_lo, inc_hi, inc_lo = self._seeded(trials, stream_id, tag)
+        hi, lo = _lcg_step(state_hi, state_lo, inc_hi, inc_lo)
+        xor, rot = hi ^ lo, hi >> 58
+        out = (xor >> rot) | (xor << (-rot & 63))  # rotate right by rot
+        return low + (high - low) * ((out >> 11) * 2.0**-53)
+
+    def _seeded(self, trials: range, stream_id: int, tag: int) -> np.ndarray:
+        """The seeded PCG64 state of each trial's substream, as 4 uint64
+        columns (state_hi, state_lo, inc_hi, inc_lo).  The seed hash runs
+        once per 2**32-aligned span of trials, vectorized."""
+        if trials.step != 1:
+            raise ValueError(f"trials must be a range with step 1, got {trials}")
+        spans = [np.empty((0, 4), dtype=np.uint64)]
         lo = trials.start
         while lo < trials.stop:
             # below the next multiple of 2**32 only the trial's low word varies
             hi = min(trials.stop, (lo | _MASK32) + 1)
             low, *high = _words(lo)
-            columns = [
+            spans.append(_pcg64_seed_words([
                 *_words(self.master_seed),
                 np.arange(low, low + (hi - lo), dtype=np.uint32),
                 *high, *_words(stream_id), *_words(tag),
-            ]
-            for words in _pcg64_seed_words(columns).tolist():
-                bit_generator.state = _pcg64_state(*words)
-                yield rng
+            ]))
             lo = hi
+        return _pcg64_srandom(np.concatenate(spans).T)
 
 
 # numpy's SeedSequence entropy hash (pool of 4 uint32 words) and the seeding
@@ -125,8 +160,7 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def _words(n: int) -> list[int]:
@@ -184,14 +218,32 @@ def _pcg64_seed_words(entropy: list) -> np.ndarray:
     return state.astype("<u4").view("<u8")
 
 
-def _pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
-    """``PCG64`` state seeded from 4 SeedSequence words: ``srandom`` sets
-    inc = 2*initseq + 1, then steps the LCG from 0, adds the seed, steps."""
-    inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
-    state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _pcg64_srandom(words: np.ndarray) -> np.ndarray:
+    """PCG64's ``srandom`` from SeedSequence words (seed_hi, seed_lo,
+    initseq_hi, initseq_lo), each a uint64 column: inc = 2*initseq + 1, then
+    the LCG steps from 0, adds the seed and steps again, so state =
+    (inc + seed)*MULT + inc mod 2**128.  Returns (state_hi, state_lo, inc_hi,
+    inc_lo)."""
+    seed_hi, seed_lo, seq_hi, seq_lo = words
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    state = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    return np.stack([*state, inc_hi, inc_lo])
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One step of PCG64's LCG, (hi, lo)*MULT + (inc_hi, inc_lo) mod 2**128,
+    on uint64 columns; the high word of lo*MULT_LO comes from 32-bit limbs."""
+    lo_1, lo_0 = lo >> 32, lo & _MASK32
+    mult_1, mult_0 = _PCG64_MULT_LO >> 32, _PCG64_MULT_LO & _MASK32
+    p01, p10 = lo_0 * mult_1, lo_1 * mult_0
+    mid = (lo_0 * mult_0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = lo_1 * mult_1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    prod_hi = carry + lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO
+    return _add128(prod_hi, lo * _PCG64_MULT_LO, inc_hi, inc_lo)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi, a_lo) + (b_hi, b_lo) mod 2**128 on uint64 columns."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo

@@ -13,6 +13,7 @@ from beamtrack import (
     alpha_star,
     channel_mse_limit,
     dft_codebook,
+    generate,
     h_prime_norm_sq,
     i_max,
     initialization_hit_rate,
@@ -30,10 +31,11 @@ from beamtrack.harness import (
     QPSK,
     _cs_lag_atoms,
     _cs_window_score,
+    _Recursive,
     _sweep_estimate,
     ls_data_beam,
 )
-from beamtrack.scenarios import TRAJECTORIES
+from beamtrack.scenarios import STREAM_INIT, STREAM_TRAJECTORY, TRAJECTORIES
 
 G16 = ArrayGeometry(16)
 G8 = ArrayGeometry(8)
@@ -472,20 +474,49 @@ class TestDeterminism:
         trials=st.integers(5, 14),
         chunk=st.integers(1, 4),
         seed=st.integers(0, 2**40),
+        init=st.sampled_from(["sweep", "uniform", "mainlobe"]),
     )
     @example(kind="static", algorithms=["recursive", "cs"], m=16, track=None, slots=20,
-             omega=0.0, trials=14, chunk=4, seed=3)
+             omega=0.0, trials=14, chunk=4, seed=3, init="sweep")
+    @example(kind="static", algorithms=["recursive"], m=16, track=8, slots=5,
+             omega=0.0, trials=14, chunk=3, seed=5, init="mainlobe")
     def test_worker_count_invariance(self, kind, algorithms, m, track, slots, omega,
-                                     trials, chunk, seed):
+                                     trials, chunk, seed, init):
         # two or more chunks, so that two workers share them; every trial
         # draws from its own substreams and chunks reduce in a fixed order
         base = _small_config(kind, tuple(algorithms), m, track, slots, omega, trials, seed)
         one, two = (
-            run_experiment(RunConfig(**base, chunk_size=chunk, jobs=jobs)) for jobs in (1, 2)
+            run_experiment(RunConfig(**base, init=init, chunk_size=chunk, jobs=jobs))
+            for jobs in (1, 2)
         )
         for name in algorithms:
             for field in _SUMMARY_ARRAYS:
                 assert getattr(one[name], field).tobytes() == getattr(two[name], field).tobytes()
+
+    @pytest.mark.parametrize("init", ["uniform", "mainlobe"])
+    def test_one_draw_inits_across_chunks(self, init):
+        # the recursive tracker's initial estimate in chunks of trials
+        # 500..1099 is each trial's own first draw: uniform on [-1, 1], or the
+        # anchor plus a draw uniform on the tracking mainlobe, clipped
+        cfg = RunConfig(trials=1100, algorithms=("recursive",), track_antennas=8,
+                        init=init, seed=2024)
+        hw = mainlobe_halfwidth(cfg.track_geometry)
+        edges = (500, 501, 737, 1024, 1100)
+        got = []
+        for lo, hi in zip(edges, edges[1:]):
+            anchors = generate(cfg, range(lo, hi))[:, 0]
+            got.append(_Recursive(cfg, range(lo, hi), anchors, None).direction)
+        expected = []
+        for trial in range(500, 1100):
+            draw = ref.stream(cfg.seed, trial, STREAM_INIT)
+            if init == "uniform":
+                expected.append(draw.uniform(-1.0, 1.0))
+            else:
+                anchor = ref.stream(cfg.seed, trial, STREAM_TRAJECTORY).uniform(-1.0, 1.0)
+                expected.append(min(max(anchor + draw.uniform(-hw, hw), -1.0), 1.0))
+        np.testing.assert_array_equal(
+            np.concatenate(got).view(np.uint64), np.array(expected).view(np.uint64)
+        )
 
     # static cs is left out: its slot-1 estimate is a tie (one random probe
     # scores every grid point |y_1|) that the batch size's rounding breaks
@@ -753,7 +784,7 @@ def _check_least_squares(cfg):
     return trace
 
 
-class TestLsAgainstLibraryEstimator:
+class TestLeastSquaresAgainstScalarReplay:
     def test_engine_matches_lstsq_solution(self):
         # static: re-estimated every slot from every pilot so far; slot n's
         # rate uses the phase-only beam of the estimate before it

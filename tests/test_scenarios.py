@@ -6,7 +6,7 @@ import reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamtrack import RngPlan, RunConfig, generate
+from beamtrack import ArrayGeometry, RngPlan, RunConfig, generate, mainlobe_halfwidth
 from beamtrack.scenarios import STREAM_TRAJECTORY
 
 
@@ -93,6 +93,19 @@ class TestGenerate:
             oracle = ref.trajectory(config, ref.stream(seed, trial, STREAM_TRAJECTORY))
             np.testing.assert_array_equal(row.view(np.uint64), oracle.view(np.uint64))
 
+    def test_static_rows_across_chunks(self):
+        # trials 500..1099 in chunks of 1, 236, 287 and 76 trials hold each
+        # trial's own first uniform(-1, 1) draw in every column
+        config = RunConfig(slots=2, seed=2024)
+        edges = (500, 501, 737, 1024, 1100)
+        rows = np.concatenate([generate(config, range(a, b)) for a, b in zip(edges, edges[1:])])
+        first = np.array([
+            ref.stream(2024, trial, STREAM_TRAJECTORY).uniform(-1.0, 1.0)
+            for trial in range(500, 1100)
+        ])
+        oracle = np.repeat(first[:, None], 3, axis=1)
+        np.testing.assert_array_equal(rows.view(np.uint64), oracle.view(np.uint64))
+
 
 class TestRngPlan:
     def test_reproducible(self):
@@ -140,9 +153,37 @@ class TestRngPlan:
         assert seen == count
         assert next(batch, None) is None
 
+    @settings(max_examples=100)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**80)),
+        start=st.one_of(st.just(0), st.integers(1, 10**6), st.just(2**32 - 2)),
+        count=st.integers(1, 5),
+        stream_id=st.integers(0, 3),
+        tag=st.integers(0, 4),
+        m=st.none() | st.integers(2, 64),
+    )
+    @example(seed=0, start=0, count=3, stream_id=0, tag=0, m=None)
+    @example(seed=2**32 - 1, start=500, count=2, stream_id=3, tag=0, m=16)
+    @example(seed=2**32, start=2**32 - 2, count=5, stream_id=3, tag=4, m=2)
+    @example(seed=2**70 + 12345, start=2**32 - 2, count=4, stream_id=0, tag=1, m=64)
+    def test_uniform_matches_stream(self, seed, start, count, stream_id, tag, m):
+        # the closed-form first draw on [-1, 1] (m None: static truths and
+        # uniform inits) or on an m-antenna mainlobe [-hw, hw] (mainlobe
+        # inits) is the substream generator's, bit for bit
+        hw = 1.0 if m is None else mainlobe_halfwidth(ArrayGeometry(m))
+        trials = range(start, start + count)
+        draws = RngPlan(seed).uniform(trials, stream_id, -hw, hw, tag)
+        oracle = np.array([
+            ref.stream(seed, trial, stream_id, tag).uniform(-hw, hw) for trial in trials
+        ])
+        assert draws.shape == (count,)
+        np.testing.assert_array_equal(draws.view(np.uint64), oracle.view(np.uint64))
+
     def test_batch_needs_unit_step(self):
         with pytest.raises(ValueError, match="step"):
             next(RngPlan(0).batch(range(0, 4, 2), 0))
+        with pytest.raises(ValueError, match="step"):
+            RngPlan(0).uniform(range(0, 4, 2), 0, -1.0, 1.0)
 
     def test_trajectories_shared_across_algorithms(self):
         config = RunConfig(slots=5, seed=7)
