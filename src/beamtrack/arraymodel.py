@@ -82,7 +82,7 @@ def array_kernel(geom: ArrayGeometry, delta: np.ndarray) -> np.ndarray:
     the ratio is its limit ``m cos(m phi/2)/cos(phi/2)``."""
     m = geom.num_antennas
     half = (0.5 * math.pi) * delta
-    half -= np.pi * np.round(half / np.pi)
+    half -= np.pi * np.rint(half / np.pi)
     s = np.sin(half)
     ratio = np.sin(m * half)
     near_zero = np.abs(s) < 1e-8

@@ -26,6 +26,9 @@ Per-slot conventions, uniform across algorithms:
     the tracking subarray;
   * metrics other than rate (channel MSE, squared sine error) use the state
     after the slot's update.
+A static run's truth never moves, so its trajectory is one column viewed
+across the slots, and a direction tracker's MSE kernel at slot n is slot
+n+1's rate kernel, reused while the estimate is unchanged.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
 re-estimate every slot from all pilots received so far.  Dynamic sparse
@@ -258,21 +261,30 @@ class _DirectionTracker:
     slot's ``update``, its channel MSE the estimate after it.  ``update``
     also gets ``ip``, the full-array kernel at the pre-update estimate.  An
     ``update`` that keeps the estimate leaves ``direction`` the same object,
-    and the MSE then reuses ``ip``."""
+    and the MSE then reuses ``ip``.  In a static run x never moves, so the
+    MSE kernel is also the next slot's rate kernel while ``direction`` stays
+    the same object: each full-array kernel is evaluated once."""
 
     def __init__(self, config: RunConfig):
         self.geom = config.geometry
         self.track = config.track_geometry
         self.m = config.num_antennas
         self.rho = config.rho
+        self.static = config.trajectory == "static"
+        self.kernel_at = self.kernel = None  # static runs: the last MSE kernel
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         before = self.direction
-        ip = _inner(self.geom, before - x_n)
+        if before is self.kernel_at:
+            ip = self.kernel
+        else:
+            ip = _inner(self.geom, before - x_n)
         rate = np.log2(1.0 + self.rho * np.abs(ip) ** 2 / self.m)
         self.update(n, x_n, noise, ip)
         if self.direction is not before:  # an update that keeps it reuses ip
             ip = _inner(self.geom, self.direction - x_n)
+        if self.static:
+            self.kernel_at, self.kernel = self.direction, ip
         return rate, 2.0 * self.m - 2.0 * np.real(ip), self.direction
 
     def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
@@ -290,7 +302,6 @@ class _Recursive(_DirectionTracker):
         super().__init__(config)
         alpha = config.step_alpha
         self.alpha = alpha_star(self.track) if alpha is None else alpha
-        self.static = config.trajectory == "static"
         if config.init == "sweep":
             size = config.resolved_dictionary_size()
             self.direction = _sweep_estimate(self.track, size, warm)
@@ -321,18 +332,20 @@ class _SweepRefine(_DirectionTracker):
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
         self.dirs = sine_grid(self.track.num_antennas)
-        self.best = np.argmax(np.abs(warm), axis=1)
-        self.direction = self.dirs[self.best]
         self.mags = np.empty((len(trials), 3))
+        self._choose(np.argmax(np.abs(warm), axis=1))
+
+    def _choose(self, best: np.ndarray) -> None:
+        """Make ``best`` the best beams, and their rounds' three candidates."""
+        self.direction = self.dirs[best]
+        self.cand = np.clip(best, 1, len(self.dirs) - 2)[:, None] + np.array([-1, 0, 1])
 
     def update(self, n, x_n, noise, ip):
         cursor = (n - 1) % 3
-        cand = np.clip(self.best, 1, len(self.dirs) - 2)[:, None] + np.array([-1, 0, 1])
-        y = self.pilot(self.dirs[cand[:, cursor]], x_n, noise)
+        y = self.pilot(self.dirs[self.cand[:, cursor]], x_n, noise)
         self.mags[:, cursor] = np.abs(y)
         if cursor == 2:
-            self.best = cand[np.arange(len(cand)), np.argmax(self.mags, axis=1)]
-            self.direction = self.dirs[self.best]
+            self._choose(self.cand[np.arange(len(self.cand)), np.argmax(self.mags, axis=1)])
 
 
 def ls_data_beam(h_hat: np.ndarray) -> np.ndarray:
@@ -447,7 +460,6 @@ class _CompressedSensing(_DirectionTracker):
         rngs = RngPlan(config.seed).batch(trials, STREAM_PROBE, _ALG_TAGS["cs"])
         for probes, rng in zip(self.probes, rngs):
             probes[:] = rng.integers(0, 4, size=(slots, m_t), dtype=np.int8)
-        self.static = config.trajectory == "static"
         self.k_win = max(m_t // 2, 1)
         self.grid = sine_grid(CS_DICTIONARY_SIZE)
         atoms = steering_matrix(self.track, self.grid)  # (grid, m_t)

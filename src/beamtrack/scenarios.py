@@ -60,13 +60,16 @@ def generate(config: RunConfig, trials: range) -> np.ndarray:
     the warm-up anchor, columns 1..slots are the tracked slots.  A row's
     draws come from its trial's ``STREAM_TRAJECTORY`` substream; a static
     row is that substream's first ``uniform(-1, 1)`` draw, computed for the
-    whole chunk in closed form (``RngPlan.uniform``)."""
+    whole chunk in closed form (``RngPlan.uniform``).  Static rows are a
+    read-only view of that one column (zero stride along the slots), so no
+    copy of it is filled."""
     n = config.slots
-    x = np.empty((len(trials), n + 1))
     plan = RngPlan(config.seed)
     if config.trajectory == "static":
-        x[:] = plan.uniform(trials, STREAM_TRAJECTORY, -1.0, 1.0)[:, None]
-    elif config.trajectory == "sinusoidal":
+        x0 = plan.uniform(trials, STREAM_TRAJECTORY, -1.0, 1.0)
+        return np.broadcast_to(x0[:, None], (len(trials), n + 1))
+    x = np.empty((len(trials), n + 1))
+    if config.trajectory == "sinusoidal":
         # |angle| stays below pi/2: the jitter would need a 105-sigma draw;
         # built in place, as the chunk's largest array
         slots = np.arange(n + 1)

@@ -24,7 +24,7 @@ from beamtrack import (
     steering_matrix,
     surrogate_f,
 )
-from beamtrack import cli
+from beamtrack import cli, harness
 from beamtrack.harness import (
     ALGORITHMS,
     CS_DICTIONARY_SIZE,
@@ -277,7 +277,7 @@ def _check_cs(cfg):
 _KINDS = st.sampled_from(TRAJECTORIES)
 
 
-class TestEngineAgainstLibraryOps:
+class TestEngineAgainstScalarReplay:
     """The vectorized runner must reproduce the scalar replays of
     ``tests/reference.py``, noise draw for noise draw."""
 
@@ -547,6 +547,46 @@ class TestDeterminism:
         s2 = run_experiment(RunConfig(**base, chunk_size=chunk))[algorithm]
         np.testing.assert_allclose(s1.mean_mse_h, s2.mean_mse_h, rtol=1e-12)
         np.testing.assert_allclose(s1.mean_rate, s2.mean_rate, rtol=1e-12)
+
+
+class TestKernelCalls:
+    """A static run evaluates each full-array kernel once: x never moves, so
+    the MSE kernel of slot n is slot n+1's rate kernel while the estimate
+    stays the same object.  Counted through ``harness._inner``, the name the
+    engine calls the kernel by."""
+
+    @staticmethod
+    def _full_array_calls(monkeypatch, cfg):
+        geoms = []
+        kernel = harness._inner
+
+        def counted(geom, delta):
+            geoms.append(geom)
+            return kernel(geom, delta)
+
+        monkeypatch.setattr(harness, "_inner", counted)
+        run_experiment(cfg)
+        return geoms.count(cfg.geometry)
+
+    @pytest.mark.parametrize("algorithm", ["recursive", "cs"])
+    def test_static_direction_tracker_one_kernel_per_slot(self, monkeypatch, algorithm):
+        # the first slot's rate kernel, then one MSE kernel per slot, in each
+        # of the two chunks
+        cfg = RunConfig(slots=1000, trials=4, chunk_size=2, algorithms=(algorithm,), seed=3)
+        assert self._full_array_calls(monkeypatch, cfg) == 2 * (1000 + 1)
+
+    def test_static_sweep_refine_kernels(self, monkeypatch):
+        # on the full array every pilot is a full-array kernel; the estimate
+        # moves only at a round's last slot, which takes the only MSE kernel
+        # of the round, and only the first slot's rate needs its own
+        cfg = RunConfig(slots=1000, trials=3, algorithms=("80211ad",), seed=3)
+        assert self._full_array_calls(monkeypatch, cfg) == 1000 + 333 + 1 == 1334
+
+    def test_moving_truth_takes_two_kernels_per_slot(self, monkeypatch):
+        # the truth moves every slot, so neither kernel can be reused
+        cfg = RunConfig(trajectory="sinusoidal", slots=200, trials=3,
+                        algorithms=("recursive",), seed=3)
+        assert self._full_array_calls(monkeypatch, cfg) == 2 * 200
 
 
 class TestSummaryContents:

@@ -93,6 +93,17 @@ class TestGenerate:
             oracle = ref.trajectory(config, ref.stream(seed, trial, STREAM_TRAJECTORY))
             np.testing.assert_array_equal(row.view(np.uint64), oracle.view(np.uint64))
 
+    def test_static_rows_view_one_column(self):
+        # the slots of a static row share one value, so the rows are a
+        # read-only view with zero stride along the slots, not a filled copy
+        rows = generate(RunConfig(slots=50, seed=11), range(7, 12))
+        assert rows.strides[1] == 0
+        assert rows.flags.writeable is False
+        with pytest.raises(ValueError):
+            rows[0, 3] = 0.5
+        with pytest.raises(ValueError):
+            rows[:, 0] += 1.0
+
     def test_static_rows_across_chunks(self):
         # trials 500..1099 in chunks of 1, 236, 287 and 76 trials hold each
         # trial's own first uniform(-1, 1) draw in every column
