@@ -277,7 +277,7 @@ def _check_cs(cfg):
 _KINDS = st.sampled_from(TRAJECTORIES)
 
 
-class TestEngineAgainstScalarReplay:
+class TestEngineAgainstLibraryOps:
     """The vectorized runner must reproduce the scalar replays of
     ``tests/reference.py``, noise draw for noise draw."""
 
