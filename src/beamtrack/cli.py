@@ -11,8 +11,10 @@ of each of its keys that has one (``_FLAGS``).  A setting comes from its
 flag, else from the ``--config`` file, else from the table.  Every run
 writes CSV files, a small gnuplot script per figure, and a ``run.json``
 manifest, all through one ``_Output`` per run.  The manifest's ``config``
-holds the resolved value of every key the subcommand read, so passing it
-back as ``--config`` replays the run.
+holds the resolved value of every key the run read, so passing it back as
+``--config`` replays the run.  A key that the run's ``RunConfig`` ignores
+(``RunConfig.ignored_fields``) is not echoed, and a value other than the
+command's default for it is rejected.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from .harness import (
     initialization_hit_rate,
     run_experiment,
 )
+from .scenarios import TRAJECTORIES
 
 _CORES = os.cpu_count() or 1
-_MOVING = ("sinusoidal", "fixed-velocity")  # the trajectories of `dynamic`
+_MOVING = tuple(kind for kind in TRAJECTORIES if kind != "static")  # those of `dynamic`
 
 
 def _json(value):
@@ -191,6 +194,23 @@ def _run_config(settings: dict, **overrides) -> RunConfig:
         raise SystemExit(f"beamtrack: {exc}") from None
 
 
+def _read(command: str, settings: dict, *ignored: dict) -> dict:
+    """The settings that a run reads, as ``run.json`` echoes them.  Each of
+    ``ignored`` maps the keys that one of the run's configs does not read from
+    the settings to the reason.  A key that none of them reads is left out;
+    a value other than the command's default for it ends the run with one
+    ``beamtrack: <key> ... <reason>`` line on stderr."""
+    default = _COMMANDS[command].reads
+    unread = {
+        key: why for key, why in ignored[0].items()
+        if key in settings and all(key in other for other in ignored)
+    }
+    for key, why in unread.items():
+        if settings[key] != default[key]:
+            raise SystemExit(f"beamtrack: {key} {settings[key]!r} is not read: {why}")
+    return {key: value for key, value in settings.items() if key not in unread}
+
+
 CSV_HEADER = "slot,mean_mse_h,n_mse_times_imax,mean_rate,conv_frac,crlb_h_ref"
 
 
@@ -272,6 +292,7 @@ class _Output:
 
 def _cmd_static(args, settings: dict) -> int:
     cfg = _run_config(settings, trajectory="static")
+    settings = _read(args.command, settings, cfg.ignored_fields())
     summaries = run_experiment(cfg)
     out = _Output(args.out, "static")
     for name, s in summaries.items():
@@ -307,6 +328,7 @@ def _trace_rows(record):
 
 def _cmd_dynamic(args, settings: dict) -> int:
     cfg = _run_config(settings)
+    settings = _read(args.command, settings, cfg.ignored_fields())
     summaries = run_experiment(cfg)
     out = _Output(args.out, "dynamic")
     for name, s in summaries.items():
@@ -352,19 +374,24 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
         subsets = [subset]
     else:
         subsets = [m for m in (16, 8, 4) if m <= full.num_antennas] or [full.num_antennas]
+    # each series' settings that the command sets itself, which it does not
+    # read: the baselines run on the full array whatever track_antennas says
     runs = [
-        (f"recursive_m{mt}", {"algorithms": ("recursive",), "track_antennas": mt})
+        (f"recursive_m{mt}", {"algorithms": ("recursive",), "track_antennas": mt}, {})
         for mt in (subsets if "recursive" in full.algorithms else [])
     ]
+    full_array = {"track_antennas": "sweep-speed runs only recursive on a subarray"}
     runs += [
-        (name, {"algorithms": (name,), "track_antennas": None})
+        (name, {"algorithms": (name,), "track_antennas": None}, full_array)
         for name in full.algorithms
         if name != "recursive"
     ]
-    series = [(label, [config(omega, **kw) for omega in grid]) for label, kw in runs]
+    series = [(label, [config(omega, **kw) for omega in grid], own) for label, kw, own in runs]
+    settings = _read(args.command, settings,
+                     *({**cfgs[0].ignored_fields(), **own} for _, cfgs, own in series))
 
     tables = {}
-    for label, cfgs in series:
+    for label, cfgs, _ in series:
         rows = []
         for cfg in cfgs:
             summary = run_experiment(cfg)[cfg.algorithms[0]]

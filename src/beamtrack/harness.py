@@ -145,6 +145,15 @@ class RunConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        try:
+            rho = self.rho
+        except OverflowError:
+            rho = math.inf
+        if not (0.0 < rho < math.inf and 1.0 / rho < math.inf):
+            raise ValueError(
+                "snr_db must be within about ±3082 dB, where the SNR and the noise power "
+                f"are finite and positive, got {self.snr_db}"
+            )
         if self.trajectory == "fixed-velocity":
             if self.omega < 0:
                 raise ValueError(f"omega must be nonnegative, got {self.omega}")
@@ -188,6 +197,21 @@ class RunConfig:
     def rho(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
 
+    def ignored_fields(self) -> dict[str, str]:
+        """The fields that ``run_experiment`` does not read for this
+        trajectory, these algorithms and this ``init``, each with the reason.
+        ``jobs`` and ``chunk_size`` are always read."""
+        ignored = {}
+        if self.trajectory != "fixed-velocity":
+            ignored["omega"] = "only the fixed-velocity trajectory moves at omega"
+        if "recursive" not in self.algorithms:
+            ignored["step_alpha"] = ignored["init"] = "only the recursive tracker reads it"
+        if "recursive" not in self.algorithms or self.init != "sweep":
+            ignored["sweep_dictionary_size"] = "only the recursive tracker's sweep init reads it"
+        if set(self.algorithms) <= {"ls"}:
+            ignored["track_antennas"] = "no algorithm but ls runs, and ls uses the full array"
+        return ignored
+
     def resolved_dictionary_size(self) -> int:
         if self.sweep_dictionary_size is not None:
             return self.sweep_dictionary_size
@@ -220,9 +244,9 @@ class RunSummary:
     converged_trials: float  # NaN when the algorithm has no direction estimate
     steady_mean_rate: float
     steady_mean_mse_h: float
-    final_x: np.ndarray | None = None  # per-trial truth at the last slot
-    final_estimate: np.ndarray | None = None  # per-trial final direction estimate
-    trace: TrialRecord | None = None
+    final_x: np.ndarray  # per-trial truth at the last slot
+    final_estimate: np.ndarray  # per-trial final direction estimate
+    trace: TrialRecord
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import contextlib
 import csv
+import functools
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrack import cli
-from beamtrack.harness import RunConfig
+from beamtrack.harness import ALGORITHMS, RunConfig
 
 
 def run_cli(*args, cwd=None):
@@ -357,6 +361,143 @@ def test_flag_beats_file_beats_command_default(layers):
         assert echo[key] == expected, key
 
 
+# a second valid value of every key a command reads: the first of its
+# candidates that differs from the base run's value
+_SECOND = {
+    "seed": [5],
+    "trials": [4],
+    "slots": [21],
+    "snr_db": [5.0],
+    "num_antennas": [12],
+    "track_antennas": [8],
+    "jobs": [2],
+    "algorithms": [["recursive", "cs"]],
+    "sweep_dictionary_size": [64],
+    "step_alpha": [0.3],
+    "init": ["mainlobe", "uniform"],
+    "chunk_size": [2],
+    "trajectory": ["fixed-velocity"],
+    "omega": [0.05],
+    "omega_grid": [[0.02, 0.1]],
+    "x": [0.3],
+    "samples": [101],
+    "snr_grid": [[0.0, 10.0]],
+    "m0_factors": [[1, 2]],
+}
+_TINY = {"trials": 3, "slots": 20, "jobs": 1}
+# each simulation command once per algorithm alone, and the recursive tracker
+# once more from uniform starts, where it reads no sweep setting
+_BASES = {
+    **{
+        f"{command}-{alg}": (command, {**_TINY, **extra, "algorithms": [alg]})
+        for command, extra in (("static", {}), ("dynamic", {}),
+                               ("sweep-speed", {"omega_grid": [0.01, 0.1]}))
+        for alg in ALGORITHMS
+    },
+    "static-recursive-uniform": ("static", {**_TINY, "algorithms": ["recursive"],
+                                            "init": "uniform"}),
+    "crlb": ("crlb", {}),
+    "analyze-stable-points": ("analyze-stable-points", {}),
+    # at 3 trials every hit rate is 1, whatever the seed
+    "init-quality": ("init-quality", {"trials": 200}),
+}
+
+
+@functools.cache
+def _run_outputs(command: str, config: str):
+    """The bytes of every file but ``run.json`` that a run of ``command`` with
+    the JSON ``config`` writes, and of its stdout; or, for a rejected run, its
+    one message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
+        cfg_path.write_text(config)
+        stdout = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout):
+                cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+        except SystemExit as exc:
+            assert not out.exists()
+            return exc.code
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.json"}
+        return {**files, "stdout": stdout.getvalue().encode()}
+
+
+_NUMBER = re.compile(r"nan|inf|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _last_digit(token: str) -> float:
+    """The value of one unit in the last written digit of a number."""
+    mantissa, _, exponent = token.lower().partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+def _assert_rounding_only(before: bytes, after: bytes):
+    """Equal text but for numbers that differ by test_chunking_only_reorders_
+    rounding's rtol of 1e-12 plus the rounding of their last written digit."""
+    a, b = before.decode(), after.decode()
+    assert _NUMBER.sub("#", a) == _NUMBER.sub("#", b)
+    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+        if x != y:
+            tol = 1e-12 * max(abs(float(x)), abs(float(y)))
+            assert abs(float(x) - float(y)) <= tol + max(_last_digit(x), _last_digit(y)), (x, y)
+
+
+@pytest.mark.parametrize(
+    "base, key",
+    [(base, key) for base, (command, _) in _BASES.items() for key in cli._COMMANDS[command].reads],
+    ids=lambda value: value,
+)
+def test_every_echoed_key_changes_a_byte_or_is_rejected(base, key):
+    """A run echoes only settings it reads: a second valid value of every key
+    a command echoes either changes some output byte or is rejected.  ``jobs``
+    changes no byte, and ``chunk_size`` only the rounding, but for static
+    ``cs``, whose slot-1 tie the rounding breaks, as
+    test_chunking_only_reorders_rounding leaves it out."""
+    command, config = _BASES[base]
+    value = {**cli._COMMANDS[command].reads, **config}[key]
+    second = next(v for v in _SECOND[key] if v != value)
+    before = _run_outputs(command, json.dumps(config))
+    after = _run_outputs(command, json.dumps({**config, key: second}))
+    assert isinstance(before, dict), before
+    if key == "jobs":
+        assert after == before
+    elif key == "chunk_size":
+        assert isinstance(after, dict) and after.keys() == before.keys(), after
+        for name in before if base != "static-cs" else ():
+            _assert_rounding_only(before[name], after[name])
+    elif isinstance(after, dict):
+        assert after != before
+    else:
+        assert after.startswith("beamtrack: ")
+
+
+@pytest.mark.parametrize(
+    "command, algorithm, unread",
+    [
+        ("dynamic", "recursive", ["omega"]),
+        ("static", "cs", ["init", "step_alpha", "sweep_dictionary_size"]),
+        ("sweep-speed", "ls", ["init", "step_alpha", "sweep_dictionary_size", "track_antennas"]),
+    ],
+    ids=["dynamic", "static", "sweep-speed"],
+)
+def test_unread_key_at_its_default_is_accepted_and_not_echoed(
+    tmp_path, capsys, command, algorithm, unread
+):
+    # a config file that sets every key the command reads, each unread one at
+    # its default, as run.json echoed them before unread keys were left out
+    full = {**cli._COMMANDS[command].reads, **_TINY, "algorithms": [algorithm]}
+    if command == "sweep-speed":
+        full["omega_grid"] = [0.01]
+    read = {key: value for key, value in full.items() if key not in unread}
+    for name, config in (("full", full), ("read", read)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        argv = [command, "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / name / "run.json").read_text())["config"] == read
+    for path in (tmp_path / "full").iterdir():
+        assert path.read_bytes() == (tmp_path / "read" / path.name).read_bytes(), path.name
+
+
 class TestErrors:
     def test_unknown_flag_usage_error(self):
         res = run_cli("static", "--definitely-not-a-flag")
@@ -399,6 +540,10 @@ class TestErrors:
             ("analyze-stable-points", "--samples", "1"),
             ("static", "--seed", "-1", "--trials", "2", "--slots", "3"),
             ("init-quality", "--seed", "-5", "--trials", "10"),
+            ("static", "--snr-db", "4000", "--trials", "2", "--slots", "3"),
+            ("crlb", "--snr-db", "4000"),
+            ("init-quality", "--snr-grid", "4000", "--trials", "5"),
+            ("static", "--snr-db=-4000", "--trials", "2", "--slots", "3"),
         ],
     )
     def test_rejected_setting_one_line(self, tmp_path, argv):

@@ -136,7 +136,7 @@ CLI_DIGESTS = {
         "dynamic_tracking.gp":
             "6466818e1ad2d987004ae3b1e2c76b031d2e123ea160d1eecc0a6fb17c2beb3c",
         "run.json":
-            "6baf7f75a40dde2afec8fec47f33957f0d31a78f0d0d67a4eedfc60842fe123d",
+            "5056ba112d19b9aa921b55694f99ceee74a93b8edcc7f8098595bd88cdfafa20",
         "stdout":
             "f192d7fc74bd3b501c6ae15de68358be79341226a768bed5779d5e7a16946563",
     },

@@ -731,6 +731,9 @@ class TestSummaryContents:
             ({"step_alpha": "x"}, "step_alpha"),
             ({"track_antennas": 17}, "track_antennas"),
             ({"algorithms": ("ls", "ls")}, "algorithms"),
+            # rho = 10**(snr_db/10) overflows, and 1/rho overflows
+            ({"snr_db": 4000.0}, "snr_db"),
+            ({"snr_db": -4000.0}, "snr_db"),
         ):
             with pytest.raises(ValueError, match=f"^{key} must be "):
                 RunConfig(slots=5, **bad)
@@ -742,6 +745,26 @@ class TestSummaryContents:
         ):
             with pytest.raises(TypeError, match="argument"):
                 build()
+
+    @pytest.mark.parametrize(
+        "setting, ignored",
+        [
+            ({}, {"omega"}),
+            ({"trajectory": "fixed-velocity"}, set()),
+            ({"trajectory": "sinusoidal", "init": "uniform"}, {"omega", "sweep_dictionary_size"}),
+            ({"algorithms": ("80211ad", "cs")},
+             {"omega", "step_alpha", "init", "sweep_dictionary_size"}),
+            ({"algorithms": ("ls",)},
+             {"omega", "step_alpha", "init", "sweep_dictionary_size", "track_antennas"}),
+            ({"algorithms": ("ls", "recursive"), "init": "mainlobe"},
+             {"omega", "sweep_dictionary_size"}),
+        ],
+    )
+    def test_ignored_fields(self, setting, ignored):
+        # run_experiment reads every other field, jobs and chunk_size always
+        got = RunConfig(**setting).ignored_fields()
+        assert set(got) == ignored
+        assert all(isinstance(why, str) and why for why in got.values())
 
 
 @pytest.fixture(scope="module")
