@@ -8,6 +8,7 @@ from .arraymodel import (
     ArrayGeometry,
     alpha_star,
     array_kernel,
+    array_kernel_polar,
     channel_mse_limit,
     crlb_min,
     dft_codebook,

@@ -9,8 +9,13 @@ pi, and every formula below is written for that spacing: the peak Fisher
 information, the channel-response derivative and the CRLB, the tracking
 drift and its stable points, the mainlobe and the channel-MSE limit.
 The one implementation of the array inner product ``a(v)^H a(x)`` is the
-closed-form ``array_kernel``: the engine's pilots, rates and channel MSEs
-and the drift ``surrogate_f`` all evaluate it.
+Dirichlet kernel in polar form, ``array_kernel_polar``: a signed amplitude
+and a phase, ``a(v)^H a(x) = amp * e^{j phase}``.  ``array_kernel`` is its
+complex view.  Each consumer takes only the part it needs: a rate takes
+``amp**2``, a channel MSE ``amp * cos(phase)`` and the drift ``surrogate_f``
+``amp * sin(phase)``, each bit for bit the real or imaginary part of the
+complex view.  Only a pilot that gets noise added, and the stable-point
+gains of ``analyze-stable-points``, build the complex value.
 The grids and beams the trackers share live here too: the recursive
 tracker's optimal step coefficient, the uniform sine grid that the coarse
 sweep and sparse recovery score, and the DFT sweep codebook.  The pilot
@@ -30,6 +35,7 @@ __all__ = [
     "ArrayGeometry",
     "steering_matrix",
     "array_kernel",
+    "array_kernel_polar",
     "i_max",
     "h_prime_norm_sq",
     "crlb_min",
@@ -71,27 +77,36 @@ def steering_matrix(geom: ArrayGeometry, xs: float | np.ndarray) -> np.ndarray:
     return np.exp(-1j * math.pi * np.multiply.outer(xs, idx))
 
 
-def array_kernel(geom: ArrayGeometry, delta: np.ndarray) -> np.ndarray:
+def array_kernel_polar(geom: ArrayGeometry, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steering inner product a(v)^H a(x) for an array of delta = v - x,
-    elementwise: the Dirichlet kernel ``e^{j phi (m-1)/2} sin(m phi/2) /
-    sin(phi/2)`` of ``phi = pi * delta``, which is the sum of ``e^{j phi i}``
-    over i < m.  The sum is 2*pi-periodic in phi, so phi is first wrapped
-    into [-pi, pi]: ``sin(m phi/2)`` then keeps its relative accuracy next to
-    the zero at phi = +-2*pi (delta = +-2), where ``m * phi/2`` would
-    otherwise round away the small remainder.  Where ``|sin(phi/2)| < 1e-8``
-    the ratio is its limit ``m cos(m phi/2)/cos(phi/2)``."""
+    elementwise, in polar form ``(amp, phase)``: the Dirichlet kernel
+    ``e^{j phi (m-1)/2} sin(m phi/2) / sin(phi/2)`` of ``phi = pi * delta``,
+    which is the sum of ``e^{j phi i}`` over i < m, has the signed amplitude
+    ``amp = sin(m phi/2) / sin(phi/2)`` and the phase ``(m-1) phi/2``.  The
+    sum is 2*pi-periodic in phi, so phi is first wrapped into [-pi, pi]:
+    ``sin(m phi/2)`` then keeps its relative accuracy next to the zero at
+    phi = +-2*pi (delta = +-2), where ``m * phi/2`` would otherwise round away
+    the small remainder.  Where ``|sin(phi/2)| < 1e-8`` the ratio is its
+    limit ``m cos(m phi/2)/cos(phi/2)``."""
     m = geom.num_antennas
     half = (0.5 * math.pi) * delta
     half -= np.pi * np.rint(half / np.pi)
     s = np.sin(half)
-    ratio = np.sin(m * half)
+    amp = np.sin(m * half)
     near_zero = np.abs(s) < 1e-8
-    if near_zero.any():
+    if np.count_nonzero(near_zero):
         s[near_zero] = 1.0
         h = half[near_zero]
-        ratio[near_zero] = m * np.cos(m * h) / np.cos(h)
-    ratio /= s
-    return np.exp((1j * (m - 1)) * half) * ratio
+        amp[near_zero] = m * np.cos(m * h) / np.cos(h)
+    amp /= s
+    half *= m - 1
+    return amp, half
+
+
+def array_kernel(geom: ArrayGeometry, delta: np.ndarray) -> np.ndarray:
+    """The complex view ``amp * e^{j phase}`` of ``array_kernel_polar``."""
+    amp, phase = array_kernel_polar(geom, delta)
+    return amp * np.exp(1j * phase)
 
 
 def i_max(geom: ArrayGeometry, rho: float) -> float:
@@ -126,7 +141,8 @@ def surrogate_f(geom: ArrayGeometry, v: float | np.ndarray, x: float) -> float |
     """
     _check_direction(v)
     _check_direction(x)
-    f = -array_kernel(geom, np.atleast_1d(np.subtract(v, x))).imag / math.sqrt(geom.num_antennas)
+    amp, phase = array_kernel_polar(geom, np.atleast_1d(np.subtract(v, x)))
+    f = -(amp * np.sin(phase)) / math.sqrt(geom.num_antennas)
     return f if np.ndim(v) else float(f[0])
 
 

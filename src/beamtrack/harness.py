@@ -26,6 +26,12 @@ Per-slot conventions, uniform across algorithms:
     the tracking subarray;
   * metrics other than rate (channel MSE, squared sine error) use the state
     after the slot's update.
+The engine calls the array kernel through ``_inner`` in polar form, and each
+metric takes only its part: the rate ``amp**2``, the channel MSE
+``amp * cos(phase)`` and the full-array recursive step ``amp * sin(phase)``;
+only a pilot that gets noise added builds the complex value.  The slot loop
+only records each slot's direction estimates; the lock test and the squared
+sine errors run over all slots at once after it.
 A static run's truth never moves, so its trajectory is one column viewed
 across the slots, and a direction tracker's MSE kernel at slot n is slot
 n+1's rate kernel, reused while the estimate is unchanged.
@@ -50,7 +56,7 @@ import numpy as np
 from .arraymodel import (
     ArrayGeometry,
     alpha_star,
-    array_kernel,
+    array_kernel_polar,
     dft_codebook,
     h_prime_norm_sq,
     i_max,
@@ -82,6 +88,9 @@ ALGORITHMS = ("recursive", "80211ad", "ls", "cs")
 _ALG_TAGS = {name: k + 1 for k, name in enumerate(ALGORITHMS)}
 
 STEADY_SKIP = 50  # leading slots left out of the steady-state means
+# far beyond the paper's SNRs; near +-3082 dB rho or 1/rho overflows, and a
+# rate's rho*|ip|^2 or a channel MSE's squared noise overflows before that
+SNR_DB_BOUND = 1000.0
 CS_DICTIONARY_SIZE = 1024
 QPSK = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])  # random-probe phase alphabet
 
@@ -145,14 +154,10 @@ class RunConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        try:
-            rho = self.rho
-        except OverflowError:
-            rho = math.inf
-        if not (0.0 < rho < math.inf and 1.0 / rho < math.inf):
+        if abs(self.snr_db) > SNR_DB_BOUND:
             raise ValueError(
-                "snr_db must be within about ±3082 dB, where the SNR and the noise power "
-                f"are finite and positive, got {self.snr_db}"
+                f"snr_db must be within ±{SNR_DB_BOUND:g} dB, where every metric stays "
+                f"finite, got {self.snr_db}"
             )
         if self.trajectory == "fixed-velocity":
             if self.omega < 0:
@@ -264,9 +269,9 @@ class _ChunkOut:
     trace: TrialRecord  # the chunk's first trial
 
 
-# the engine calls the kernel through this module-level name, so that a
-# profiler that rebinds it times every call
-_inner = array_kernel
+# the engine calls the kernel, in polar form (amp, phase), through this
+# module-level name, so that a profiler that rebinds it times every call
+_inner = array_kernel_polar
 
 
 def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.ndarray:
@@ -282,12 +287,15 @@ def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.nd
 class _DirectionTracker:
     """Base of the trackers with a direction estimate ``direction``: a slot's
     rate uses the conjugate full-array beam toward the estimate before the
-    slot's ``update``, its channel MSE the estimate after it.  ``update``
-    also gets ``ip``, the full-array kernel at the pre-update estimate.  An
-    ``update`` that keeps the estimate leaves ``direction`` the same object,
-    and the MSE then reuses ``ip``.  In a static run x never moves, so the
-    MSE kernel is also the next slot's rate kernel while ``direction`` stays
-    the same object: each full-array kernel is evaluated once."""
+    slot's ``update``, its channel MSE the estimate after it.  Each kernel is
+    the polar pair ``(amp, phase)`` of ``_inner``, and each metric takes only
+    its part: the rate ``amp**2``, the MSE ``amp * cos(phase)``, the real part
+    of ``a(x_hat)^H a(x)``.  ``update`` also gets ``ip``, the full-array
+    kernel at the pre-update estimate.  An ``update`` that keeps the estimate
+    leaves ``direction`` the same object, and the MSE then reuses ``ip``.  In
+    a static run x never moves, so the MSE kernel is also the next slot's
+    rate kernel while ``direction`` stays the same object: each full-array
+    kernel is evaluated once."""
 
     def __init__(self, config: RunConfig):
         self.geom = config.geometry
@@ -303,18 +311,25 @@ class _DirectionTracker:
             ip = self.kernel
         else:
             ip = _inner(self.geom, before - x_n)
-        rate = np.log2(1.0 + self.rho * np.abs(ip) ** 2 / self.m)
+        rate = np.log2(1.0 + self.rho * np.square(ip[0]) / self.m)
         self.update(n, x_n, noise, ip)
         if self.direction is not before:  # an update that keeps it reuses ip
             ip = _inner(self.geom, self.direction - x_n)
         if self.static:
             self.kernel_at, self.kernel = self.direction, ip
-        return rate, 2.0 * self.m - 2.0 * np.real(ip), self.direction
+        amp, phase = ip
+        return rate, 2.0 * self.m - 2.0 * (amp * np.cos(phase)), self.direction
 
     def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
         """Pilots of conjugate tracking-subarray beams toward ``probe_dir``."""
-        ip = _inner(self.track, probe_dir - x_n)
-        return ip / math.sqrt(self.track.num_antennas) + noise
+        amp, phase = _inner(self.track, probe_dir - x_n)
+        return amp * np.exp(1j * phase) / math.sqrt(self.track.num_antennas) + noise
+
+
+def _clip_unit(x: np.ndarray) -> np.ndarray:
+    """``x`` clipped to [-1, 1] in place, as ``np.clip(x, -1, 1)`` would."""
+    np.maximum(x, -1.0, out=x)
+    return np.minimum(x, 1.0, out=x)
 
 
 class _Recursive(_DirectionTracker):
@@ -336,17 +351,23 @@ class _Recursive(_DirectionTracker):
         else:  # mainlobe
             hw = mainlobe_halfwidth(self.track)
             offs = plan.uniform(trials, STREAM_INIT, -hw, hw)
-            self.direction = np.clip(x0 + offs, -1.0, 1.0)
+            self.direction = _clip_unit(x0 + offs)
 
     def update(self, n, x_n, noise, ip):
+        a_n = self.alpha / n if self.static else self.alpha
         # on the full array the probe is the data beam, so the rate's kernel
-        # value ``ip`` is also the pilot's
+        # ``ip`` is also the pilot's, and the step takes only Im(y):
+        # amp * sin(phase) times 1/sqrt(M), which is what dividing the
+        # complex kernel by sqrt(M) computes, plus the noise's imaginary part
         if self.track.num_antennas == self.m:
-            y = ip / math.sqrt(self.m) + noise
+            amp, phase = ip
+            step = amp * np.sin(phase)
+            step *= 1.0 / math.sqrt(self.m)
+            step += noise.imag
+            step *= a_n
         else:
-            y = self.pilot(self.direction, x_n, noise)
-        step = (self.alpha / n if self.static else self.alpha) * np.imag(y)
-        self.direction = np.clip(self.direction - step, -1.0, 1.0)
+            step = a_n * self.pilot(self.direction, x_n, noise).imag
+        self.direction = _clip_unit(np.subtract(self.direction, step, out=step))
 
 
 class _SweepRefine(_DirectionTracker):
@@ -362,7 +383,8 @@ class _SweepRefine(_DirectionTracker):
     def _choose(self, best: np.ndarray) -> None:
         """Make ``best`` the best beams, and their rounds' three candidates."""
         self.direction = self.dirs[best]
-        self.cand = np.clip(best, 1, len(self.dirs) - 2)[:, None] + np.array([-1, 0, 1])
+        middle = np.minimum(np.maximum(best, 1), len(self.dirs) - 2)
+        self.cand = middle[:, None] + np.array([-1, 0, 1])
 
     def update(self, n, x_n, noise, ip):
         cursor = (n - 1) % 3
@@ -578,32 +600,33 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     x_traj, noise, warm = _chunk_inputs(config, trials, _ALG_TAGS[algorithm])
     tracker = _TRACKERS[algorithm](config, trials, x_traj[:, 0], warm)
 
-    hw_track = mainlobe_halfwidth(config.track_geometry)
-    mse_sum, rate_sum, lock_sum = np.zeros((3, n_slots))
-    sqerr = np.zeros((len(trials), n_slots))
+    mse_sum, rate_sum = np.zeros((2, n_slots))
+    est_buf = np.empty((len(trials), n_slots))  # each slot's estimates, one column each
     trace = TrialRecord(
         x_traj[0, 1:].copy(), np.full(n_slots, np.nan), np.zeros(n_slots), np.zeros(n_slots)
     )
     for n in range(1, n_slots + 1):
-        x_n = x_traj[:, n]
-        rate_n, mse_n, est = tracker.step(n, x_n, noise[:, n - 1])
+        rate_n, mse_n, est = tracker.step(n, x_traj[:, n], noise[:, n - 1])
         mse_sum[n - 1] = mse_n.sum()
         rate_sum[n - 1] = rate_n.sum()
         trace.mse_h[n - 1], trace.rate[n - 1] = mse_n[0], rate_n[0]
         if est is not None:
-            err = est - x_n
-            sqerr[:, n - 1] = err**2
-            locked = np.abs(err) < 0.5 * hw_track  # the one lock test
-            lock_sum[n - 1] = np.count_nonzero(locked)
-            trace.x_hat[n - 1] = est[0]
+            est_buf[:, n - 1] = est
 
     if est is None:  # no direction estimate, so no lock either
-        lock_sum[:] = np.nan
+        lock_sum = np.full(n_slots, np.nan)
         sqerr_conv_sum = np.full(n_slots, np.nan)
         final_est = np.full(len(trials), np.nan)
-    else:  # the converged trials are those locked at the last slot
-        sqerr_conv_sum = sqerr[locked].sum(axis=0)
+    else:
+        trace.x_hat[:] = est_buf[0]
         final_est = np.asarray(est, dtype=float)
+        # the errors, in place: the lock test |err| < half a mainlobe, then
+        # the squares; the (T, slots) mask lives only as long as its count
+        err = np.abs(np.subtract(est_buf, x_traj[:, 1:], out=est_buf), out=est_buf)
+        lock_radius = 0.5 * mainlobe_halfwidth(config.track_geometry)
+        lock_sum = np.count_nonzero(err < lock_radius, axis=0).astype(float)
+        converged = err[:, -1] < lock_radius  # locked at the last slot
+        sqerr_conv_sum = np.square(err, out=err)[converged].sum(axis=0)
     return _ChunkOut(
         mse_sum, rate_sum, lock_sum, sqerr_conv_sum, x_traj[:, -1].copy(), final_est, trace
     )

@@ -18,6 +18,7 @@ from beamtrack import (
     ArrayGeometry,
     alpha_star,
     array_kernel,
+    array_kernel_polar,
     channel_mse_limit,
     crlb_min,
     dft_codebook,
@@ -84,6 +85,28 @@ class TestKernel:
         np.testing.assert_allclose(
             array_kernel(ArrayGeometry(m), delta), direct, rtol=0, atol=1e-14 * m**2
         )
+
+    @settings(max_examples=200)
+    @given(
+        m=st.integers(2, 256),
+        free=st.lists(st.floats(-2.0, 2.0), max_size=20),
+        offsets=st.lists(st.floats(-1e-9, 1e-9), min_size=3, max_size=3),
+    )
+    @example(m=256, free=[1.0, -1.0, 2 - 1e-7], offsets=[1e-9, -1e-9, 1e-9])
+    def test_polar_parts_are_the_complex_parts(self, m, free, offsets):
+        # each consumer of the polar form takes one part: the channel MSE
+        # amp*cos(phase), the recursive step amp*sin(phase), the rate amp**2;
+        # the first two are the complex view's parts bit for bit (up to the
+        # sign of a zero), the third its squared magnitude up to rounding
+        geom = ArrayGeometry(m)
+        edges = np.array([0.0, 2.0, -2.0])
+        near = np.clip(edges + np.array(offsets), -2.0, 2.0)
+        delta = np.concatenate([edges, near, free])
+        amp, phase = array_kernel_polar(geom, delta)
+        ip = array_kernel(geom, delta)
+        np.testing.assert_array_equal(amp * np.cos(phase), ip.real)
+        np.testing.assert_array_equal(amp * np.sin(phase), ip.imag)
+        np.testing.assert_allclose(np.square(amp), np.abs(ip) ** 2, rtol=1e-15, atol=0)
 
 
 class TestConjugateBeam:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrack import cli
-from beamtrack.harness import ALGORITHMS, RunConfig
+from beamtrack.harness import ALGORITHMS, SNR_DB_BOUND, RunConfig
 
 
 def run_cli(*args, cwd=None):
@@ -496,6 +497,31 @@ def test_unread_key_at_its_default_is_accepted_and_not_echoed(
         assert json.loads((tmp_path / name / "run.json").read_text())["config"] == read
     for path in (tmp_path / "full").iterdir():
         assert path.read_bytes() == (tmp_path / "read" / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("snr_db", [-SNR_DB_BOUND, SNR_DB_BOUND])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("static", "--algorithms", ",".join(ALGORITHMS), "--trials", "3", "--slots", "20",
+         "--jobs", "1"),
+        ("crlb",),
+    ],
+    ids=["static", "crlb"],
+)
+def test_snr_bound_keeps_every_value_finite(tmp_path, capsys, argv, snr_db):
+    # at either end of the accepted SNR range every algorithm runs without a
+    # floating-point warning, and every value it prints, and every rate and
+    # channel MSE it writes, is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, f"--snr-db={snr_db}", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+    for name in ALGORITHMS if argv[0] == "static" else ():
+        for row in read_csv(tmp_path / f"static_{name}.csv"):
+            assert math.isfinite(float(row["mean_rate"])), (name, row)
+            assert math.isfinite(float(row["mean_mse_h"])), (name, row)
 
 
 class TestErrors:

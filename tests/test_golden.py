@@ -225,10 +225,11 @@ def test_run_json_config_replays_the_run(run, tmp_path, capsys):
 # and the scalar replays live in tests/reference.py
 PUBLIC_NAMES = [
     "ALGORITHMS", "ArrayGeometry", "RngPlan", "RunConfig", "RunSummary", "TrialRecord",
-    "alpha_star", "array_kernel", "arraymodel", "channel_mse_limit", "crlb_min", "dft_codebook",
-    "generate", "h_prime_norm_sq", "harness", "i_max", "initialization_hit_rate",
-    "mainlobe_halfwidth", "run_experiment", "run_single_trial", "scenarios", "sine_grid",
-    "stable_point_spacing", "stable_points", "steering_matrix", "surrogate_f",
+    "alpha_star", "array_kernel", "array_kernel_polar", "arraymodel", "channel_mse_limit",
+    "crlb_min", "dft_codebook", "generate", "h_prime_norm_sq", "harness", "i_max",
+    "initialization_hit_rate", "mainlobe_halfwidth", "run_experiment", "run_single_trial",
+    "scenarios", "sine_grid", "stable_point_spacing", "stable_points", "steering_matrix",
+    "surrogate_f",
 ]
 
 

@@ -556,17 +556,22 @@ class TestKernelCalls:
     engine calls the kernel by."""
 
     @staticmethod
-    def _full_array_calls(monkeypatch, cfg):
-        geoms = []
+    def _calls(monkeypatch, cfg) -> dict:
+        """``harness._inner`` calls of a run, per array size."""
+        sizes = []
         kernel = harness._inner
 
         def counted(geom, delta):
-            geoms.append(geom)
+            sizes.append(geom.num_antennas)
             return kernel(geom, delta)
 
         monkeypatch.setattr(harness, "_inner", counted)
         run_experiment(cfg)
-        return geoms.count(cfg.geometry)
+        return {m: sizes.count(m) for m in set(sizes)}
+
+    @classmethod
+    def _full_array_calls(cls, monkeypatch, cfg):
+        return cls._calls(monkeypatch, cfg).get(cfg.num_antennas, 0)
 
     @pytest.mark.parametrize("algorithm", ["recursive", "cs"])
     def test_static_direction_tracker_one_kernel_per_slot(self, monkeypatch, algorithm):
@@ -587,6 +592,20 @@ class TestKernelCalls:
         cfg = RunConfig(trajectory="sinusoidal", slots=200, trials=3,
                         algorithms=("recursive",), seed=3)
         assert self._full_array_calls(monkeypatch, cfg) == 2 * 200
+
+    def test_moving_sweep_refine_kernels(self, monkeypatch):
+        # per chunk: a rate kernel and a pilot every slot, and an MSE kernel
+        # at each round's last slot, where a new best beam is chosen
+        cfg = RunConfig(trajectory="sinusoidal", slots=200, trials=4, chunk_size=2,
+                        algorithms=("80211ad",), seed=3)
+        assert self._calls(monkeypatch, cfg) == {16: 2 * (200 + 200 + 66)}
+
+    def test_subarray_recursive_kernels(self, monkeypatch):
+        # static, per chunk: the first slot's rate kernel and one MSE kernel
+        # per slot on the full array, and one pilot per slot on the subarray
+        cfg = RunConfig(slots=200, trials=4, chunk_size=2, track_antennas=8,
+                        algorithms=("recursive",), seed=3)
+        assert self._calls(monkeypatch, cfg) == {16: 2 * (1 + 200), 8: 2 * 200}
 
 
 class TestSummaryContents:
@@ -631,6 +650,42 @@ class TestSummaryContents:
         assert s.conv_frac.max() > 0
         assert s.converged_trials == 0
         assert np.isnan(s.n_mse_times_imax).all()
+
+    @pytest.mark.parametrize("algorithm", ["recursive", "80211ad"])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            dict(trials=7, chunk_size=3, seed=11),
+            dict(trajectory="sinusoidal", trials=7, chunk_size=3, seed=11),
+            # no trial is locked at the last slot, though some are earlier
+            dict(trajectory="fixed-velocity", omega=0.3, trials=5, chunk_size=2, seed=1),
+        ],
+        ids=["static", "sinusoidal", "none-converged"],
+    )
+    def test_lock_tally_matches_trace_recount(self, algorithm, setting):
+        # the run tallies locks and squared errors after its slot loop; a
+        # recount from each trial's own trace, summing the converged trials'
+        # squared errors in trial order within each chunk, then over the
+        # chunks, gives the same bits
+        cfg = RunConfig(slots=40, algorithms=(algorithm,), snr_db=-5.0, **setting)
+        s = run_experiment(cfg)[algorithm]
+        traces = [run_single_trial(cfg, algorithm, t) for t in range(cfg.trials)]
+        err = np.array([tr.x_hat - tr.x for tr in traces])
+        locked = np.abs(err) < 0.5 * mainlobe_halfwidth(cfg.track_geometry)
+        np.testing.assert_array_equal(s.conv_frac, locked.sum(axis=0) / cfg.trials)
+        converged = locked[:, -1]
+        sqerr_sum = sum(
+            np.square(err[lo:lo + cfg.chunk_size][converged[lo:lo + cfg.chunk_size]]).sum(axis=0)
+            for lo in range(0, cfg.trials, cfg.chunk_size)
+        )
+        count = np.count_nonzero(converged)
+        expected = np.full(cfg.slots, np.nan)
+        if count:
+            expected = s.slots * (sqerr_sum / count) * i_max(cfg.track_geometry, cfg.rho)
+        np.testing.assert_array_equal(s.n_mse_times_imax, expected)
+        assert s.converged_trials == count
+        assert (count == 0) == (setting.get("trajectory") == "fixed-velocity")
+        assert locked.any()
 
     def test_csv_schema(self, tmp_path, capsys):
         argv = ["static", "--slots", "5", "--trials", "2", "--algorithms", "recursive",
@@ -734,6 +789,9 @@ class TestSummaryContents:
             # rho = 10**(snr_db/10) overflows, and 1/rho overflows
             ({"snr_db": 4000.0}, "snr_db"),
             ({"snr_db": -4000.0}, "snr_db"),
+            # beyond the bound, short of the overflow
+            ({"snr_db": 1000.5}, "snr_db"),
+            ({"snr_db": -1000.5}, "snr_db"),
         ):
             with pytest.raises(ValueError, match=f"^{key} must be "):
                 RunConfig(slots=5, **bad)
