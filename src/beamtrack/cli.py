@@ -128,7 +128,8 @@ _CHECKS = {
     "samples": (lambda value: _int(value) and value >= 2, "an integer of at least 2"),
     "omega_grid": (_grid(_real), "a non-empty list of numbers"),
     "snr_grid": (_grid(_real), "a non-empty list of numbers"),
-    "m0_factors": (_grid(_int), "a non-empty list of integers"),
+    "m0_factors": (_grid(lambda value: _int(value) and value >= 1),
+                   "a non-empty list of positive integers"),
 }
 
 
@@ -194,17 +195,13 @@ def _run_config(settings: dict, **overrides) -> RunConfig:
         raise SystemExit(f"beamtrack: {exc}") from None
 
 
-def _read(command: str, settings: dict, *ignored: dict) -> dict:
-    """The settings that a run reads, as ``run.json`` echoes them.  Each of
-    ``ignored`` maps the keys that one of the run's configs does not read from
-    the settings to the reason.  A key that none of them reads is left out;
-    a value other than the command's default for it ends the run with one
-    ``beamtrack: <key> ... <reason>`` line on stderr."""
+def _read(command: str, settings: dict, ignored: dict) -> dict:
+    """The settings that a run reads, as ``run.json`` echoes them.
+    ``ignored`` maps the keys that the run does not read to the reason.  Such
+    a key is left out; a value other than the command's default for it ends
+    the run with one ``beamtrack: <key> ... <reason>`` line on stderr."""
     default = _COMMANDS[command].reads
-    unread = {
-        key: why for key, why in ignored[0].items()
-        if key in settings and all(key in other for other in ignored)
-    }
+    unread = {key: why for key, why in ignored.items() if key in settings}
     for key, why in unread.items():
         if settings[key] != default[key]:
             raise SystemExit(f"beamtrack: {key} {settings[key]!r} is not read: {why}")
@@ -374,24 +371,24 @@ def _cmd_sweep_speed(args, settings: dict) -> int:
         subsets = [subset]
     else:
         subsets = [m for m in (16, 8, 4) if m <= full.num_antennas] or [full.num_antennas]
-    # each series' settings that the command sets itself, which it does not
-    # read: the baselines run on the full array whatever track_antennas says
     runs = [
-        (f"recursive_m{mt}", {"algorithms": ("recursive",), "track_antennas": mt}, {})
+        (f"recursive_m{mt}", {"algorithms": ("recursive",), "track_antennas": mt})
         for mt in (subsets if "recursive" in full.algorithms else [])
     ]
-    full_array = {"track_antennas": "sweep-speed runs only recursive on a subarray"}
     runs += [
-        (name, {"algorithms": (name,), "track_antennas": None}, full_array)
+        (name, {"algorithms": (name,), "track_antennas": None})
         for name in full.algorithms
         if name != "recursive"
     ]
-    series = [(label, [config(omega, **kw) for omega in grid], own) for label, kw, own in runs]
-    settings = _read(args.command, settings,
-                     *({**cfgs[0].ignored_fields(), **own} for _, cfgs, own in series))
+    series = [(label, [config(omega, **kw) for omega in grid]) for label, kw in runs]
+    # the baselines run on the full array whatever track_antennas says
+    ignored = full.ignored_fields()
+    if "recursive" not in full.algorithms:
+        ignored["track_antennas"] = "sweep-speed runs only recursive on a subarray"
+    settings = _read(args.command, settings, ignored)
 
     tables = {}
-    for label, cfgs, _ in series:
+    for label, cfgs in series:
         rows = []
         for cfg in cfgs:
             summary = run_experiment(cfg)[cfg.algorithms[0]]

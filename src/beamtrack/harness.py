@@ -28,13 +28,13 @@ Per-slot conventions, uniform across algorithms:
     after the slot's update.
 The engine calls the array kernel through ``_inner`` in polar form, and each
 metric takes only its part: the rate ``amp**2``, the channel MSE
-``amp * cos(phase)`` and the full-array recursive step ``amp * sin(phase)``;
-only a pilot that gets noise added builds the complex value.  The slot loop
+``amp * cos(phase)`` and the recursive step ``amp * sin(phase)``; only
+``80211ad``'s pilot builds the complex value.  The slot loop
 only records each slot's direction estimates; the lock test and the squared
 sine errors run over all slots at once after it.
-A static run's truth never moves, so its trajectory is one column viewed
-across the slots, and a direction tracker's MSE kernel at slot n is slot
-n+1's rate kernel, reused while the estimate is unchanged.
+A direction tracker keeps its full-array kernel while its estimate stays the
+same object: within a slot in moving runs, across slots in static ones, whose
+truth never moves and whose trajectory is one column viewed across the slots.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
 re-estimate every slot from all pilots received so far.  Dynamic sparse
@@ -173,6 +173,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        # past the CS dictionary's size its grid is coarser than the mainlobe
+        if self.num_antennas > CS_DICTIONARY_SIZE:
+            raise ValueError(f"num_antennas must be at most {CS_DICTIONARY_SIZE}, "
+                             f"got {self.num_antennas}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in ("sweep", "uniform", "mainlobe"):
@@ -290,12 +294,11 @@ class _DirectionTracker:
     slot's ``update``, its channel MSE the estimate after it.  Each kernel is
     the polar pair ``(amp, phase)`` of ``_inner``, and each metric takes only
     its part: the rate ``amp**2``, the MSE ``amp * cos(phase)``, the real part
-    of ``a(x_hat)^H a(x)``.  ``update`` also gets ``ip``, the full-array
-    kernel at the pre-update estimate.  An ``update`` that keeps the estimate
-    leaves ``direction`` the same object, and the MSE then reuses ``ip``.  In
-    a static run x never moves, so the MSE kernel is also the next slot's
-    rate kernel while ``direction`` stays the same object: each full-array
-    kernel is evaluated once."""
+    of ``a(x_hat)^H a(x)``.  ``kernel`` keeps the full-array kernel while
+    ``direction`` stays the same object.  A moving run forgets it at the start
+    of each slot; a static run never does, as x never moves.  So an
+    ``update`` that keeps the estimate reuses the rate's kernel for the MSE,
+    and in a static run each full-array kernel is evaluated once."""
 
     def __init__(self, config: RunConfig):
         self.geom = config.geometry
@@ -303,27 +306,21 @@ class _DirectionTracker:
         self.m = config.num_antennas
         self.rho = config.rho
         self.static = config.trajectory == "static"
-        self.kernel_at = self.kernel = None  # static runs: the last MSE kernel
+        self.memo = None, None  # (direction, its full-array kernel)
+
+    def kernel(self, x_n: np.ndarray):
+        """The full-array kernel ``_inner(geom, direction - x_n)``."""
+        if self.memo[0] is not self.direction:
+            self.memo = self.direction, _inner(self.geom, self.direction - x_n)
+        return self.memo[1]
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
-        before = self.direction
-        if before is self.kernel_at:
-            ip = self.kernel
-        else:
-            ip = _inner(self.geom, before - x_n)
-        rate = np.log2(1.0 + self.rho * np.square(ip[0]) / self.m)
-        self.update(n, x_n, noise, ip)
-        if self.direction is not before:  # an update that keeps it reuses ip
-            ip = _inner(self.geom, self.direction - x_n)
-        if self.static:
-            self.kernel_at, self.kernel = self.direction, ip
-        amp, phase = ip
+        if not self.static:
+            self.memo = None, None
+        rate = np.log2(1.0 + self.rho * np.square(self.kernel(x_n)[0]) / self.m)
+        self.update(n, x_n, noise)
+        amp, phase = self.kernel(x_n)
         return rate, 2.0 * self.m - 2.0 * (amp * np.cos(phase)), self.direction
-
-    def pilot(self, probe_dir: np.ndarray, x_n: np.ndarray, noise: np.ndarray):
-        """Pilots of conjugate tracking-subarray beams toward ``probe_dir``."""
-        amp, phase = _inner(self.track, probe_dir - x_n)
-        return amp * np.exp(1j * phase) / math.sqrt(self.track.num_antennas) + noise
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -353,20 +350,18 @@ class _Recursive(_DirectionTracker):
             offs = plan.uniform(trials, STREAM_INIT, -hw, hw)
             self.direction = _clip_unit(x0 + offs)
 
-    def update(self, n, x_n, noise, ip):
+    def update(self, n, x_n, noise):
         a_n = self.alpha / n if self.static else self.alpha
-        # on the full array the probe is the data beam, so the rate's kernel
-        # ``ip`` is also the pilot's, and the step takes only Im(y):
-        # amp * sin(phase) times 1/sqrt(M), which is what dividing the
-        # complex kernel by sqrt(M) computes, plus the noise's imaginary part
-        if self.track.num_antennas == self.m:
-            amp, phase = ip
-            step = amp * np.sin(phase)
-            step *= 1.0 / math.sqrt(self.m)
-            step += noise.imag
-            step *= a_n
-        else:
-            step = a_n * self.pilot(self.direction, x_n, noise).imag
+        # the step takes only Im(y) of the pilot along the estimate: amp *
+        # sin(phase) times 1/sqrt(M_t), which is what dividing the complex
+        # kernel by sqrt(M_t) computes, plus Im(noise); on the full array the
+        # probe is the data beam, so the pilot's kernel is the rate's
+        full = self.track.num_antennas == self.m
+        amp, phase = self.kernel(x_n) if full else _inner(self.track, self.direction - x_n)
+        step = amp * np.sin(phase)
+        step *= 1.0 / math.sqrt(self.track.num_antennas)
+        step += noise.imag
+        step *= a_n
         self.direction = _clip_unit(np.subtract(self.direction, step, out=step))
 
 
@@ -386,9 +381,11 @@ class _SweepRefine(_DirectionTracker):
         middle = np.minimum(np.maximum(best, 1), len(self.dirs) - 2)
         self.cand = middle[:, None] + np.array([-1, 0, 1])
 
-    def update(self, n, x_n, noise, ip):
+    def update(self, n, x_n, noise):
+        # the pilot of the conjugate tracking-subarray beam toward the candidate
         cursor = (n - 1) % 3
-        y = self.pilot(self.dirs[self.cand[:, cursor]], x_n, noise)
+        amp, phase = _inner(self.track, self.dirs[self.cand[:, cursor]] - x_n)
+        y = amp * np.exp(1j * phase) / math.sqrt(self.track.num_antennas) + noise
         self.mags[:, cursor] = np.abs(y)
         if cursor == 2:
             self._choose(self.cand[np.arange(len(self.cand)), np.argmax(self.mags, axis=1)])
@@ -537,7 +534,7 @@ class _CompressedSensing(_DirectionTracker):
         w_p = QPSK[self.probes[:, n - 1, :]] / math.sqrt(self.track.num_antennas)
         return w_p, (np.conj(w_p) * steering_matrix(self.track, x_n)).sum(axis=1) + noise
 
-    def update(self, n, x_n, noise, ip):
+    def update(self, n, x_n, noise):
         m_t = self.track.num_antennas
         if self.static:
             w_p, y = self._pilot(n, x_n, noise)

@@ -97,7 +97,9 @@ class TestKernel:
         # each consumer of the polar form takes one part: the channel MSE
         # amp*cos(phase), the recursive step amp*sin(phase), the rate amp**2;
         # the first two are the complex view's parts bit for bit (up to the
-        # sign of a zero), the third its squared magnitude up to rounding
+        # sign of a zero), the third its squared magnitude up to rounding.
+        # The step takes Im(y) of a noisy pilot y = ip/sqrt(M) + n from its
+        # parts, and that too is bit for bit the complex pilot's
         geom = ArrayGeometry(m)
         edges = np.array([0.0, 2.0, -2.0])
         near = np.clip(edges + np.array(offsets), -2.0, 2.0)
@@ -107,6 +109,12 @@ class TestKernel:
         np.testing.assert_array_equal(amp * np.cos(phase), ip.real)
         np.testing.assert_array_equal(amp * np.sin(phase), ip.imag)
         np.testing.assert_allclose(np.square(amp), np.abs(ip) ** 2, rtol=1e-15, atol=0)
+        rng = np.random.default_rng(m)
+        noise = rng.standard_normal(len(delta)) + 1j * rng.standard_normal(len(delta))
+        noise *= 10.0 ** rng.uniform(-16.0, 1.0, len(delta))
+        pilot = amp * np.exp(1j * phase) / math.sqrt(m) + noise
+        step = amp * np.sin(phase) * (1.0 / math.sqrt(m)) + noise.imag
+        assert pilot.imag.tobytes() == step.tobytes()
 
 
 class TestConjugateBeam:

@@ -608,11 +608,13 @@ class TestErrors:
             ({"slots": 0}, "slots must be at least 1, got 0"),
             ({"trials": 0}, "trials must be at least 1, got 0"),
             ({"num_antennas": 1}, "num_antennas must be at least 2, got 1"),
+            # rejected before steering_matrix tries to allocate gigabytes
+            ({"num_antennas": 30000}, "num_antennas must be at most 1024, got 30000"),
         ],
         ids=["trials", "step_alpha", "slots", "seed_null", "num_antennas_null",
              "chunk_size_null", "snr_db_null", "omega_null", "step_alpha_text",
              "track_antennas_range", "omega_infinite", "omega_negative", "omega_band",
-             "slots_zero", "trials_zero", "num_antennas_one"],
+             "slots_zero", "trials_zero", "num_antennas_one", "num_antennas_huge"],
     )
     def test_rejected_count_or_step_in_config_one_line(self, tmp_path, setting, message):
         cfg_path = tmp_path / "cfg.json"
@@ -686,13 +688,17 @@ class TestErrors:
             ("init-quality", {"snr_grid": [0, "5"]},
              "snr_grid must be a non-empty list of numbers, got [0, '5']"),
             ("init-quality", {"m0_factors": [1.5]},
-             "m0_factors must be a non-empty list of integers, got [1.5]"),
+             "m0_factors must be a non-empty list of positive integers, got [1.5]"),
+            # not sweep_dictionary_size, which the user never typed
+            ("init-quality", {"m0_factors": [0]},
+             "m0_factors must be a non-empty list of positive integers, got [0]"),
             ("dynamic", {"trajectory": "static"},
              "trajectory must be sinusoidal or fixed-velocity, got 'static'"),
         ],
         ids=["static_no_algorithms", "dynamic_no_algorithms", "sweep_speed_no_algorithms",
              "x_range", "x_text", "samples_one", "samples_float", "omega_grid_empty",
-             "omega_grid_scalar", "snr_grid_text", "m0_factors_float", "dynamic_static"],
+             "omega_grid_scalar", "snr_grid_text", "m0_factors_float", "m0_factors_zero",
+             "dynamic_static"],
     )
     def test_rejected_cli_checked_value_in_config_one_line(
         self, tmp_path, command, setting, message

@@ -64,6 +64,14 @@ CLI_RUNS = {
         "dynamic", *SMALL, "--trajectory", "fixed-velocity", "--omega", "0.02",
         "--algorithms", "recursive,cs",
     ],
+    # the tracking-subarray paths: each tracker's pilot on 8 of the 16 antennas
+    "static-subarray": [
+        "static", *SMALL, "--track-antennas", "8", "--algorithms", "recursive,80211ad",
+    ],
+    "dynamic-subarray": [
+        "dynamic", *SMALL, "--trajectory", "fixed-velocity", "--omega", "0.02",
+        "--track-antennas", "8", "--algorithms", "recursive,80211ad,cs",
+    ],
     "sweep-speed": ["sweep-speed", *SMALL, "--omega-grid", "0.01,0.1"],
     "crlb": ["crlb", "--antennas", "8", "--snr-db", "5"],
     "analyze-stable-points": [
@@ -140,6 +148,28 @@ CLI_DIGESTS = {
         "stdout":
             "f192d7fc74bd3b501c6ae15de68358be79341226a768bed5779d5e7a16946563",
     },
+    "dynamic-subarray": {
+        "dynamic_80211ad.csv":
+            "3ac1be00f079052edd6218c118ccc73254f121165add988d5710b2ff9e976c36",
+        "dynamic_cs.csv":
+            "16727f14592ca3a920c18be92b125038b49921d203790e0bc85cd4084a55b2c8",
+        "dynamic_rate.gp":
+            "d13dab5e08affc5f0b3d388f34ab02660cf9e6c027957d9ba93fa0e16e75823f",
+        "dynamic_recursive.csv":
+            "3a9cb972c7a7578d8b67c120888d97c2a94bbdc953ec8b759909c951d8d156e1",
+        "dynamic_trace_80211ad.csv":
+            "cbd18eb9c967002321898d5b110293ad16abf169c47cdf0b84da982dbb807261",
+        "dynamic_trace_cs.csv":
+            "806b93e69f8f445507bc6206beba9816f82e0f21e97cd4b3748e7b2199a8c714",
+        "dynamic_trace_recursive.csv":
+            "ec094ce9e41cb95e19db442727ddd36e6f8482a017612602caeb1058a937fac6",
+        "dynamic_tracking.gp":
+            "6466818e1ad2d987004ae3b1e2c76b031d2e123ea160d1eecc0a6fb17c2beb3c",
+        "run.json":
+            "2aa7ff7598cdf57e85818e27abc2bd47b868c944a70eaef4e36eb3b474814ec7",
+        "stdout":
+            "42f21c328d5b433ce869da8aa66fabb7a65d470e11fb80a51a6d2e3838db0527",
+    },
     "init-quality": {
         "init_quality.csv":
             "e683083eef587299de2ba6453a9b4b057816d07808b2d9a957093c1ff370a3e8",
@@ -163,6 +193,18 @@ CLI_DIGESTS = {
             "c06fc92c682bd9978145b355e21ded1ef060c16b3a4891107eb7ce2e83f08f2c",
         "stdout":
             "5cdee646d23bad60f7cc23295f8789c2b007a724e4e17ed320ff33478dacc36e",
+    },
+    "static-subarray": {
+        "run.json":
+            "1c2899def2f15e936871d83d90a316fe3876ed38a62afa8896fa9159c0471d41",
+        "static_80211ad.csv":
+            "4098921c6cf355f154e250b95b1519a64c9fd18e94b8ac85a74268e41700252e",
+        "static_mse.gp":
+            "b470abedf858e16adfee0ab4dd27323bf551644d33bc0333d0bae1d3700c600b",
+        "static_recursive.csv":
+            "3d1d3f4bd47dd87117aa42d701eb7ef5e0aa3b262182f49788e58ced9d1f8e81",
+        "stdout":
+            "98e6beab20a69538f77db899a30db8846cb5418af933cbcfe459f37cd41c966d",
     },
     "sweep-speed": {
         "run.json":

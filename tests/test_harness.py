@@ -277,9 +277,10 @@ def _check_cs(cfg):
 _KINDS = st.sampled_from(TRAJECTORIES)
 
 
-class TestEngineAgainstLibraryOps:
+class TestEngineAgainstScalarReplay:
     """The vectorized runner must reproduce the scalar replays of
-    ``tests/reference.py``, noise draw for noise draw."""
+    ``tests/reference.py``, noise draw for noise draw: ``recursive`` and
+    ``80211ad`` here, the rest in ``TestEngineAgainstLibraryOps``."""
 
     @pytest.mark.parametrize("init", ["sweep", "uniform", "mainlobe"])
     @pytest.mark.parametrize("trial", [0, 5])
@@ -349,6 +350,11 @@ class TestEngineAgainstLibraryOps:
             algorithms=("80211ad",), track_antennas=track, seed=seed,
         )
         _check_sweep_refine(cfg)
+
+
+class TestEngineAgainstLibraryOps:
+    """The vectorized runner must reproduce the scalar replays of
+    ``tests/reference.py``, noise draw for noise draw."""
 
     def test_cs_static_trace(self):
         # static: re-estimate every slot from all pilots received so far
@@ -550,9 +556,11 @@ class TestDeterminism:
 
 
 class TestKernelCalls:
-    """A static run evaluates each full-array kernel once: x never moves, so
-    the MSE kernel of slot n is slot n+1's rate kernel while the estimate
-    stays the same object.  Counted through ``harness._inner``, the name the
+    """A direction tracker keeps its full-array kernel while its estimate
+    stays the same object.  A moving run forgets it at the start of each
+    slot, so a slot reuses it only for an MSE whose estimate did not move.  A
+    static run never forgets it, as x never moves, so it evaluates each
+    full-array kernel once.  Counted through ``harness._inner``, the name the
     engine calls the kernel by."""
 
     @staticmethod
@@ -606,6 +614,29 @@ class TestKernelCalls:
         cfg = RunConfig(slots=200, trials=4, chunk_size=2, track_antennas=8,
                         algorithms=("recursive",), seed=3)
         assert self._calls(monkeypatch, cfg) == {16: 2 * (1 + 200), 8: 2 * 200}
+
+    @pytest.mark.parametrize(
+        "algorithm, trajectory, track_antennas, calls",
+        [
+            # a rate and an MSE kernel every slot, and a subarray pilot
+            ("recursive", "fixed-velocity", 8, {16: 2 * 2 * 200, 8: 2 * 200}),
+            # a rate kernel every slot, and an MSE kernel at each frame's
+            # last slot: 12 frames of 16 slots, or 25 of 8 on the subarray
+            ("cs", "sinusoidal", None, {16: 2 * (200 + 12)}),
+            ("cs", "sinusoidal", 8, {16: 2 * (200 + 25)}),
+            # a rate kernel and a subarray pilot every slot, and an MSE
+            # kernel at each round's last slot
+            ("80211ad", "fixed-velocity", 8, {8: 2 * 200, 16: 2 * (200 + 66)}),
+        ],
+        ids=["recursive-subarray", "cs", "cs-subarray", "80211ad-subarray"],
+    )
+    def test_moving_run_reuses_a_kernel_within_the_slot(
+        self, monkeypatch, algorithm, trajectory, track_antennas, calls
+    ):
+        # two chunks of 2 trials, so each count is twice a chunk's
+        cfg = RunConfig(trajectory=trajectory, omega=0.02, slots=200, trials=4, chunk_size=2,
+                        track_antennas=track_antennas, algorithms=(algorithm,), seed=3)
+        assert self._calls(monkeypatch, cfg) == calls
 
 
 class TestSummaryContents:
@@ -776,6 +807,8 @@ class TestSummaryContents:
         RunConfig(slots=5, algorithms=("recursive",), track_antennas=2)
         # the least-squares baseline may name the full array as its subarray
         RunConfig(slots=5, algorithms=("ls",), track_antennas=16)
+        # the most antennas: the CS dictionary's size
+        RunConfig(slots=5, num_antennas=1024)
         # the fields with a derived default take None
         RunConfig(slots=5, track_antennas=None, sweep_dictionary_size=None, step_alpha=None)
         # each rejection names the key
@@ -792,6 +825,8 @@ class TestSummaryContents:
             # beyond the bound, short of the overflow
             ({"snr_db": 1000.5}, "snr_db"),
             ({"snr_db": -1000.5}, "snr_db"),
+            # past the CS dictionary's 1024 points, before any array is built
+            ({"num_antennas": 1025}, "num_antennas"),
         ):
             with pytest.raises(ValueError, match=f"^{key} must be "):
                 RunConfig(slots=5, **bad)
