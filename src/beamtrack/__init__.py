@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .arraymodel import (
     ArrayGeometry,
     alpha_star,
-    array_kernel,
     array_kernel_polar,
     channel_mse_limit,
     crlb_min,

@@ -10,12 +10,12 @@ information, the channel-response derivative and the CRLB, the tracking
 drift and its stable points, the mainlobe and the channel-MSE limit.
 The one implementation of the array inner product ``a(v)^H a(x)`` is the
 Dirichlet kernel in polar form, ``array_kernel_polar``: a signed amplitude
-and a phase, ``a(v)^H a(x) = amp * e^{j phase}``.  ``array_kernel`` is its
-complex view.  Each consumer takes only the part it needs: a rate takes
-``amp**2``, a channel MSE ``amp * cos(phase)`` and the drift ``surrogate_f``
-``amp * sin(phase)``, each bit for bit the real or imaginary part of the
-complex view.  Only a pilot that gets noise added, and the stable-point
-gains of ``analyze-stable-points``, build the complex value.
+and a phase, ``a(v)^H a(x) = amp * e^{j phase}``.  Each consumer takes only
+the part it needs: a rate takes ``amp**2``, the stable-point gains of
+``analyze-stable-points`` ``|amp|``, a channel MSE ``amp * cos(phase)`` and
+the drift ``surrogate_f`` ``amp * sin(phase)``, the last two bit for bit
+the real and imaginary parts of ``amp * e^{j phase}``.  Only a pilot that
+gets noise added builds the complex value.
 The grids and beams the trackers share live here too: the recursive
 tracker's optimal step coefficient, the uniform sine grid that the coarse
 sweep and sparse recovery score, and the DFT sweep codebook.  The pilot
@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "ArrayGeometry",
     "steering_matrix",
-    "array_kernel",
     "array_kernel_polar",
     "i_max",
     "h_prime_norm_sq",
@@ -101,12 +100,6 @@ def array_kernel_polar(geom: ArrayGeometry, delta: np.ndarray) -> tuple[np.ndarr
     amp /= s
     half *= m - 1
     return amp, half
-
-
-def array_kernel(geom: ArrayGeometry, delta: np.ndarray) -> np.ndarray:
-    """The complex view ``amp * e^{j phase}`` of ``array_kernel_polar``."""
-    amp, phase = array_kernel_polar(geom, delta)
-    return amp * np.exp(1j * phase)
 
 
 def i_max(geom: ArrayGeometry, rho: float) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .arraymodel import (
     alpha_star,
-    array_kernel,
+    array_kernel_polar,
     channel_mse_limit,
     crlb_min,
     i_max,
@@ -446,7 +446,7 @@ def _cmd_stable_points(args, settings: dict) -> int:
     x = settings["x"]
     vs = np.linspace(-1.0, 1.0, settings["samples"])
     m = geom.num_antennas
-    gains = np.abs(array_kernel(geom, vs - x)) / math.sqrt(m)
+    gains = np.abs(array_kernel_polar(geom, vs - x)[0]) / math.sqrt(m)
     pts = stable_points(geom, x)
     eps = 1e-6
     lo, hi = np.maximum(pts - eps, -1.0), np.minimum(pts + eps, 1.0)
@@ -527,7 +527,10 @@ def main(argv=None) -> int:
     for path in (args.out, *args.out.parents):
         if path.exists() and not path.is_dir():
             raise SystemExit(f"beamtrack: --out {args.out}: {path} is not a directory")
-    return _COMMANDS[args.command].run(args, _settings(args))
+    try:
+        return _COMMANDS[args.command].run(args, _settings(args))
+    except MemoryError as exc:  # an allocation the host cannot make
+        raise SystemExit(f"beamtrack: out of memory: {exc}") from None
 
 
 if __name__ == "__main__":

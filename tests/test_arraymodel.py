@@ -17,7 +17,6 @@ from reference import (
 from beamtrack import (
     ArrayGeometry,
     alpha_star,
-    array_kernel,
     array_kernel_polar,
     channel_mse_limit,
     crlb_min,
@@ -82,8 +81,9 @@ class TestKernel:
         # the direct sum's phases reach 2*pi*m and each is rounded, about
         # 7e-16 m^2 in all; the guard band's limit drops an m^3 sin^2 term,
         # at most 2.2e-15 m^2 for m <= 64; so 1e-14 m^2 bounds both
+        amp, phase = array_kernel_polar(ArrayGeometry(m), delta)
         np.testing.assert_allclose(
-            array_kernel(ArrayGeometry(m), delta), direct, rtol=0, atol=1e-14 * m**2
+            amp * np.exp(1j * phase), direct, rtol=0, atol=1e-14 * m**2
         )
 
     @settings(max_examples=200)
@@ -96,8 +96,8 @@ class TestKernel:
     def test_polar_parts_are_the_complex_parts(self, m, free, offsets):
         # each consumer of the polar form takes one part: the channel MSE
         # amp*cos(phase), the recursive step amp*sin(phase), the rate amp**2;
-        # the first two are the complex view's parts bit for bit (up to the
-        # sign of a zero), the third its squared magnitude up to rounding.
+        # the first two are the parts of amp*exp(1j*phase) bit for bit (up to
+        # the sign of a zero), the third its squared magnitude up to rounding.
         # The step takes Im(y) of a noisy pilot y = ip/sqrt(M) + n from its
         # parts, and that too is bit for bit the complex pilot's
         geom = ArrayGeometry(m)
@@ -105,7 +105,7 @@ class TestKernel:
         near = np.clip(edges + np.array(offsets), -2.0, 2.0)
         delta = np.concatenate([edges, near, free])
         amp, phase = array_kernel_polar(geom, delta)
-        ip = array_kernel(geom, delta)
+        ip = amp * np.exp(1j * phase)
         np.testing.assert_array_equal(amp * np.cos(phase), ip.real)
         np.testing.assert_array_equal(amp * np.sin(phase), ip.imag)
         np.testing.assert_allclose(np.square(amp), np.abs(ip) ** 2, rtol=1e-15, atol=0)

@@ -579,6 +579,23 @@ class TestErrors:
         assert res.stderr.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # numpy refuses the 2.78 EiB of slot noise and the 711 PiB of
+            # samples at once on any host, so nothing is allocated
+            ("static", "--slots", "100000000000000000", "--trials", "2", "--jobs", "1",
+             "--algorithms", "recursive"),
+            ("analyze-stable-points", "--samples", "100000000000000000"),
+        ],
+    )
+    def test_allocation_the_host_cannot_make_one_line(self, tmp_path, argv):
+        res = run_cli(*argv, "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("beamtrack: out of memory: Unable to allocate ")
+        assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_rejected_seed_in_config_one_line(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": -1, "trials": 2, "slots": 3}))

@@ -1,20 +1,37 @@
-"""Golden digests: small CLI runs must write byte-identical files.
+"""Golden digests: small CLI runs must write byte-identical files, and
+small engine runs must return byte-identical arrays.
 
 A change that only reorders work (caching, batching, skipping a repeated
 evaluation) must leave these files unchanged.  A change that moves results
 at the rounding level on purpose updates the digests from a run of the new
 code and states the largest relative difference of every moved CSV column.
-Static ``cs`` is left out: its slot-1 estimate is a tie (one random probe
-scores every grid point alike) that rounding breaks.
+Static ``cs`` is left out of the CLI files: its slot-1 estimate is a tie
+(one random probe scores every grid point alike) that rounding breaks.
+
+``ENGINE_DIGESTS`` hash the raw bytes of every ``RunSummary`` array, so they
+pin the last bit that the 12-digit CSVs round away.  They are the bytes of
+one host (x86-64, numpy 2.4.6); another numpy or CPU may round differently.
+
+Run this file as a script to print every digest of the current tree, in the
+layout of the dicts below:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beamtrack
-from beamtrack import cli
+from beamtrack import RunConfig, cli, run_experiment
+from beamtrack.scenarios import TRAJECTORIES
 
 # 24 trials in chunks of 10, so the reduction over chunks is covered too
 COMMON = ["--seed", "11", "--trials", "24", "--slots", "100", "--jobs", "1"]
@@ -37,21 +54,31 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("command", sorted(RUNS))
-def test_summary_csvs_match_golden_digests(command, tmp_path, capsys):
-    config = tmp_path / "config.json"
+def _main(argv) -> str:
+    """Run the CLI on ``argv``; returns its stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(argv) == 0
+    return stdout.getvalue()
+
+
+def _summary_digests(command: str, tmp: Path) -> dict:
+    """The digest of every summary CSV of ``RUNS[command]``, run in ``tmp``."""
+    config = tmp / "config.json"
     config.write_text(json.dumps({"chunk_size": 10}))
     algorithms = RUNS[command]
-    argv = [
+    _main([
         command, *COMMON, "--algorithms", ",".join(algorithms),
-        "--config", str(config), "--out", str(tmp_path / "out"),
-    ]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    got = {}
-    for alg in algorithms:
-        name = f"{command}_{alg}.csv"
-        got[name] = _sha256((tmp_path / "out" / name).read_bytes())
+        "--config", str(config), "--out", str(tmp / "out"),
+    ])
+    return {
+        f"{command}_{alg}.csv": _sha256((tmp / "out" / f"{command}_{alg}.csv").read_bytes())
+        for alg in algorithms
+    }
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_summary_csvs_match_golden_digests(command, tmp_path):
+    got = _summary_digests(command, tmp_path)
     assert got == {name: DIGESTS[name] for name in got}
 
 
@@ -231,18 +258,23 @@ CLI_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(CLI_RUNS))
-def test_every_cli_output_matches_golden_digests(run, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main([*CLI_RUNS[run], "--out", str(out)]) == 0
-    got = {"stdout": _sha256(capsys.readouterr().out.encode())}
+def _cli_digests(run: str, tmp: Path) -> dict:
+    """The digest of every file ``CLI_RUNS[run]`` writes in ``tmp``, of its
+    stdout and of its ``run.json``."""
+    out = tmp / "out"
+    got = {"stdout": _sha256(_main([*CLI_RUNS[run], "--out", str(out)]).encode())}
     manifest = json.loads((out / "run.json").read_text())
     written = {path.name for path in out.iterdir()} - {"run.json"}
     assert sorted(manifest["outputs"]) == sorted(written)
     for name in written:
         got[name] = _sha256((out / name).read_bytes())
     got["run.json"] = _sha256(json.dumps(manifest, sort_keys=True).encode())
-    assert got == CLI_DIGESTS[run]
+    return got
+
+
+@pytest.mark.parametrize("run", sorted(CLI_RUNS))
+def test_every_cli_output_matches_golden_digests(run, tmp_path):
+    assert _cli_digests(run, tmp_path) == CLI_DIGESTS[run]
 
 
 @pytest.mark.parametrize("run", sorted(CLI_RUNS))
@@ -262,12 +294,154 @@ def test_run_json_config_replays_the_run(run, tmp_path, capsys):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
+# small engine runs of every trajectory on the full 16-antenna array and on
+# 8 and 5 tracking antennas: recursive from each init, and every other
+# algorithm the tracking array accepts; 20 trials in chunks of 7, so the
+# reduction over chunks is covered too
+ENGINE_COMMON = dict(slots=150, omega=0.02, trials=20, chunk_size=7, seed=3)
+
+
+def _engine_digests(trajectory: str) -> dict:
+    """The digest of every ``RunSummary`` of ``trajectory``'s engine runs,
+    over the bytes of each of its fields, the trace's arrays included."""
+    got = {}
+    for track in (None, 8, 5):
+        for init in ("sweep", "uniform", "mainlobe"):
+            others = ("80211ad", "cs") if track else ("80211ad", "ls", "cs")
+            algorithms = ("recursive", *others) if init == "sweep" else ("recursive",)
+            cfg = RunConfig(
+                trajectory=trajectory, track_antennas=track, init=init,
+                algorithms=algorithms, **ENGINE_COMMON,
+            )
+            for name, summary in run_experiment(cfg).items():
+                label = f"recursive-{init}" if name == "recursive" else name
+                got[f"m{track or 16}-{label}"] = _sha256(_summary_bytes(summary))
+    return got
+
+
+def _summary_bytes(value) -> bytes:
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return b"".join(_summary_bytes(getattr(value, f.name)) for f in fields)
+    return np.asarray(value).tobytes()
+
+
+ENGINE_DIGESTS = {
+    "static": {
+        "m16-80211ad":
+            "405507b878edded61a07d4da96768a4b95444fa46b2d1531c99fce157aac43a9",
+        "m16-cs":
+            "f5e5b02f8d2300772dcd8420e87bc4bba9ed596e2e501969d8942f6be0663640",
+        "m16-ls":
+            "6e4be406b5ce6e27b8e7924d9f742ec7b0901f4d31719b49d893de8156a859d4",
+        "m16-recursive-mainlobe":
+            "7043daa09b573716c09c017b865cc8dab78d6f5c7bece9341f544b03274a9a71",
+        "m16-recursive-sweep":
+            "c99c70a772d5491b469f1662cb05a2f137d4a9496cd092fd8f3efa9ffc195f63",
+        "m16-recursive-uniform":
+            "8ec1f35b60d60df56305482acf68acf5d6803d3a881c22b1832b6dd50b86554b",
+        "m5-80211ad":
+            "6603666cf6b00fd86491f86ed0039d7ecc5740802a869dc66e91a642bb4e13d3",
+        "m5-cs":
+            "5d3f06f0e879189bd850334be74afffd0753660226010bb92696286b152a78ec",
+        "m5-recursive-mainlobe":
+            "5c21408133129c9aa466169a33f5baf2b313dc9afe8ea691289679ba520b785b",
+        "m5-recursive-sweep":
+            "1a59f4969f76871542dd18a6ae5ed25d2be65dcd6357d0ff7c285251f98c789e",
+        "m5-recursive-uniform":
+            "fdb594b642dffa257a89f9be2b5a5e127253a0d921b8410e162be83f4cafe899",
+        "m8-80211ad":
+            "70ccbebe00ecf1ae5d2aa435f1e23e00336d94b94dbcc29a6b43d7e5cb1031c8",
+        "m8-cs":
+            "949e27876c81ee6da300e5ed2b411567f4a2592669ba5956afc307ec37950a02",
+        "m8-recursive-mainlobe":
+            "03cf36ac99bedc7b954093071240bf160449caf6d1aaab608c01a6dd1d91942d",
+        "m8-recursive-sweep":
+            "0c3ed04c311f4ec4f001f98c124100c50cf120eb601efa180a92e2bdd521d170",
+        "m8-recursive-uniform":
+            "f6287fcf64c4f6fc916b71af272c57fd7d7396d00dd5f6d0d7790f0f9b029565",
+    },
+    "sinusoidal": {
+        "m16-80211ad":
+            "906b44049bbf96798e1c5198cab1005fd1669c9b5d708d27dce43a7a568b9179",
+        "m16-cs":
+            "f56cbd07fbad70905362d6d306f0da8c81e1d683dedb03673b0e841c6d6867f2",
+        "m16-ls":
+            "3fd1d63703ad9a0aff87bfca135bf52c106a2a671a171a9a27f9292a1a80a253",
+        "m16-recursive-mainlobe":
+            "561e97832d9b9bd8fc5b503b4756ed239beea51d7add46a48c13d6a9b5deb14e",
+        "m16-recursive-sweep":
+            "fe9efbaf9a94132995c6cb287a54184ec8e17fece693bf4fecdbf2d9dbb76c75",
+        "m16-recursive-uniform":
+            "11acdc2c07562e386fcd6dd9c15875663675289f3e499a91274b62071dd7f8fb",
+        "m5-80211ad":
+            "ebbddd05e92f53aa0c8bd69b3642ce7091f8ef4bb96d31005c1166f949878c60",
+        "m5-cs":
+            "3521352c6e04c2e107e3865e884516bdccb9dd7e3590d08531605ad263e660ff",
+        "m5-recursive-mainlobe":
+            "bc9526aa949b0e8c06068f584005cfcde00bc0fc27bfb6a4fa3e5b81b44f45ff",
+        "m5-recursive-sweep":
+            "be0f63728646ef9c89271958fd37f076abfec7af7b3368b19f9b58540279a36c",
+        "m5-recursive-uniform":
+            "f1eb31c6066039c5261b454c7f14ebcecc37bed45c5f922ed254289ff24415c2",
+        "m8-80211ad":
+            "93ec5ec117755dea8cb4746c0abe15527b55078b99e37682e8cc195334728cf1",
+        "m8-cs":
+            "d93e16263febd47f1cedab999fa8a785f32911853f370716045f08e5d5ba9b8f",
+        "m8-recursive-mainlobe":
+            "7056199655a5e962e97acc7536ebc8ce49f939c55e6fa95f3f8cbb93e6cb3692",
+        "m8-recursive-sweep":
+            "7300d2a13e9712de9367ef2a42d3a6db8bf15daeb6386aa569e8e5bfc3ab359c",
+        "m8-recursive-uniform":
+            "e610949c9a775b6380a0a34b537136aa2a5cfe47c80e1c2372bf19d47b8d830c",
+    },
+    "fixed-velocity": {
+        "m16-80211ad":
+            "b45cc6f48cf01f64a40488f12cb2d2af94029c30460cca7f6e0a768338c29913",
+        "m16-cs":
+            "38aba7be8131e3d3450bba966bb5c96d38910f8aa798151df3300786f0a8c604",
+        "m16-ls":
+            "2f1d1bb21c105a94fdc67c9effc1b2a9922765b220c16e8fbc9328f69ca20061",
+        "m16-recursive-mainlobe":
+            "42b73b9e6f3ebd7f685f4ac73ae29ad6bd3f14a9b55fd91c394e6aae150407bc",
+        "m16-recursive-sweep":
+            "e3a3a871eddb86c5d4ee25329408a0ad976911595816b7a7b5c11b118d5cf192",
+        "m16-recursive-uniform":
+            "673b7e8cad91a658afec5f296c0da32c3a6bdfbbce057203683d953bba766716",
+        "m5-80211ad":
+            "e186c426d10cd1185b845ade61f68ffeff49bb3ea2f9ef760644242632039c22",
+        "m5-cs":
+            "0e6509409b8dc0d90acde205003b99d31d55914f58462b282e82a2f20e15667b",
+        "m5-recursive-mainlobe":
+            "410b083094e3c866e57d9f6595b4359ccca4696adf55eb290e5725cca102e487",
+        "m5-recursive-sweep":
+            "ec4a3991e33085ce4eedb2e8fc804f119ece23a4a4d63774c339b0e6c8b7a434",
+        "m5-recursive-uniform":
+            "04268d1165be9cfee626e658a8104b026426b71bc306a7dcb5a995dc156fb5db",
+        "m8-80211ad":
+            "13c6d91977a3377c5fa79d80e678f081473f30c8ac9fadc082cbc0008677f3f1",
+        "m8-cs":
+            "e0ebd727f295aead0e6010e0abdf7ed804ada60fc07c3d6a402922f63feb422f",
+        "m8-recursive-mainlobe":
+            "169ce70213daef4b63fffb1c9fccbe1dcca71639bdc55caef9617091b0fd7d45",
+        "m8-recursive-sweep":
+            "cab3bae86508e7a9f81d03e3b0cf4dd012d4347767d73016779e9c2faa9a8161",
+        "m8-recursive-uniform":
+            "81d2ccadcc8297222b7b605a523dd8edb05c114691533c89dca90dc26bea615e",
+    },
+}
+
+@pytest.mark.parametrize("trajectory", TRAJECTORIES)
+def test_engine_arrays_match_golden_digests(trajectory):
+    assert _engine_digests(trajectory) == ENGINE_DIGESTS[trajectory]
+
+
 # the package exports what a subcommand runs; the pilot model, the scalar
 # steering vector and substream, the Fisher information of an arbitrary probe
 # and the scalar replays live in tests/reference.py
 PUBLIC_NAMES = [
     "ALGORITHMS", "ArrayGeometry", "RngPlan", "RunConfig", "RunSummary", "TrialRecord",
-    "alpha_star", "array_kernel", "array_kernel_polar", "arraymodel", "channel_mse_limit",
+    "alpha_star", "array_kernel_polar", "arraymodel", "channel_mse_limit",
     "crlb_min", "dft_codebook", "generate", "h_prime_norm_sq", "harness", "i_max",
     "initialization_hit_rate", "mainlobe_halfwidth", "run_experiment", "run_single_trial",
     "scenarios", "sine_grid", "stable_point_spacing", "stable_points", "steering_matrix",
@@ -277,3 +451,29 @@ PUBLIC_NAMES = [
 
 def test_public_names():
     assert sorted(beamtrack.__all__) == PUBLIC_NAMES
+
+
+def _print_digests(name: str, digests: dict) -> None:
+    print(f"{name} = {{")
+    for key, value in digests.items():
+        if isinstance(value, dict):
+            print(f'    "{key}": {{')
+            for file, digest in sorted(value.items()):
+                print(f'        "{file}":\n            "{digest}",')
+            print("    },")
+        else:
+            print(f'    "{key}": "{value}",')
+    print("}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        def fresh() -> Path:
+            return Path(tempfile.mkdtemp(dir=tmp))
+
+        digests = {}
+        for command in RUNS:
+            digests.update(_summary_digests(command, fresh()))
+        _print_digests("DIGESTS", digests)
+        _print_digests("CLI_DIGESTS", {run: _cli_digests(run, fresh()) for run in sorted(CLI_RUNS)})
+    _print_digests("ENGINE_DIGESTS", {kind: _engine_digests(kind) for kind in TRAJECTORIES})

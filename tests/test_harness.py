@@ -279,8 +279,7 @@ _KINDS = st.sampled_from(TRAJECTORIES)
 
 class TestEngineAgainstScalarReplay:
     """The vectorized runner must reproduce the scalar replays of
-    ``tests/reference.py``, noise draw for noise draw: ``recursive`` and
-    ``80211ad`` here, the rest in ``TestEngineAgainstLibraryOps``."""
+    ``tests/reference.py``, noise draw for noise draw."""
 
     @pytest.mark.parametrize("init", ["sweep", "uniform", "mainlobe"])
     @pytest.mark.parametrize("trial", [0, 5])
@@ -351,11 +350,6 @@ class TestEngineAgainstScalarReplay:
         )
         _check_sweep_refine(cfg)
 
-
-class TestEngineAgainstLibraryOps:
-    """The vectorized runner must reproduce the scalar replays of
-    ``tests/reference.py``, noise draw for noise draw."""
-
     def test_cs_static_trace(self):
         # static: re-estimate every slot from all pilots received so far
         cfg = RunConfig(
@@ -424,6 +418,21 @@ class TestEngineAgainstLibraryOps:
         batched = run_experiment(cfg)["recursive"].trace
         np.testing.assert_array_equal(solo.x_hat, batched.x_hat)
         np.testing.assert_array_equal(solo.rate, batched.rate)
+
+    @pytest.mark.parametrize("trajectory", ["static", "sinusoidal"])
+    def test_single_trial_of_each_baseline_matches_batched_run(self, trajectory):
+        # 80211ad bit for bit; ls to rounding, as its (sums / counts) @ beams
+        # rounds by the batch size
+        cfg = RunConfig(
+            trajectory=trajectory, slots=200, trials=37, algorithms=("80211ad", "ls"), seed=5
+        )
+        batched = run_experiment(cfg)
+        assert _bits(run_single_trial(cfg, "80211ad")) == _bits(batched["80211ad"].trace)
+        solo = run_single_trial(cfg, "ls")
+        for name in ("x", "x_hat", "mse_h", "rate"):
+            np.testing.assert_allclose(
+                getattr(solo, name), getattr(batched["ls"].trace, name), rtol=1e-13, atol=0
+            )
 
 
 _SUMMARY_ARRAYS = (
