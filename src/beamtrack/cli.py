@@ -302,7 +302,8 @@ def _cmd_static(args, settings: dict) -> int:
             f"'static_{name}.csv' using 1:($1*$2) with lines title '{name}'"
             for name in cfg.algorithms
         ]
-        + ["'static_recursive.csv' using 1:($1*$6) with lines dt 2 title 'bound'"],
+        # every summary CSV of the run holds the same bound column
+        + [f"'static_{cfg.algorithms[0]}.csv' using 1:($1*$6) with lines dt 2 title 'bound'"],
         "slot n",
         "n * MSE_h",
         logscale="xy",

@@ -13,11 +13,12 @@ One set-up, ``_chunk_inputs``, draws a chunk's trajectories and noise and
 takes its warm-up sweep, for every scenario and for the coarse sweep's hit
 rate (``initialization_hit_rate``).
 The chunk size only changes rounding (batch-size-dependent matrix products
-and the summation order), at the 1e-12 relative level, except for static
-``cs`` at slot 1: one random probe scores every grid point alike, so its
-slot-1 estimate (and slot-2 rate) is a tie that rounding breaks.  Dynamic
-``cs`` on a subarray of at most 5 antennas has windows of one or two probes,
-which can tie in the same way.
+and the summation order), at the 1e-12 relative level, except for ``cs``'s
+ties.  At slot 1 of a static run one random probe scores every grid point
+alike, so its slot-1 estimate (and slot-2 rate) is a tie that rounding
+breaks.  On a tracking array of at most 5 antennas a score of a few probes
+can tie in the same way: a dynamic window of one or two probes, or a static
+run's slots 2 and 3.
 
 Per-slot conventions, uniform across algorithms:
   * the data beam of slot n is set from the algorithm state at the end of
@@ -37,11 +38,13 @@ same object: within a slot in moving runs, across slots in static ones, whose
 truth never moves and whose trajectory is one column viewed across the slots.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
-re-estimate every slot from all pilots received so far.  Dynamic sparse
-recovery scores each frame from its pilot window's sufficient statistics,
-two M-value sums, so it takes only the window's pilots.  Static sparse
-recovery keeps the per-slot (T, 1024) matched filter: its slot-1 tie makes
-the results depend on the evaluation order, and another order would move them.
+re-estimate every slot from all pilots received so far.  Sparse recovery
+scores from its pilots' sufficient statistics, two M-value sums: a dynamic
+frame takes them over its pilot window, so it takes only the window's
+pilots, and a static run adds each slot's pilot to them.  Only a static
+run's slot 1 scores with the matched filter of its one probe: that slot's
+tie makes the results depend on the evaluation order, and another order
+would move them.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ STEADY_SKIP = 50  # leading slots left out of the steady-state means
 SNR_DB_BOUND = 1000.0
 CS_DICTIONARY_SIZE = 1024
 QPSK = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])  # random-probe phase alphabet
+_MAX_BYTES = int(np.iinfo(np.intp).max)  # the largest array numpy can address
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +190,18 @@ class RunConfig:
         alpha = self.step_alpha
         if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"step_alpha must be positive and finite, got {alpha}")
+        # a chunk's largest array must be one numpy can address: each row
+        # holds slots + m_t complex noise values, and slots * m_t int8 probes
+        # when cs runs
+        rows, m_t = min(self.trials, self.chunk_size), track.num_antennas
+        most = _MAX_BYTES // (16 * rows) - m_t
+        if "cs" in self.algorithms:
+            most = min(most, _MAX_BYTES // (rows * m_t))
+        if self.slots > most:
+            raise ValueError(
+                f"slots must be at most {most} in chunks of {rows} trials, where a chunk's "
+                f"arrays stay within numpy's {_MAX_BYTES} bytes, got {self.slots}"
+            )
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -438,49 +454,70 @@ class _LeastSquares:
         return rate, (np.abs(self.h_hat - a) ** 2).sum(axis=1), None
 
 
-def _cs_lag_atoms(atoms: np.ndarray) -> np.ndarray:
-    """``atoms.T`` with rows d >= 1 doubled: row d weights the lag sum ``c_d``
-    in ``_cs_window_score``'s energy."""
+def _cs_lag_atoms(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of ``atoms.T`` with rows d >= 1 doubled:
+    row d weights the lag sum ``c_d`` in ``_cs_window_score``'s energy."""
     lag = atoms.T.copy()
     lag[1:] *= 2.0
-    return lag
+    return np.ascontiguousarray(lag.real), np.ascontiguousarray(lag.imag)
+
+
+def _cs_sums(y: np.ndarray, w: np.ndarray):
+    """The sufficient statistics ``r`` and ``c`` of ``_cs_window_score`` for
+    the pilots ``y`` (T, k) taken with the probes ``w`` (T, k, m_t)."""
+    m_t = w.shape[-1]
+    r = np.matmul(y[:, None, :], w)[:, 0, :]
+    # each probe's conjugate, zero-padded to 2 m_t, and shifted[t, n, d, q]
+    # = conj(w[t, n, q + d]) (zero past the probe's end) as a strided view
+    # of it: the lag sums take O(k m_t^2) operations and O(k m_t) memory
+    padded = np.zeros((*w.shape[:-1], 2 * m_t), dtype=complex)
+    np.conjugate(w, out=padded[..., :m_t])
+    step = padded.strides[-1]
+    shifted = np.ndarray(
+        (*w.shape, m_t), complex, padded, strides=(*padded.strides[:-1], step, step)
+    )
+    return r, np.matmul(shifted, w[..., None])[..., 0].sum(axis=1)
 
 
 def _cs_window_score(
     r: np.ndarray,
     c: np.ndarray,
     atoms_conj_t: np.ndarray,
-    lag_atoms: np.ndarray,
+    lag_atoms: tuple[np.ndarray, np.ndarray],
     scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter magnitude ``|sum_n y_n w_n^T conj(a(g))|`` and energy
-    ``sum_n |w_n^T conj(a(g))|^2`` of every grid atom for a window of pilots
-    ``y_n`` taken with probes ``w_n``, from the window's sufficient statistics
+    ``sum_n |w_n^T conj(a(g))|^2`` of every grid atom for the pilots ``y_n``
+    taken with probes ``w_n``, from their sufficient statistics
     ``r = sum_n y_n w_n`` and lag sums ``c_d = sum_n sum_q w_nq conj(w_n,q+d)``
     (d = 0..M-1).  Since ``a_0 = 1``, ``conj(a_q) a_(q+d) = a_d``, so the
-    energy is ``Re(c_0 + 2 sum_(d>=1) c_d a_d(g))``, with ``lag_atoms`` from
+    energy is ``Re(c_0 + 2 sum_(d>=1) c_d a_d(g))``, taken real-split as
+    ``c.real @ L_re - c.imag @ L_im`` with ``lag_atoms = (L_re, L_im)`` from
     ``_cs_lag_atoms``.  ``scratch`` holds complex, real and real (T, grid)
     arrays for the matched filter, the magnitude and the energy; the last two
     are returned."""
     filt, numer, denom = scratch
-    np.copyto(denom, np.matmul(c, lag_atoms, out=filt).real)
+    lag_re, lag_im = lag_atoms
+    np.matmul(c.real, lag_re, out=denom)
+    denom -= np.matmul(c.imag, lag_im, out=numer)
     np.abs(np.matmul(r, atoms_conj_t, out=filt), out=numer)
     return numer, denom
 
 
 class _CompressedSensing(_DirectionTracker):
     """Sparse recovery from random QPSK probes: the normalized matched-filter
-    argmax over the CS sine grid (sparsity-one OMP).
+    argmax over the CS sine grid (sparsity-one OMP), scored by
+    ``_cs_window_score`` from the pilots' M-value sums ``r`` and ``c``.
 
-    Static runs re-score every slot from all pilots so far, keeping the
-    (T, grid) matched-filter sums in place.  Their slot-1 score is a tie (one
-    probe scores every grid point |y_1|) that rounding breaks, so any other
-    evaluation order would move the recorded static results.  Dynamic runs
-    score once per codebook frame, at its last slot, from the last ``k_win``
-    pilots: ``_cs_window_score`` needs only the window's M-value sums ``r``
-    and ``c``, so between slots a trial keeps just the window's pilots, and
-    the pilots of the other slots, which no score uses, are not taken.  Both
-    modes normalize and pick in ``_pick``, in (T, grid) scratch reused across
+    Static runs add each slot's pilot to the sums and re-score every slot
+    from all pilots so far; their truth never moves, so its steering vector
+    is computed once per chunk.  Slot 1 alone keeps the matched filter: one
+    probe scores every grid point |y_1|, a tie that rounding breaks, so it
+    keeps the evaluation order that the recorded static results depend on.
+    Dynamic runs score once per codebook frame, at its last slot, from the
+    last ``k_win`` pilots: between slots a trial keeps just the window's
+    pilots, and the pilots of the other slots, which no score uses, are not
+    taken.  Both modes pick in ``_pick``, in (T, grid) scratch reused across
     slots and frames."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
@@ -488,7 +525,7 @@ class _CompressedSensing(_DirectionTracker):
         # initial estimate: the coarse sweep over the CS grid, which is the
         # normalized matched filter of the warm-up pilots (the codebook is
         # unitary, so every atom has energy M); taken before the (T, grid)
-        # buffers below exist, to keep the peak down
+        # scratch below exists, to keep the peak down
         self.direction = _sweep_estimate(self.track, CS_DICTIONARY_SIZE, warm)
         m_t, slots = self.track.num_antennas, config.slots
         self.probes = np.empty((len(trials), slots, m_t), dtype=np.int8)
@@ -499,33 +536,24 @@ class _CompressedSensing(_DirectionTracker):
         self.grid = sine_grid(CS_DICTIONARY_SIZE)
         atoms = steering_matrix(self.track, self.grid)  # (grid, m_t)
         self.atoms_conj_t = np.conj(atoms).T
-        grid_shape = (len(trials), CS_DICTIONARY_SIZE)
+        self.lag_atoms = _cs_lag_atoms(atoms)
         if self.static:
-            # running matched-filter sums over all pilots, and per-slot buffers
-            # for conj(w^H a(g)), a magnitude and the floored energy, in place
-            self.numer = np.zeros(grid_shape, dtype=complex)
-            self.denom = np.zeros(grid_shape)
-            self.phi_c = np.empty_like(self.numer)
-            self.mag = np.empty_like(self.denom)
-            self.floor = np.empty_like(self.denom)
+            self.a = steering_matrix(self.track, x0)
+            self.r, self.c = np.zeros((2, len(trials), m_t), dtype=complex)
         else:
             self.window = np.empty((len(trials), self.k_win), dtype=complex)
-            # lag_pick[q*m_t + p, p - q] = 1 for p >= q: one product sums
-            # every superdiagonal of a flattened (m_t, m_t) matrix
-            q, p = np.triu_indices(m_t)
-            self.lag_pick = np.zeros((m_t * m_t, m_t), dtype=complex)
-            self.lag_pick[q * m_t + p, p - q] = 1.0
-            # the frame score's scratch, reused: fresh (T, grid) arrays every
-            # frame cost page faults when the allocator hands memory back
-            self.scratch = (
-                np.empty(grid_shape, dtype=complex), np.empty(grid_shape), np.empty(grid_shape)
-            )
-            self.lag_atoms = _cs_lag_atoms(atoms)
+        # the score's scratch, reused: fresh (T, grid) arrays every slot or
+        # frame cost page faults when the allocator hands memory back
+        grid_shape = (len(trials), CS_DICTIONARY_SIZE)
+        self.scratch = (
+            np.empty(grid_shape, dtype=complex), np.empty(grid_shape), np.empty(grid_shape)
+        )
 
     def _pilot(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         """Slot n's probe weights and the pilot taken with them."""
         w_p = QPSK[self.probes[:, n - 1, :]] / math.sqrt(self.track.num_antennas)
-        return w_p, (np.conj(w_p) * steering_matrix(self.track, x_n)).sum(axis=1) + noise
+        a = self.a if self.static else steering_matrix(self.track, x_n)
+        return w_p, (np.conj(w_p) * a).sum(axis=1) + noise
 
     def _pick(self, numer: np.ndarray, denom: np.ndarray) -> None:
         """Point each trial's estimate at the grid atom of the largest
@@ -535,27 +563,30 @@ class _CompressedSensing(_DirectionTracker):
         self.direction = self.grid[np.argmax(numer, axis=1)]
 
     def update(self, n, x_n, noise):
-        m_t = self.track.num_antennas
         if self.static:
             w_p, y = self._pilot(n, x_n, noise)
-            np.matmul(w_p, self.atoms_conj_t, out=self.phi_c)
-            self.denom += np.square(np.abs(self.phi_c, out=self.mag), out=self.mag)
-            self.phi_c *= y[:, None]
-            self.numer += self.phi_c
-            np.copyto(self.floor, self.denom)  # the running sum stays unfloored
-            self._pick(np.abs(self.numer, out=self.mag), self.floor)
-            return
-        pos = (n - 1) % m_t - (m_t - self.k_win)  # place in the frame's window
-        if pos < 0:
-            return
-        self.window[:, pos] = self._pilot(n, x_n, noise)[1]
-        if pos == self.k_win - 1:  # the frame's last slot
+            r, c = _cs_sums(y[:, None], w_p[:, None, :])
+            self.r += r
+            self.c += c
+            if n == 1:  # the tie: the one probe's matched filter, in the scratch
+                filt, numer, denom = self.scratch
+                np.matmul(w_p, self.atoms_conj_t, out=filt)
+                np.square(np.abs(filt, out=denom), out=denom)
+                filt *= y[:, None]
+                self._pick(np.abs(filt, out=numer), denom)
+                return
+            r, c = self.r, self.c
+        else:
+            m_t = self.track.num_antennas
+            pos = (n - 1) % m_t - (m_t - self.k_win)  # place in the frame's window
+            if pos < 0:
+                return
+            self.window[:, pos] = self._pilot(n, x_n, noise)[1]
+            if pos < self.k_win - 1:  # not the frame's last slot
+                return
             w = QPSK[self.probes[:, n - self.k_win : n, :]] / math.sqrt(m_t)
-            r = np.matmul(self.window[:, None, :], w)[:, 0, :]
-            # gram[t, q, p] = sum_n w_nq conj(w_np); c_d sums its d-th superdiagonal
-            gram = np.matmul(w.transpose(0, 2, 1), np.conj(w))
-            c = gram.reshape(len(gram), m_t * m_t) @ self.lag_pick
-            self._pick(*_cs_window_score(r, c, self.atoms_conj_t, self.lag_atoms, self.scratch))
+            r, c = _cs_sums(self.window, w)
+        self._pick(*_cs_window_score(r, c, self.atoms_conj_t, self.lag_atoms, self.scratch))
 
 
 # built from (config, trials, anchor directions, warm-up pilots); step(n, x_n,
@@ -629,13 +660,15 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
 # experiment driver
 
 
-def _chunks(trials: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk_size, trials)) for lo in range(0, trials, chunk_size)]
+def _chunks(trials: int, chunk_size: int):
+    """The (lo, hi) trial spans of a run's chunks, in order, one at a time."""
+    for lo in range(0, trials, chunk_size):
+        yield lo, min(lo + chunk_size, trials)
 
 
 def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
     spans = _chunks(config.trials, config.chunk_size)
-    if config.jobs > 1 and len(spans) > 1:
+    if config.jobs > 1 and config.trials > config.chunk_size:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [
                 pool.submit(_simulate_chunk, config, algorithm, lo, hi)

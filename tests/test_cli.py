@@ -137,6 +137,19 @@ class TestOutputDirectory:
         assert outside.exists() and nested.exists() and unlisted.exists()
         assert sorted(p.name for p in out.iterdir()) == ["crlb.csv", "keep.txt", "run.json", "sub"]
 
+    @pytest.mark.parametrize(
+        "argv", [("static", "--algorithms", "ls"), ("dynamic", "--algorithms", "ls,cs")]
+    )
+    def test_figures_name_only_written_files(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        common = ["--trials", "2", "--slots", "5", "--jobs", "1", "--out", str(out)]
+        assert cli.main([*argv, *common]) == 0
+        outputs = json.loads((out / "run.json").read_text())["outputs"]
+        for script in (name for name in outputs if name.endswith(".gp")):
+            # each plot clause opens with its data file; a title follows "title"
+            named = set(re.findall(r"(?:plot |, )'([^']+)'", (out / script).read_text()))
+            assert named and named <= set(outputs), script
+
     def test_rejected_run_touches_nothing(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert cli.main(["crlb", "--out", str(out)]) == 0
@@ -570,6 +583,9 @@ class TestErrors:
             ("crlb", "--snr-db", "4000"),
             ("init-quality", "--snr-grid", "4000", "--trials", "5"),
             ("static", "--snr-db=-4000", "--trials", "2", "--slots", "3"),
+            # a chunk's slot noise would be more bytes than numpy can address
+            ("static", "--slots", "1000000000000000000", "--trials", "2", "--jobs", "1",
+             "--algorithms", "recursive"),
         ],
     )
     def test_rejected_setting_one_line(self, tmp_path, argv):

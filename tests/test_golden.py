@@ -21,6 +21,7 @@ layout of the dicts below:
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import tempfile
@@ -319,6 +320,32 @@ def _engine_digests(trajectory: str) -> dict:
     return got
 
 
+# compressed sensing alone on more arrays: the full 16-, 8- and 32-antenna
+# arrays and 16 antennas tracking on 8, at two seeds; 24 trials in chunks of 7
+CS_COMMON = dict(slots=120, omega=0.02, trials=24, chunk_size=7, algorithms=("cs",))
+ENGINE_RUNS = (*TRAJECTORIES, *(f"cs-{kind}" for kind in TRAJECTORIES))
+
+
+def _cs_digests(trajectory: str) -> dict:
+    """The digest of each ``cs`` ``RunSummary`` of ``trajectory``, over the
+    same bytes as ``_engine_digests``."""
+    got = {}
+    for m, track in ((16, None), (8, None), (32, None), (16, 8)):
+        for seed in (0, 1):
+            cfg = RunConfig(
+                trajectory=trajectory, num_antennas=m, track_antennas=track, seed=seed,
+                **CS_COMMON,
+            )
+            summary = run_experiment(cfg)["cs"]
+            got[f"m{m}-t{track or m}-seed{seed}"] = _sha256(_summary_bytes(summary))
+    return got
+
+
+def _run_digests(run: str) -> dict:
+    kind = run.removeprefix("cs-")
+    return _engine_digests(kind) if kind == run else _cs_digests(kind)
+
+
 def _summary_bytes(value) -> bytes:
     if dataclasses.is_dataclass(value):
         fields = dataclasses.fields(value)
@@ -429,11 +456,87 @@ ENGINE_DIGESTS = {
         "m8-recursive-uniform":
             "81d2ccadcc8297222b7b605a523dd8edb05c114691533c89dca90dc26bea615e",
     },
+    "cs-static": {
+        "m16-t16-seed0":
+            "f08b29316740c0fee3a12ad9b1745ce6656c79e8cf91705ffd76d3651984a730",
+        "m16-t16-seed1":
+            "2c44a7e653429978bd07d6dc2e512fed3c102c857dc9b7be86c08359cbece5e0",
+        "m16-t8-seed0":
+            "84b922d24e8036ae71f9c520ff25f0ed4265fc9642a9fc39340331a4da0dbdb1",
+        "m16-t8-seed1":
+            "ab427ca674004d51b1d14516de6f3f06c12b79b2064728a23586980ecf306b1f",
+        "m32-t32-seed0":
+            "81ef018b1a91ab13aeec020c122fdc7bef7bef6863d4fc6ee8c7309183e9d695",
+        "m32-t32-seed1":
+            "289e79f5b2e492e0af0dd27fb6dd6c7a4f1b968d1177c1d251c80923d65b6a5d",
+        "m8-t8-seed0":
+            "fbf69206104f8f77fb2ebd343bb9c27c02ce0acb68248d1330b5517ba503dcfa",
+        "m8-t8-seed1":
+            "0baf19b4facb17b9be2501a3b1c50f5e4cbba35c1c69626294e8a47d2ea0919a",
+    },
+    "cs-sinusoidal": {
+        "m16-t16-seed0":
+            "210fed60d8b996743652c1b49fb07d58e1294b3cf50ddda4511eb996a51b8a9b",
+        "m16-t16-seed1":
+            "28a5dcba8f2449934407db4bd3325824564a41a52cb3c92d557968c6e005c46c",
+        "m16-t8-seed0":
+            "646114208aadaa18738906b605a52fe736cf7df26ff13784ba162b03151486b7",
+        "m16-t8-seed1":
+            "8a36268a65236429496e0374c75e086fb129c1fdbc53ec0de86ef84ed3c879c8",
+        "m32-t32-seed0":
+            "d514fb977461c075f631f9a42f15cd6c601f5267718f12c52bdc62a41c86e04c",
+        "m32-t32-seed1":
+            "affa2f340e2ae11cc43878e1ec2f72a13b89761f4c94196809639fdf3b1687d7",
+        "m8-t8-seed0":
+            "8ca9ad5cce5bbd3d30017a0b2f7811a0324fd5e2a8ebde5e8df7e14ffdcd9745",
+        "m8-t8-seed1":
+            "0d23664cf3753209cbfe6e4a9defafff63122cf656b8f503e2cef92988500fb6",
+    },
+    "cs-fixed-velocity": {
+        "m16-t16-seed0":
+            "c51db99af9e3606b4a662d2b091fecc34e6a73e4770efd719b88f5efe53274f5",
+        "m16-t16-seed1":
+            "28a468da5deda4623e1ad560f2da36ed77ea6107b8ebfa64d49dbcd7c47c4e0c",
+        "m16-t8-seed0":
+            "74d42859a9881407feae9132543226295006cad87de4f0f7f7b2da09ca4fc101",
+        "m16-t8-seed1":
+            "cd8fb762f2323194849dce27a7caf89e8e0430e62512cf6936b3b7be39287b8d",
+        "m32-t32-seed0":
+            "fee926443353c57eedd3c90a586376d5aaadd231a73c47f0fbec9bf053a3299d",
+        "m32-t32-seed1":
+            "ecc11ba12c8467f86241e7d2583dd971698d0256f1f509069b79688afb97cef2",
+        "m8-t8-seed0":
+            "4568720851861b9d0877ed6771712dc2b531a5fc44543030d706516c0d5854fd",
+        "m8-t8-seed1":
+            "c5f51187dcb4a03dc84ed2f21a2fdfe6edfda834eb443b3b7bd6cb7479819944",
+    },
 }
 
-@pytest.mark.parametrize("trajectory", TRAJECTORIES)
-def test_engine_arrays_match_golden_digests(trajectory):
-    assert _engine_digests(trajectory) == ENGINE_DIGESTS[trajectory]
+@pytest.mark.parametrize("run", ENGINE_RUNS)
+def test_engine_arrays_match_golden_digests(run):
+    assert _run_digests(run) == ENGINE_DIGESTS[run]
+
+
+# the benchmark in perfbench/ imports its modules by name from its own folder
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_outputs_match_recorded_references(tmp_path, monkeypatch, capsys):
+    """Every workload's CLI calls at seed 1 write summary CSVs whose values
+    match ``perfbench/reference`` to the benchmark's rtol of 1e-9, compared
+    as the benchmark's own output check compares them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    outcheck, workloads = map(importlib.import_module, ("outcheck", "workloads"))
+    problems = []
+    for name, workload in workloads.WORKLOADS.items():
+        reference = outcheck.load_reference(name, 1)
+        for call in workloads.calls(workload, 1):
+            out = tmp_path / name / call.algorithm
+            assert cli.main([*call.argv, "--out", str(out)]) == 0
+            csv = f"{workload.subcommand[0]}_{call.algorithm}.csv"
+            got = outcheck.against_reference((out / csv).read_text(), reference["summary"][csv])
+            problems += [f"{name} {csv}: {problem}" for problem in got]
+    assert problems == []
 
 
 # the package exports what a subcommand runs; the pilot model, the scalar
@@ -476,4 +579,4 @@ if __name__ == "__main__":
             digests.update(_summary_digests(command, fresh()))
         _print_digests("DIGESTS", digests)
         _print_digests("CLI_DIGESTS", {run: _cli_digests(run, fresh()) for run in sorted(CLI_RUNS)})
-    _print_digests("ENGINE_DIGESTS", {kind: _engine_digests(kind) for kind in TRAJECTORIES})
+    _print_digests("ENGINE_DIGESTS", {run: _run_digests(run) for run in ENGINE_RUNS})

@@ -30,6 +30,7 @@ from beamtrack.harness import (
     CS_DICTIONARY_SIZE,
     QPSK,
     _cs_lag_atoms,
+    _cs_sums,
     _cs_window_score,
     _Recursive,
     _sweep_estimate,
@@ -97,6 +98,14 @@ class TestCsWindowScore:
         atoms_conj_t = np.conj(atoms).T
         r = y @ w
         c = np.array([np.sum(w[:, : m - lag] * np.conj(w[:, lag:])) for lag in range(m)])
+        # a static run adds each slot's one-pilot sums to its running r and
+        # c; a dynamic frame takes its window's sums at once
+        slots = [_cs_sums(y[None, n : n + 1], w[None, n : n + 1]) for n in range(k)]
+        running = [sum(stats[j] for stats in slots) for j in (0, 1)]
+        atol = 1e-14 * k * max(1.0, np.abs(y).max(initial=0.0))
+        for got, batch, direct in zip(running, _cs_sums(y[None], w[None]), (r, c)):
+            np.testing.assert_allclose(batch[0], direct, rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(got, batch, rtol=1e-12, atol=atol)
         scratch = (np.empty((1, len(atoms)), dtype=complex), np.empty((1, len(atoms))),
                    np.empty((1, len(atoms))))
         numer, denom = _cs_window_score(
@@ -847,6 +856,28 @@ class TestSummaryContents:
         ):
             with pytest.raises(TypeError, match="argument"):
                 build()
+
+    def test_chunk_arrays_numpy_cannot_address_rejected(self):
+        # a chunk of min(trials, chunk_size) rows holds (slots + m_t) complex
+        # noise values per row, and slots * m_t int8 probes when cs runs;
+        # RunConfig allocates nothing, so these sizes are safe to build
+        limit = np.iinfo(np.intp).max
+        for rows, m, algorithms in ((2, 16, ("recursive",)), (512, 16, ("cs",)), (7, 64, ("cs",))):
+            most = limit // (16 * rows) - m
+            if "cs" in algorithms:
+                most = min(most, limit // (rows * m))
+            kw = dict(trials=rows, num_antennas=m, algorithms=algorithms)
+            RunConfig(slots=most, **kw)
+            with pytest.raises(ValueError, match=f"^slots must be at most {most} in chunks of "):
+                RunConfig(slots=most + 1, **kw)
+        # the rows are the smaller of trials and chunk_size
+        with pytest.raises(ValueError, match="^slots must be at most .* chunks of 3 trials"):
+            RunConfig(slots=10**18, trials=10**6, chunk_size=3)
+
+    def test_chunk_spans_are_yielded_one_at_a_time(self):
+        spans = harness._chunks(10, 4)
+        assert iter(spans) is spans  # an iterator, not a list built up front
+        assert list(spans) == [(0, 4), (4, 8), (8, 10)]
 
     @pytest.mark.parametrize(
         "setting, ignored",
