@@ -36,6 +36,9 @@ sine errors run over all slots at once after it.
 A direction tracker keeps its full-array kernel while its estimate stays the
 same object: within a slot in moving runs, across slots in static ones, whose
 truth never moves and whose trajectory is one column viewed across the slots.
+Static sweep-and-refine runs no kernel in the slot loop: it only ever probes
+and steers toward codebook beams, so each beam's pilot, rate and MSE come
+from tables built once per chunk.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
 re-estimate every slot from all pilots received so far.  Sparse recovery
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -307,7 +309,9 @@ class _DirectionTracker:
     ``direction`` stays the same object.  A moving run forgets it at the start
     of each slot; a static run never does, as x never moves.  So an
     ``update`` that keeps the estimate reuses the rate's kernel for the MSE,
-    and in a static run each full-array kernel is evaluated once."""
+    and in a static run each full-array kernel is evaluated once.  Static
+    ``_SweepRefine`` uses no memo: its codebook tables hold every kernel it
+    needs."""
 
     def __init__(self, config: RunConfig):
         self.geom = config.geometry
@@ -323,13 +327,18 @@ class _DirectionTracker:
             self.memo = self.direction, _inner(self.geom, self.direction - x_n)
         return self.memo[1]
 
+    def _rate(self, amp: np.ndarray) -> np.ndarray:
+        return np.log2(1.0 + self.rho * np.square(amp) / self.m)
+
+    def _mse(self, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        return 2.0 * self.m - 2.0 * (amp * np.cos(phase))
+
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
         if not self.static:
             self.memo = None, None
-        rate = np.log2(1.0 + self.rho * np.square(self.kernel(x_n)[0]) / self.m)
+        rate = self._rate(self.kernel(x_n)[0])
         self.update(n, x_n, noise)
-        amp, phase = self.kernel(x_n)
-        return rate, 2.0 * self.m - 2.0 * (amp * np.cos(phase)), self.direction
+        return rate, self._mse(*self.kernel(x_n)), self.direction
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -374,28 +383,65 @@ class _Recursive(_DirectionTracker):
 
 class _SweepRefine(_DirectionTracker):
     """Sweep-and-refine: back-to-back three-slot rounds probe the best codebook
-    beam and its two neighbours; the strongest becomes the best beam."""
+    beam and its two neighbours; the strongest becomes the best beam.  It only
+    ever probes and steers toward codebook beams, so a static run, whose truth
+    never moves, takes each beam's noiseless pilot, rate and channel MSE from
+    ``table``, three (T, M_t) arrays built once per chunk.  A slot then adds
+    its noise to a gathered pilot, and ``_choose`` gathers the rate and MSE of
+    new best beams; no kernel runs in the slot loop.  Every table entry is the
+    same elementwise expression (``_pilot``, ``_rate``, ``_mse``) of the same
+    delta as the per-slot kernels of a moving run, whose ``table`` is None."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
         self.dirs = sine_grid(self.track.num_antennas)
         self.mags = np.empty((len(trials), 3))
+        self.rows = np.arange(len(trials))
+        self.table = self._table(x0) if self.static else None
         self._choose(np.argmax(np.abs(warm), axis=1))
+
+    def _table(self, x0: np.ndarray):
+        """Every codebook beam's noiseless tracking-subarray pilot, and the
+        rate and channel MSE of its conjugate full-array beam, one row per
+        trial; on the full array one kernel call serves all three."""
+        delta = self.dirs - x0[:, None]
+        amp, phase = _inner(self.track, delta)
+        pilots = self._pilot(amp, phase)
+        if self.track.num_antennas != self.m:
+            amp, phase = _inner(self.geom, delta)
+        return pilots, self._rate(amp), self._mse(amp, phase)
+
+    def _pilot(self, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """The noiseless pilot of the tracking-subarray kernel ``(amp, phase)``."""
+        return amp * np.exp(1j * phase) / math.sqrt(self.track.num_antennas)
 
     def _choose(self, best: np.ndarray) -> None:
         """Make ``best`` the best beams, and their rounds' three candidates."""
         self.direction = self.dirs[best]
         middle = np.minimum(np.maximum(best, 1), len(self.dirs) - 2)
         self.cand = middle[:, None] + np.array([-1, 0, 1])
+        if self.table is not None:
+            _, rates, mses = self.table
+            self.rate, self.mse = rates[self.rows, best], mses[self.rows, best]
+
+    def step(self, n, x_n, noise):
+        if self.table is None:
+            return super().step(n, x_n, noise)
+        rate = self.rate
+        self.update(n, x_n, noise)
+        return rate, self.mse, self.direction
 
     def update(self, n, x_n, noise):
         # the pilot of the conjugate tracking-subarray beam toward the candidate
         cursor = (n - 1) % 3
-        amp, phase = _inner(self.track, self.dirs[self.cand[:, cursor]] - x_n)
-        y = amp * np.exp(1j * phase) / math.sqrt(self.track.num_antennas) + noise
+        beams = self.cand[:, cursor]
+        if self.table is None:
+            y = self._pilot(*_inner(self.track, self.dirs[beams] - x_n)) + noise
+        else:
+            y = self.table[0][self.rows, beams] + noise
         self.mags[:, cursor] = np.abs(y)
         if cursor == 2:
-            self._choose(self.cand[np.arange(len(self.cand)), np.argmax(self.mags, axis=1)])
+            self._choose(self.cand[self.rows, np.argmax(self.mags, axis=1)])
 
 
 def ls_data_beam(h_hat: np.ndarray) -> np.ndarray:
@@ -669,6 +715,9 @@ def _chunks(trials: int, chunk_size: int):
 def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
     spans = _chunks(config.trials, config.chunk_size)
     if config.jobs > 1 and config.trials > config.chunk_size:
+        # imported here: the pool's modules cost a one-worker run's import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [
                 pool.submit(_simulate_chunk, config, algorithm, lo, hi)

@@ -45,6 +45,16 @@ def test_package_entry_point_prints_version():
     assert res.stdout.strip() == "0.1.0"
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only by a run with jobs > 1; its modules would
+    # cost every one-worker call's import
+    pool = ("concurrent.futures.process", "multiprocessing", "subprocess", "socket")
+    code = f"import beamtrack.cli, sys; print([m for m in {pool!r} if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 class TestCrlbCommand:
     def test_values_and_outputs(self, tmp_path):
         res = run_cli("crlb", "--out", str(tmp_path), "--antennas", "16", "--snr-db", "10")

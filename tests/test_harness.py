@@ -574,12 +574,14 @@ class TestDeterminism:
 
 
 class TestKernelCalls:
-    """A direction tracker keeps its full-array kernel while its estimate
-    stays the same object.  A moving run forgets it at the start of each
-    slot, so a slot reuses it only for an MSE whose estimate did not move.  A
-    static run never forgets it, as x never moves, so it evaluates each
-    full-array kernel once.  Counted through ``harness._inner``, the name the
-    engine calls the kernel by."""
+    """Kernel calls per run, counted through ``harness._inner``, the name the
+    engine calls the kernel by.  ``recursive`` and ``cs`` keep their
+    full-array kernel while the estimate stays the same object.  A moving run
+    forgets it at the start of each slot, so a slot reuses it only for an MSE
+    whose estimate did not move; a static run never forgets it, as x never
+    moves, so it evaluates each full-array kernel once.  Static ``80211ad``
+    takes every pilot, rate and MSE from its per-chunk codebook tables, so
+    the only kernels of a chunk are the tables' own."""
 
     @staticmethod
     def _calls(monkeypatch, cfg) -> dict:
@@ -607,11 +609,16 @@ class TestKernelCalls:
         assert self._full_array_calls(monkeypatch, cfg) == 2 * (1000 + 1)
 
     def test_static_sweep_refine_kernels(self, monkeypatch):
-        # on the full array every pilot is a full-array kernel; the estimate
-        # moves only at a round's last slot, which takes the only MSE kernel
-        # of the round, and only the first slot's rate needs its own
-        cfg = RunConfig(slots=1000, trials=3, algorithms=("80211ad",), seed=3)
-        assert self._full_array_calls(monkeypatch, cfg) == 1000 + 333 + 1 == 1334
+        # per chunk, one full-array call for the pilot, rate and MSE tables
+        cfg = RunConfig(slots=1000, trials=4, chunk_size=2, algorithms=("80211ad",), seed=3)
+        assert self._calls(monkeypatch, cfg) == {16: 2}
+
+    def test_static_subarray_sweep_refine_kernels(self, monkeypatch):
+        # per chunk, one subarray call for the pilot table and one full-array
+        # call for the rate and MSE tables
+        cfg = RunConfig(slots=200, trials=4, chunk_size=2, track_antennas=8,
+                        algorithms=("80211ad",), seed=3)
+        assert self._calls(monkeypatch, cfg) == {16: 2, 8: 2}
 
     def test_moving_truth_takes_two_kernels_per_slot(self, monkeypatch):
         # the truth moves every slot, so neither kernel can be reused
@@ -1080,6 +1087,50 @@ class TestSweepRefine:
         )
         np.testing.assert_allclose(gain, kernel, rtol=1e-9)
         assert kernel == pytest.approx(0.4066 * 16, rel=1e-3)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(3, 32),
+        track=st.none() | st.integers(3, 32),
+        snr_db=st.floats(-10.0, 40.0),
+        truths=st.lists(
+            st.floats(-1.0, 1.0) | st.floats(0.9, 1.0) | st.floats(-1.0, -0.9),
+            min_size=2, max_size=8,
+        ),
+        slots=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=3, track=None, snr_db=40.0, truths=[-1.0, 1.0], slots=12, seed=0)
+    @example(m=32, track=4, snr_db=0.0, truths=[0.999, -0.97, 0.0], slots=30, seed=1)
+    def test_static_tables_match_per_slot_kernels(self, m, track, snr_db, truths, slots,
+                                                  seed):
+        # a static chunk takes every slot's pilot, rate and MSE from its
+        # codebook tables; the same tracker with no table computes each slot's
+        # kernels, and every slot must agree bit for bit, at edge beams too
+        cfg = _config("80211ad", slots=slots, num_antennas=m, snr_db=snr_db,
+                      track_antennas=None if track is None else min(track, m))
+        track_geom = cfg.track_geometry
+        x0 = np.array(truths)
+        rng = np.random.default_rng(seed)
+        noise = (rng.standard_normal((len(x0), track_geom.num_antennas + slots, 2))
+                 @ [1.0, 1j]) * math.sqrt(0.5 / cfg.rho)
+        warm = steering_matrix(track_geom, x0) @ np.conj(dft_codebook(track_geom)).T
+        warm += noise[:, : track_geom.num_antennas]
+        trials = range(len(x0))
+        tabled = harness._SweepRefine(cfg, trials, x0, warm)
+        per_slot = harness._SweepRefine(cfg, trials, x0, warm)
+        per_slot.table = None
+        assert tabled.table is not None
+        for n in range(1, slots + 1):
+            pilot_noise = noise[:, track_geom.num_antennas + n - 1]
+            got = tabled.step(n, x0, pilot_noise)
+            want = per_slot.step(n, x0, pilot_noise)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            # the slot's noisy pilot magnitudes, which pick the next best beams
+            cursor = (n - 1) % 3
+            assert np.array_equal(tabled.mags[:, cursor], per_slot.mags[:, cursor])
 
 
 class TestLeastSquares:
