@@ -42,18 +42,20 @@ from tables built once per chunk.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
 re-estimate every slot from all pilots received so far.  Sparse recovery
-scores from its pilots' sufficient statistics, two M-value sums: a dynamic
-frame takes them over its pilot window, so it takes only the window's
-pilots, and a static run adds each slot's pilot to them.  Only a static
-run's slot 1 scores with the matched filter of its one probe: that slot's
-tie makes the results depend on the evaluation order, and another order
-would move them.
+scores from its pilots' sufficient statistics, two M-value running sums to
+which both modes add each pilot they take: a dynamic frame takes only its
+window's pilots, zeroes the sums at the window's first slot and scores at
+its last; a static run never zeroes them and scores every slot.  Only a
+static run's slot 1 scores with the matched filter of its one probe: that
+slot's tie makes the results depend on the evaluation order, and another
+order would move them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -510,19 +512,16 @@ def _cs_lag_atoms(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cs_sums(y: np.ndarray, w: np.ndarray):
     """The sufficient statistics ``r`` and ``c`` of ``_cs_window_score`` for
-    the pilots ``y`` (T, k) taken with the probes ``w`` (T, k, m_t)."""
+    one pilot per trial: ``y`` (T,) taken with the probes ``w`` (T, m_t)."""
     m_t = w.shape[-1]
-    r = np.matmul(y[:, None, :], w)[:, 0, :]
-    # each probe's conjugate, zero-padded to 2 m_t, and shifted[t, n, d, q]
-    # = conj(w[t, n, q + d]) (zero past the probe's end) as a strided view
-    # of it: the lag sums take O(k m_t^2) operations and O(k m_t) memory
-    padded = np.zeros((*w.shape[:-1], 2 * m_t), dtype=complex)
-    np.conjugate(w, out=padded[..., :m_t])
+    # each probe's conjugate, zero-padded to 2 m_t, and shifted[t, d, q] =
+    # conj(w[t, q + d]) (zero past the probe's end) as a strided view of it:
+    # the lag sums take O(m_t^2) operations and O(m_t) memory
+    padded = np.zeros((len(w), 2 * m_t), dtype=complex)
+    np.conjugate(w, out=padded[:, :m_t])
     step = padded.strides[-1]
-    shifted = np.ndarray(
-        (*w.shape, m_t), complex, padded, strides=(*padded.strides[:-1], step, step)
-    )
-    return r, np.matmul(shifted, w[..., None])[..., 0].sum(axis=1)
+    shifted = np.ndarray((*w.shape, m_t), complex, padded, strides=(padded.strides[0], step, step))
+    return y[:, None] * w, np.matmul(shifted, w[..., None])[..., 0]
 
 
 def _cs_window_score(
@@ -536,8 +535,9 @@ def _cs_window_score(
     ``sum_n |w_n^T conj(a(g))|^2`` of every grid atom for the pilots ``y_n``
     taken with probes ``w_n``, from their sufficient statistics
     ``r = sum_n y_n w_n`` and lag sums ``c_d = sum_n sum_q w_nq conj(w_n,q+d)``
-    (d = 0..M-1).  Since ``a_0 = 1``, ``conj(a_q) a_(q+d) = a_d``, so the
-    energy is ``Re(c_0 + 2 sum_(d>=1) c_d a_d(g))``, taken real-split as
+    (d = 0..M-1), each the running sum of the pilots' ``_cs_sums``.  Since
+    ``a_0 = 1``, ``conj(a_q) a_(q+d) = a_d``, so the energy is
+    ``Re(c_0 + 2 sum_(d>=1) c_d a_d(g))``, taken real-split as
     ``c.real @ L_re - c.imag @ L_im`` with ``lag_atoms = (L_re, L_im)`` from
     ``_cs_lag_atoms``.  ``scratch`` holds complex, real and real (T, grid)
     arrays for the matched filter, the magnitude and the energy; the last two
@@ -555,16 +555,17 @@ class _CompressedSensing(_DirectionTracker):
     argmax over the CS sine grid (sparsity-one OMP), scored by
     ``_cs_window_score`` from the pilots' M-value sums ``r`` and ``c``.
 
-    Static runs add each slot's pilot to the sums and re-score every slot
-    from all pilots so far; their truth never moves, so its steering vector
-    is computed once per chunk.  Slot 1 alone keeps the matched filter: one
-    probe scores every grid point |y_1|, a tie that rounding breaks, so it
-    keeps the evaluation order that the recorded static results depend on.
-    Dynamic runs score once per codebook frame, at its last slot, from the
-    last ``k_win`` pilots: between slots a trial keeps just the window's
-    pilots, and the pilots of the other slots, which no score uses, are not
-    taken.  Both modes pick in ``_pick``, in (T, grid) scratch reused across
-    slots and frames."""
+    Both modes take a pilot, add its ``_cs_sums`` to the running ``r`` and
+    ``c``, and score from them.  Static runs never zero the sums and
+    re-score every slot from all pilots so far; their truth never moves, so
+    its steering vector is computed once per chunk.  Slot 1 alone keeps the
+    matched filter: one probe scores every grid point |y_1|, a tie that
+    rounding breaks, so it keeps the evaluation order that the recorded
+    static results depend on.  Dynamic runs take only the last ``k_win``
+    pilots of each codebook frame, its window: they zero the sums at the
+    window's first slot and score at its last; the pilots of the other
+    slots, which no score uses, are not taken.  Both modes pick in
+    ``_pick``, in (T, grid) scratch reused across slots and frames."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
@@ -585,9 +586,7 @@ class _CompressedSensing(_DirectionTracker):
         self.lag_atoms = _cs_lag_atoms(atoms)
         if self.static:
             self.a = steering_matrix(self.track, x0)
-            self.r, self.c = np.zeros((2, len(trials), m_t), dtype=complex)
-        else:
-            self.window = np.empty((len(trials), self.k_win), dtype=complex)
+        self.r, self.c = np.zeros((2, len(trials), m_t), dtype=complex)
         # the score's scratch, reused: fresh (T, grid) arrays every slot or
         # frame cost page faults when the allocator hands memory back
         grid_shape = (len(trials), CS_DICTIONARY_SIZE)
@@ -609,30 +608,26 @@ class _CompressedSensing(_DirectionTracker):
         self.direction = self.grid[np.argmax(numer, axis=1)]
 
     def update(self, n, x_n, noise):
-        if self.static:
-            w_p, y = self._pilot(n, x_n, noise)
-            r, c = _cs_sums(y[:, None], w_p[:, None, :])
-            self.r += r
-            self.c += c
-            if n == 1:  # the tie: the one probe's matched filter, in the scratch
-                filt, numer, denom = self.scratch
-                np.matmul(w_p, self.atoms_conj_t, out=filt)
-                np.square(np.abs(filt, out=denom), out=denom)
-                filt *= y[:, None]
-                self._pick(np.abs(filt, out=numer), denom)
-                return
-            r, c = self.r, self.c
-        else:
+        if not self.static:
             m_t = self.track.num_antennas
             pos = (n - 1) % m_t - (m_t - self.k_win)  # place in the frame's window
             if pos < 0:
                 return
-            self.window[:, pos] = self._pilot(n, x_n, noise)[1]
-            if pos < self.k_win - 1:  # not the frame's last slot
-                return
-            w = QPSK[self.probes[:, n - self.k_win : n, :]] / math.sqrt(m_t)
-            r, c = _cs_sums(self.window, w)
-        self._pick(*_cs_window_score(r, c, self.atoms_conj_t, self.lag_atoms, self.scratch))
+            if pos == 0:  # the window's first slot
+                self.r[:] = self.c[:] = 0.0
+        w_p, y = self._pilot(n, x_n, noise)
+        r, c = _cs_sums(y, w_p)
+        self.r += r
+        self.c += c
+        if self.static and n == 1:  # the tie: the one probe's matched filter, in the scratch
+            filt, numer, denom = self.scratch
+            np.matmul(w_p, self.atoms_conj_t, out=filt)
+            np.square(np.abs(filt, out=denom), out=denom)
+            filt *= y[:, None]
+            self._pick(np.abs(filt, out=numer), denom)
+        elif self.static or pos == self.k_win - 1:  # every static slot, a frame's last
+            self._pick(*_cs_window_score(self.r, self.c, self.atoms_conj_t, self.lag_atoms,
+                                         self.scratch))
 
 
 # built from (config, trials, anchor directions, warm-up pilots); step(n, x_n,
@@ -714,11 +709,14 @@ def _chunks(trials: int, chunk_size: int):
 
 def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
     spans = _chunks(config.trials, config.chunk_size)
-    if config.jobs > 1 and config.trials > config.chunk_size:
+    # the pool forks all its workers at once: no more than chunks or CPUs
+    chunks = len(range(0, config.trials, config.chunk_size))
+    workers = min(config.jobs, chunks, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool's modules cost a one-worker run's import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_simulate_chunk, config, algorithm, lo, hi)
                 for lo, hi in spans

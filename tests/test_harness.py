@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -98,14 +99,12 @@ class TestCsWindowScore:
         atoms_conj_t = np.conj(atoms).T
         r = y @ w
         c = np.array([np.sum(w[:, : m - lag] * np.conj(w[:, lag:])) for lag in range(m)])
-        # a static run adds each slot's one-pilot sums to its running r and
-        # c; a dynamic frame takes its window's sums at once
-        slots = [_cs_sums(y[None, n : n + 1], w[None, n : n + 1]) for n in range(k)]
+        # both modes add each pilot's one-probe sums to their running r and c
+        slots = [_cs_sums(y[n : n + 1], w[n : n + 1]) for n in range(k)]
         running = [sum(stats[j] for stats in slots) for j in (0, 1)]
         atol = 1e-14 * k * max(1.0, np.abs(y).max(initial=0.0))
-        for got, batch, direct in zip(running, _cs_sums(y[None], w[None]), (r, c)):
-            np.testing.assert_allclose(batch[0], direct, rtol=1e-12, atol=atol)
-            np.testing.assert_allclose(got, batch, rtol=1e-12, atol=atol)
+        for got, direct in zip(running, (r, c)):
+            np.testing.assert_allclose(got[0], direct, rtol=1e-12, atol=atol)
         scratch = (np.empty((1, len(atoms)), dtype=complex), np.empty((1, len(atoms))),
                    np.empty((1, len(atoms))))
         numer, denom = _cs_window_score(
@@ -541,6 +540,47 @@ class TestDeterminism:
         np.testing.assert_array_equal(
             np.concatenate(got).view(np.uint64), np.array(expected).view(np.uint64)
         )
+
+    @pytest.mark.parametrize(
+        "jobs, trials, chunk, cpus, workers",
+        [
+            (64, 1000, 512, 8, 2),  # two chunks
+            (64, 5, 2, 2, 2),  # two CPUs
+            (3, 10, 2, 8, 3),  # the jobs asked for
+            (4, 4, 4, 8, None),  # one chunk
+            (4, 10, 2, 1, None),  # one CPU
+            (4, 10, 2, None, None),  # an unknown CPU count counts as one
+            (1, 10, 2, 8, None),
+        ],
+    )
+    def test_pool_sized_to_the_work(self, monkeypatch, jobs, trials, chunk, cpus, workers):
+        # a pool of min(jobs, chunks, CPUs) workers, and none below two; the
+        # stand-in pool runs each chunk inline, so no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        cfg = RunConfig(slots=2, trials=trials, chunk_size=chunk, jobs=jobs,
+                        algorithms=("recursive",), seed=3)
+        pooled = run_experiment(cfg)["recursive"]
+        assert sizes == ([] if workers is None else [workers])
+        alone = run_experiment(dataclasses.replace(cfg, jobs=1))["recursive"]
+        assert _bits(pooled) == _bits(alone)
 
     # static cs is left out: its slot-1 estimate is a tie (one random probe
     # scores every grid point |y_1|) that the batch size's rounding breaks
@@ -1216,6 +1256,36 @@ class TestCompressedSensing:
         np.testing.assert_array_equal(QPSK, [1, 1j, -1, -1j])
         w = _qpsk_probes(np.random.default_rng(0), 1)
         np.testing.assert_allclose(np.abs(w), 0.25, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "trajectory, track_antennas, slots, taken",
+        [
+            # one pilot per slot
+            ("static", None, 40, range(1, 41)),
+            # the last k_win = 8 slots of each 16-slot frame, and the window
+            # slots of the partial frame 33..45
+            ("sinusoidal", None, 45, [*range(9, 17), *range(25, 33), *range(41, 46)]),
+            # k_win = 2 of 5, and the partial frame 16..19 takes its first
+            # window slot, 19
+            ("sinusoidal", 5, 19, [4, 5, 9, 10, 14, 15, 19]),
+        ],
+        ids=["static", "dynamic", "dynamic-subarray"],
+    )
+    def test_pilots_taken(self, monkeypatch, trajectory, track_antennas, slots, taken):
+        # a dynamic frame zeroes its sums at its window's first slot, so no
+        # output shows a pilot taken outside the window; count them instead
+        seen = []
+        pilot = harness._CompressedSensing._pilot
+
+        def counted(self, n, x_n, noise):
+            seen.append(n)
+            return pilot(self, n, x_n, noise)
+
+        monkeypatch.setattr(harness._CompressedSensing, "_pilot", counted)
+        cfg = RunConfig(trajectory=trajectory, slots=slots, trials=4, chunk_size=2,
+                        track_antennas=track_antennas, algorithms=("cs",), seed=3)
+        run_experiment(cfg)
+        assert seen == 2 * list(taken)  # two chunks
 
     def test_deterministic_given_seed(self):
         def one(seed):
