@@ -211,10 +211,6 @@ def _read(command: str, settings: dict, ignored: dict) -> dict:
 CSV_HEADER = "slot,mean_mse_h,n_mse_times_imax,mean_rate,conv_frac,crlb_h_ref"
 
 
-def _cell(value) -> str:
-    return str(value) if isinstance(value, int) else f"{value:.12g}"
-
-
 class _Output:
     """The files of one run in its ``--out`` directory: CSV tables, gnuplot
     scripts and summary CSVs, then ``run.json``, whose ``outputs`` lists every
@@ -245,11 +241,13 @@ class _Output:
         return self._dir / name
 
     def table(self, name: str, header: str, rows) -> None:
-        """A CSV table: ints as written, every other value ``.12g``."""
+        """A CSV table: ints as written, every other value ``.12g``, each row
+        formatted by one ``%`` template."""
         with open(self._path(name), "w") as fh:
             fh.write(header + "\n")
             for row in rows:
-                fh.write(",".join(map(_cell, row)) + "\n")
+                cells = ["%d" if isinstance(v, int) else "%.12g" for v in row]
+                fh.write(",".join(cells) % tuple(row) + "\n")
 
     def summary(self, name: str, summary) -> None:
         """A run's summary table, one row per slot; the slots are ints."""

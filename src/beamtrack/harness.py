@@ -22,23 +22,25 @@ run's slots 2 and 3.
 
 Per-slot conventions, uniform across algorithms:
   * the data beam of slot n is set from the algorithm state at the end of
-    slot n-1 (causal beamforming);
+    slot n-1 (causal beamforming): slot n's rate takes x_hat_(n-1);
   * one pilot is consumed per slot, taken with the algorithm's probe beam on
     the tracking subarray;
   * metrics other than rate (channel MSE, squared sine error) use the state
-    after the slot's update.
+    after the slot's update: slot n's MSE takes x_hat_n.
 The engine calls the array kernel through ``_inner`` in polar form, and each
 metric takes only its part: the rate ``amp**2``, the channel MSE
 ``amp * cos(phase)`` and the recursive step ``amp * sin(phase)``; only
-``80211ad``'s pilot builds the complex value.  The slot loop
-only records each slot's direction estimates; the lock test and the squared
-sine errors run over all slots at once after it.
-A direction tracker keeps its full-array kernel while its estimate stays the
-same object: within a slot in moving runs, across slots in static ones, whose
-truth never moves and whose trajectory is one column viewed across the slots.
-Static sweep-and-refine runs no kernel in the slot loop: it only ever probes
-and steers toward codebook beams, so each beam's pilot, rate and MSE come
-from tables built once per chunk.
+``80211ad``'s pilot builds the complex value.  The slot loop of a direction
+tracker only advances it and records its estimates.  After the loop,
+``_slot_metrics`` takes every slot's rate and MSE in blocks of slots, and the
+lock test and the squared sine errors run over all slots at once.  A moving
+run evaluates two full-array kernels per slot, the rate's and the MSE's; a
+static run's truth never moves, so slot n's MSE kernel is slot n+1's rate
+kernel and each estimate's kernel is evaluated once.  Static sweep-and-refine
+runs no kernel after its per-chunk tables: it only ever probes and steers
+toward codebook beams, so each beam's pilot, rate and MSE come from tables,
+gathered by beam index.  Least squares has no direction estimate and returns
+its own rate and MSE every slot.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
 re-estimate every slot from all pilots received so far.  Sparse recovery
@@ -289,6 +291,8 @@ class _ChunkOut:
 # the engine calls the kernel, in polar form (amp, phase), through this
 # module-level name, so that a profiler that rebinds it times every call
 _inner = array_kernel_polar
+# the most values, slots x trials, of one block of the metrics after the slot loop
+_METRIC_BLOCK = 8192
 
 
 def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.ndarray:
@@ -302,18 +306,14 @@ def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.nd
 
 
 class _DirectionTracker:
-    """Base of the trackers with a direction estimate ``direction``: a slot's
-    rate uses the conjugate full-array beam toward the estimate before the
-    slot's ``update``, its channel MSE the estimate after it.  Each kernel is
-    the polar pair ``(amp, phase)`` of ``_inner``, and each metric takes only
-    its part: the rate ``amp**2``, the MSE ``amp * cos(phase)``, the real part
-    of ``a(x_hat)^H a(x)``.  ``kernel`` keeps the full-array kernel while
-    ``direction`` stays the same object.  A moving run forgets it at the start
-    of each slot; a static run never does, as x never moves.  So an
-    ``update`` that keeps the estimate reuses the rate's kernel for the MSE,
-    and in a static run each full-array kernel is evaluated once.  Static
-    ``_SweepRefine`` uses no memo: its codebook tables hold every kernel it
-    needs."""
+    """Base of the trackers with a direction estimate ``direction``.  The slot
+    loop only calls ``update`` and records ``direction``; ``metrics`` then
+    takes a block of slots after the loop.  A slot's rate uses the conjugate
+    full-array beam toward the estimate before the slot's ``update``, its
+    channel MSE the estimate after it.  Each kernel is the polar pair
+    ``(amp, phase)`` of ``_inner``, and each metric takes only its part: the
+    rate ``amp**2``, the MSE ``amp * cos(phase)``, the real part of
+    ``a(x_hat)^H a(x)``."""
 
     def __init__(self, config: RunConfig):
         self.geom = config.geometry
@@ -321,13 +321,7 @@ class _DirectionTracker:
         self.m = config.num_antennas
         self.rho = config.rho
         self.static = config.trajectory == "static"
-        self.memo = None, None  # (direction, its full-array kernel)
-
-    def kernel(self, x_n: np.ndarray):
-        """The full-array kernel ``_inner(geom, direction - x_n)``."""
-        if self.memo[0] is not self.direction:
-            self.memo = self.direction, _inner(self.geom, self.direction - x_n)
-        return self.memo[1]
+        self.carry = None  # static: the rate kernel's amp of the next block's first slot
 
     def _rate(self, amp: np.ndarray) -> np.ndarray:
         return np.log2(1.0 + self.rho * np.square(amp) / self.m)
@@ -335,12 +329,21 @@ class _DirectionTracker:
     def _mse(self, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
         return 2.0 * self.m - 2.0 * (amp * np.cos(phase))
 
-    def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
+    def metrics(self, est: np.ndarray, x: np.ndarray):
+        """The rates and channel MSEs, (B, T) each, of a block of B slots:
+        ``est`` (B+1, T) holds the estimates before the block's first slot
+        and after each of its slots, ``x`` (B, T) the slots' truths.  Blocks
+        come in slot order.  A static run's truth never moves, so slot n's
+        MSE kernel is slot n+1's rate kernel: each estimate's kernel is
+        evaluated once, and the last one of a block is carried to the next."""
+        amp, phase = _inner(self.geom, est[1:] - x)
         if not self.static:
-            self.memo = None, None
-        rate = self._rate(self.kernel(x_n)[0])
-        self.update(n, x_n, noise)
-        return rate, self._mse(*self.kernel(x_n)), self.direction
+            return self._rate(_inner(self.geom, est[:-1] - x)[0]), self._mse(amp, phase)
+        if self.carry is None:  # the first block: the estimate before slot 1
+            self.carry = _inner(self.geom, est[0] - x[0])[0]
+        before = np.concatenate((self.carry[None], amp[:-1]))
+        self.carry = amp[-1]
+        return self._rate(before), self._mse(amp, phase)
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -372,10 +375,8 @@ class _Recursive(_DirectionTracker):
         a_n = self.alpha / n if self.static else self.alpha
         # the step takes only Im(y) of the pilot along the estimate: amp *
         # sin(phase) times 1/sqrt(M_t), which is what dividing the complex
-        # kernel by sqrt(M_t) computes, plus Im(noise); on the full array the
-        # probe is the data beam, so the pilot's kernel is the rate's
-        full = self.track.num_antennas == self.m
-        amp, phase = self.kernel(x_n) if full else _inner(self.track, self.direction - x_n)
+        # kernel by sqrt(M_t) computes, plus Im(noise)
+        amp, phase = _inner(self.track, self.direction - x_n)
         step = amp * np.sin(phase)
         step *= 1.0 / math.sqrt(self.track.num_antennas)
         step += noise.imag
@@ -389,10 +390,11 @@ class _SweepRefine(_DirectionTracker):
     ever probes and steers toward codebook beams, so a static run, whose truth
     never moves, takes each beam's noiseless pilot, rate and channel MSE from
     ``table``, three (T, M_t) arrays built once per chunk.  A slot then adds
-    its noise to a gathered pilot, and ``_choose`` gathers the rate and MSE of
-    new best beams; no kernel runs in the slot loop.  Every table entry is the
-    same elementwise expression (``_pilot``, ``_rate``, ``_mse``) of the same
-    delta as the per-slot kernels of a moving run, whose ``table`` is None."""
+    its noise to a gathered pilot, and ``metrics`` gathers the rates and MSEs
+    by each estimate's beam index; no kernel runs after the tables.  Every
+    table entry is the same elementwise expression (``_pilot``, ``_rate``,
+    ``_mse``) of the same delta as the kernels of a moving run, whose
+    ``table`` is None."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         super().__init__(config)
@@ -422,16 +424,18 @@ class _SweepRefine(_DirectionTracker):
         self.direction = self.dirs[best]
         middle = np.minimum(np.maximum(best, 1), len(self.dirs) - 2)
         self.cand = middle[:, None] + np.array([-1, 0, 1])
-        if self.table is not None:
-            _, rates, mses = self.table
-            self.rate, self.mse = rates[self.rows, best], mses[self.rows, best]
 
-    def step(self, n, x_n, noise):
+    def metrics(self, est, x):
         if self.table is None:
-            return super().step(n, x_n, noise)
-        rate = self.rate
-        self.update(n, x_n, noise)
-        return rate, self.mse, self.direction
+            return super().metrics(est, x)
+        _, rates, mses = self.table
+        # each estimate's flat table index: trial t's beam k, whose codebook
+        # point (2k + 1 - M_t)/M_t the estimate is; rint undoes the rounding
+        # of the division (a binary search over the codebook took 8x longer)
+        m_t = len(self.dirs)
+        flat = np.rint((est * m_t + (m_t - 1)) * 0.5).astype(np.intp)
+        flat += self.rows * m_t
+        return rates.take(flat[:-1]), mses.take(flat[1:])
 
     def update(self, n, x_n, noise):
         # the pilot of the conjugate tracking-subarray beam toward the candidate
@@ -487,6 +491,7 @@ class _LeastSquares:
         self.w_conj = np.conj(ls_data_beam(self.h_hat))
 
     def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
+        """Take slot n's pilot; returns the slot's rates and channel MSEs."""
         m = len(self.beams)
         d = (n - 1) % m
         if self.static:
@@ -499,7 +504,7 @@ class _LeastSquares:
         rate = np.log2(1.0 + self.rho * np.abs((self.w_conj * a).sum(axis=1)) ** 2)
         if self.static or n % m == 0:
             self._estimate()
-        return rate, (np.abs(self.h_hat - a) ** 2).sum(axis=1), None
+        return rate, (np.abs(self.h_hat - a) ** 2).sum(axis=1)
 
 
 def _cs_lag_atoms(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -630,8 +635,9 @@ class _CompressedSensing(_DirectionTracker):
                                          self.scratch))
 
 
-# built from (config, trials, anchor directions, warm-up pilots); step(n, x_n,
-# noise) consumes slot n's pilot and returns (rate, MSE, direction or None)
+# built from (config, trials, anchor directions, warm-up pilots); each takes
+# slot n's pilot in update(n, x_n, noise), which moves a direction tracker's
+# direction, or in step(n, x_n, noise), which returns least squares' (rate, MSE)
 _TRACKERS = dict(
     zip(ALGORITHMS, (_Recursive, _SweepRefine, _LeastSquares, _CompressedSensing))
 )
@@ -659,39 +665,62 @@ def _chunk_inputs(config: RunConfig, trials: range, tag: int):
     return x_traj, noise[:, m_t:], warm
 
 
+def _slot_metrics(tracker: _DirectionTracker, est: np.ndarray, x_traj: np.ndarray):
+    """A direction tracker's per-slot trial sums of rate and channel MSE, and
+    trial 0's values, (N,) each, from its recorded estimates ``est`` (T, N+1),
+    column 0 before slot 1 and column n after slot n, and the truths
+    ``x_traj``.  Slot n's rate is ``_rate(K(x_hat_(n-1) - x_n))`` and its MSE
+    ``_mse(K(x_hat_n - x_n))``, taken by ``tracker.metrics`` in blocks of at
+    most ``_METRIC_BLOCK`` values, each a C-contiguous (slots, trials) array:
+    a slot's trial sum is then the same pairwise sum as a 1-D ``sum``."""
+    trials, slots = est.shape[0], est.shape[1] - 1
+    step = max(1, _METRIC_BLOCK // trials)
+    rate_sum, mse_sum, rate0, mse0 = out = np.empty((4, slots))
+    for lo in range(0, slots, step):
+        hi = min(lo + step, slots)
+        rate, mse = tracker.metrics(np.ascontiguousarray(est[:, lo:hi + 1].T),
+                                    np.ascontiguousarray(x_traj[:, lo + 1:hi + 1].T))
+        out[:, lo:hi] = rate.sum(axis=1), mse.sum(axis=1), rate[:, 0], mse[:, 0]
+    return rate_sum, mse_sum, rate0, mse0
+
+
 def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _ChunkOut:
     n_slots = config.slots
     trials = range(lo, hi)
     x_traj, noise, warm = _chunk_inputs(config, trials, _ALG_TAGS[algorithm])
     tracker = _TRACKERS[algorithm](config, trials, x_traj[:, 0], warm)
-
-    mse_sum, rate_sum = np.zeros((2, n_slots))
-    est_buf = np.empty((len(trials), n_slots))  # each slot's estimates, one column each
     trace = TrialRecord(
         x_traj[0, 1:].copy(), np.full(n_slots, np.nan), np.zeros(n_slots), np.zeros(n_slots)
     )
-    for n in range(1, n_slots + 1):
-        rate_n, mse_n, est = tracker.step(n, x_traj[:, n], noise[:, n - 1])
-        mse_sum[n - 1] = mse_n.sum()
-        rate_sum[n - 1] = rate_n.sum()
-        trace.mse_h[n - 1], trace.rate[n - 1] = mse_n[0], rate_n[0]
-        if est is not None:
-            est_buf[:, n - 1] = est
 
-    if est is None:  # no direction estimate, so no lock either
-        lock_sum = np.full(n_slots, np.nan)
-        sqerr_conv_sum = np.full(n_slots, np.nan)
-        final_est = np.full(len(trials), np.nan)
-    else:
-        trace.x_hat[:] = est_buf[0]
-        final_est = np.asarray(est, dtype=float)
-        # the errors, in place: the lock test |err| < half a mainlobe, then
-        # the squares; the (T, slots) mask lives only as long as its count
-        err = np.abs(np.subtract(est_buf, x_traj[:, 1:], out=est_buf), out=est_buf)
-        lock_radius = 0.5 * mainlobe_halfwidth(config.track_geometry)
-        lock_sum = np.count_nonzero(err < lock_radius, axis=0).astype(float)
-        converged = err[:, -1] < lock_radius  # locked at the last slot
-        sqerr_conv_sum = np.square(err, out=err)[converged].sum(axis=0)
+    if not isinstance(tracker, _DirectionTracker):  # no direction estimate, so no lock either
+        mse_sum, rate_sum = np.zeros((2, n_slots))
+        for n in range(1, n_slots + 1):
+            rate_n, mse_n = tracker.step(n, x_traj[:, n], noise[:, n - 1])
+            mse_sum[n - 1] = mse_n.sum()
+            rate_sum[n - 1] = rate_n.sum()
+            trace.mse_h[n - 1], trace.rate[n - 1] = mse_n[0], rate_n[0]
+        nan = np.full(n_slots, np.nan)
+        return _ChunkOut(mse_sum, rate_sum, nan, nan.copy(), x_traj[:, -1].copy(),
+                         np.full(len(trials), np.nan), trace)
+
+    # the estimates before slot 1, then each slot's, one column each
+    est_buf = np.empty((len(trials), n_slots + 1))
+    est_buf[:, 0] = tracker.direction
+    for n in range(1, n_slots + 1):
+        tracker.update(n, x_traj[:, n], noise[:, n - 1])
+        est_buf[:, n] = tracker.direction
+    rate_sum, mse_sum, trace.rate, trace.mse_h = _slot_metrics(tracker, est_buf, x_traj)
+    est = est_buf[:, 1:]
+    trace.x_hat[:] = est[0]
+    final_est = tracker.direction
+    # the errors, in place: the lock test |err| < half a mainlobe, then the
+    # squares; the (T, slots) mask lives only as long as its count
+    err = np.abs(np.subtract(est, x_traj[:, 1:], out=est), out=est)
+    lock_radius = 0.5 * mainlobe_halfwidth(config.track_geometry)
+    lock_sum = np.count_nonzero(err < lock_radius, axis=0).astype(float)
+    converged = err[:, -1] < lock_radius  # locked at the last slot
+    sqerr_conv_sum = np.square(err, out=err)[converged].sum(axis=0)
     return _ChunkOut(
         mse_sum, rate_sum, lock_sum, sqerr_conv_sum, x_traj[:, -1].copy(), final_est, trace
     )

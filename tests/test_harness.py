@@ -614,94 +614,115 @@ class TestDeterminism:
 
 
 class TestKernelCalls:
-    """Kernel calls per run, counted through ``harness._inner``, the name the
-    engine calls the kernel by.  ``recursive`` and ``cs`` keep their
-    full-array kernel while the estimate stays the same object.  A moving run
-    forgets it at the start of each slot, so a slot reuses it only for an MSE
-    whose estimate did not move; a static run never forgets it, as x never
-    moves, so it evaluates each full-array kernel once.  Static ``80211ad``
-    takes every pilot, rate and MSE from its per-chunk codebook tables, so
-    the only kernels of a chunk are the tables' own."""
+    """Kernel values per run, counted through ``harness._inner``, the name the
+    engine calls the kernel by: ``np.size(delta)`` per array size, since the
+    calls depend on the metric block size and the values do not.  The slot
+    loop evaluates only pilots: ``recursive``'s along its estimate on the
+    tracking array every slot, and ``80211ad``'s toward a candidate beam in
+    moving runs; ``cs`` takes its pilots without the kernel.  The metrics
+    after the loop take, in a moving run, two full-array kernels per slot
+    and trial, the rate's and the MSE's.  A static run's truth never moves,
+    so slot n's MSE kernel is slot n+1's rate kernel: one per estimate, N+1
+    per trial.  Static ``80211ad`` takes every pilot, rate and MSE from its
+    per-chunk codebook tables, so its only kernels are the tables' own, M_t
+    per trial on each array size."""
 
     @staticmethod
-    def _calls(monkeypatch, cfg) -> dict:
-        """``harness._inner`` calls of a run, per array size."""
-        sizes = []
+    def _values(monkeypatch, cfg) -> dict:
+        """``harness._inner`` values of a run, per array size."""
+        sizes = {}
         kernel = harness._inner
 
         def counted(geom, delta):
-            sizes.append(geom.num_antennas)
+            m = geom.num_antennas
+            sizes[m] = sizes.get(m, 0) + np.size(delta)
             return kernel(geom, delta)
 
         monkeypatch.setattr(harness, "_inner", counted)
         run_experiment(cfg)
-        return {m: sizes.count(m) for m in set(sizes)}
-
-    @classmethod
-    def _full_array_calls(cls, monkeypatch, cfg):
-        return cls._calls(monkeypatch, cfg).get(cfg.num_antennas, 0)
+        return sizes
 
     @pytest.mark.parametrize("algorithm", ["recursive", "cs"])
     def test_static_direction_tracker_one_kernel_per_slot(self, monkeypatch, algorithm):
-        # the first slot's rate kernel, then one MSE kernel per slot, in each
-        # of the two chunks
+        # per trial, one metric kernel per estimate (the initial one and each
+        # slot's), and recursive's pilot every slot, all on the full array
         cfg = RunConfig(slots=1000, trials=4, chunk_size=2, algorithms=(algorithm,), seed=3)
-        assert self._full_array_calls(monkeypatch, cfg) == 2 * (1000 + 1)
+        pilots = 1000 if algorithm == "recursive" else 0
+        assert self._values(monkeypatch, cfg) == {16: 4 * (1000 + 1 + pilots)}
 
     def test_static_sweep_refine_kernels(self, monkeypatch):
-        # per chunk, one full-array call for the pilot, rate and MSE tables
+        # per trial, one full-array value per codebook beam serves the pilot,
+        # rate and MSE tables
         cfg = RunConfig(slots=1000, trials=4, chunk_size=2, algorithms=("80211ad",), seed=3)
-        assert self._calls(monkeypatch, cfg) == {16: 2}
+        assert self._values(monkeypatch, cfg) == {16: 4 * 16}
 
     def test_static_subarray_sweep_refine_kernels(self, monkeypatch):
-        # per chunk, one subarray call for the pilot table and one full-array
-        # call for the rate and MSE tables
+        # per trial and codebook beam, one subarray value for the pilot table
+        # and one full-array value for the rate and MSE tables
         cfg = RunConfig(slots=200, trials=4, chunk_size=2, track_antennas=8,
                         algorithms=("80211ad",), seed=3)
-        assert self._calls(monkeypatch, cfg) == {16: 2, 8: 2}
+        assert self._values(monkeypatch, cfg) == {16: 4 * 8, 8: 4 * 8}
 
     def test_moving_truth_takes_two_kernels_per_slot(self, monkeypatch):
-        # the truth moves every slot, so neither kernel can be reused
+        # the truth moves every slot, so the rate's and the MSE's kernels
+        # differ; the pilot, on the full array too, is a third
         cfg = RunConfig(trajectory="sinusoidal", slots=200, trials=3,
                         algorithms=("recursive",), seed=3)
-        assert self._full_array_calls(monkeypatch, cfg) == 2 * 200
+        assert self._values(monkeypatch, cfg) == {16: 3 * (2 + 1) * 200}
 
     def test_moving_sweep_refine_kernels(self, monkeypatch):
-        # per chunk: a rate kernel and a pilot every slot, and an MSE kernel
-        # at each round's last slot, where a new best beam is chosen
+        # per trial and slot: a pilot, a rate and an MSE kernel
         cfg = RunConfig(trajectory="sinusoidal", slots=200, trials=4, chunk_size=2,
                         algorithms=("80211ad",), seed=3)
-        assert self._calls(monkeypatch, cfg) == {16: 2 * (200 + 200 + 66)}
+        assert self._values(monkeypatch, cfg) == {16: 4 * 3 * 200}
 
     def test_subarray_recursive_kernels(self, monkeypatch):
-        # static, per chunk: the first slot's rate kernel and one MSE kernel
-        # per slot on the full array, and one pilot per slot on the subarray
+        # static, per trial: one full-array metric kernel per estimate, and
+        # one pilot per slot on the subarray
         cfg = RunConfig(slots=200, trials=4, chunk_size=2, track_antennas=8,
                         algorithms=("recursive",), seed=3)
-        assert self._calls(monkeypatch, cfg) == {16: 2 * (1 + 200), 8: 2 * 200}
+        assert self._values(monkeypatch, cfg) == {16: 4 * (1 + 200), 8: 4 * 200}
 
     @pytest.mark.parametrize(
-        "algorithm, trajectory, track_antennas, calls",
+        "algorithm, trajectory, track_antennas, values",
         [
-            # a rate and an MSE kernel every slot, and a subarray pilot
-            ("recursive", "fixed-velocity", 8, {16: 2 * 2 * 200, 8: 2 * 200}),
-            # a rate kernel every slot, and an MSE kernel at each frame's
-            # last slot: 12 frames of 16 slots, or 25 of 8 on the subarray
-            ("cs", "sinusoidal", None, {16: 2 * (200 + 12)}),
-            ("cs", "sinusoidal", 8, {16: 2 * (200 + 25)}),
-            # a rate kernel and a subarray pilot every slot, and an MSE
-            # kernel at each round's last slot
-            ("80211ad", "fixed-velocity", 8, {8: 2 * 200, 16: 2 * (200 + 66)}),
+            # per trial and slot, a rate and an MSE kernel on the full array,
+            # and recursive's and 80211ad's pilots on the subarray
+            ("recursive", "fixed-velocity", 8, {16: 4 * 2 * 200, 8: 4 * 200}),
+            ("cs", "sinusoidal", None, {16: 4 * 2 * 200}),
+            ("cs", "sinusoidal", 8, {16: 4 * 2 * 200}),
+            ("80211ad", "fixed-velocity", 8, {16: 4 * 2 * 200, 8: 4 * 200}),
         ],
         ids=["recursive-subarray", "cs", "cs-subarray", "80211ad-subarray"],
     )
-    def test_moving_run_reuses_a_kernel_within_the_slot(
-        self, monkeypatch, algorithm, trajectory, track_antennas, calls
-    ):
-        # two chunks of 2 trials, so each count is twice a chunk's
+    def test_moving_run_kernels(self, monkeypatch, algorithm, trajectory, track_antennas,
+                                values):
+        # two chunks of 2 trials
         cfg = RunConfig(trajectory=trajectory, omega=0.02, slots=200, trials=4, chunk_size=2,
                         track_antennas=track_antennas, algorithms=(algorithm,), seed=3)
-        assert self._calls(monkeypatch, cfg) == calls
+        assert self._values(monkeypatch, cfg) == values
+
+
+class TestMetricBlocks:
+    """The rates and MSEs after the slot loop come in blocks of slots, of at
+    most ``harness._METRIC_BLOCK`` values; a block's edge must not move a
+    bit.  Each slot's rate takes the estimate before the slot, which a
+    block's first slot takes from the block before it."""
+
+    @pytest.mark.parametrize("track_antennas", [None, 8])
+    @pytest.mark.parametrize("trajectory", TRAJECTORIES)
+    @pytest.mark.parametrize("algorithm", ["recursive", "80211ad", "cs"])
+    def test_block_edges_move_no_bit(self, monkeypatch, algorithm, trajectory,
+                                     track_antennas):
+        # chunks of 4, 4 and 1 trials; a block of 1 value holds 1 slot of
+        # either, one of 7 values 1 slot or 7 of the 1-trial chunk, and one
+        # of 28 values 7 slots or 28
+        cfg = RunConfig(trajectory=trajectory, omega=0.02, slots=40, trials=9, chunk_size=4,
+                        track_antennas=track_antennas, algorithms=(algorithm,), seed=5)
+        default = _bits(run_experiment(cfg)[algorithm])
+        for values in (1, 7, 28):
+            monkeypatch.setattr(harness, "_METRIC_BLOCK", values)
+            assert _bits(run_experiment(cfg)[algorithm]) == default
 
 
 class TestSummaryContents:
@@ -1145,9 +1166,10 @@ class TestSweepRefine:
     @example(m=32, track=4, snr_db=0.0, truths=[0.999, -0.97, 0.0], slots=30, seed=1)
     def test_static_tables_match_per_slot_kernels(self, m, track, snr_db, truths, slots,
                                                   seed):
-        # a static chunk takes every slot's pilot, rate and MSE from its
-        # codebook tables; the same tracker with no table computes each slot's
-        # kernels, and every slot must agree bit for bit, at edge beams too
+        # a static chunk takes every slot's pilot from its codebook tables,
+        # and after the slot loop gathers each slot's rate and MSE from them
+        # by beam index; the same tracker with no table computes the kernels,
+        # and every slot must agree bit for bit, at edge beams too
         cfg = _config("80211ad", slots=slots, num_antennas=m, snr_db=snr_db,
                       track_antennas=None if track is None else min(track, m))
         track_geom = cfg.track_geometry
@@ -1162,15 +1184,21 @@ class TestSweepRefine:
         per_slot = harness._SweepRefine(cfg, trials, x0, warm)
         per_slot.table = None
         assert tabled.table is not None
+        est = [tabled.direction]  # the estimates before slot 1, then each slot's
         for n in range(1, slots + 1):
             pilot_noise = noise[:, track_geom.num_antennas + n - 1]
-            got = tabled.step(n, x0, pilot_noise)
-            want = per_slot.step(n, x0, pilot_noise)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+            tabled.update(n, x0, pilot_noise)
+            per_slot.update(n, x0, pilot_noise)
             # the slot's noisy pilot magnitudes, which pick the next best beams
             cursor = (n - 1) % 3
             assert np.array_equal(tabled.mags[:, cursor], per_slot.mags[:, cursor])
+            assert np.array_equal(tabled.direction, per_slot.direction)
+            est.append(tabled.direction)
+        # every slot's rate and MSE, (slots, trials), in one block
+        est, x = np.array(est), np.broadcast_to(x0, (slots, len(x0)))
+        for got, want in zip(tabled.metrics(est, x), per_slot.metrics(est, x)):
+            assert got.shape == want.shape == x.shape
+            assert np.array_equal(got, want)
 
 
 class TestLeastSquares:
