@@ -32,11 +32,13 @@ metric takes only its part: the rate ``amp**2``, the channel MSE
 ``amp * cos(phase)`` and the recursive step ``amp * sin(phase)``; only
 ``80211ad``'s pilot builds the complex value.  The slot loop of a direction
 tracker only advances it and records its estimates.  After the loop,
-``_slot_metrics`` takes every slot's rate and MSE in blocks of slots, and the
-lock test and the squared sine errors run over all slots at once.  A moving
-run evaluates two full-array kernels per slot, the rate's and the MSE's; a
-static run's truth never moves, so slot n's MSE kernel is slot n+1's rate
-kernel and each estimate's kernel is evaluated once.  Static sweep-and-refine
+``_slot_metrics`` takes every slot's rate and MSE in blocks of slots, each a
+pure function of the recorded estimates, and the lock test and the squared
+sine errors run over all slots at once.  A moving run evaluates two
+full-array kernels per slot, the rate's and the MSE's; a static run's truth
+never moves, so slot n's MSE kernel is slot n+1's rate kernel, and a block
+of B slots evaluates the kernels of its B+1 estimates once each (both
+blocks at an edge evaluate the estimate they share).  Static sweep-and-refine
 runs no kernel after its per-chunk tables: it only ever probes and steers
 toward codebook beams, so each beam's pilot, rate and MSE come from tables,
 gathered by beam index.  Least squares has no direction estimate and returns
@@ -279,10 +281,12 @@ class RunSummary:
 
 @dataclass
 class _ChunkOut:
-    mse_sum: np.ndarray
-    rate_sum: np.ndarray
-    lock_sum: np.ndarray
-    sqerr_conv_sum: np.ndarray
+    """A chunk's results; ``sums`` (4, N) holds each slot's trial sums of the
+    channel MSE, the rate, the lock indicator and the squared sine error of
+    the trials locked at the last slot (the last two NaN without a direction
+    estimate)."""
+
+    sums: np.ndarray
     final_x: np.ndarray
     final_est: np.ndarray
     trace: TrialRecord  # the chunk's first trial
@@ -308,9 +312,10 @@ def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.nd
 class _DirectionTracker:
     """Base of the trackers with a direction estimate ``direction``.  The slot
     loop only calls ``update`` and records ``direction``; ``metrics`` then
-    takes a block of slots after the loop.  A slot's rate uses the conjugate
-    full-array beam toward the estimate before the slot's ``update``, its
-    channel MSE the estimate after it.  Each kernel is the polar pair
+    takes a block of slots after the loop, from the recorded estimates
+    alone.  A slot's rate uses the conjugate full-array beam toward the
+    estimate before the slot's ``update``, its channel MSE the estimate
+    after it.  Each kernel is the polar pair
     ``(amp, phase)`` of ``_inner``, and each metric takes only its part: the
     rate ``amp**2``, the MSE ``amp * cos(phase)``, the real part of
     ``a(x_hat)^H a(x)``."""
@@ -321,7 +326,6 @@ class _DirectionTracker:
         self.m = config.num_antennas
         self.rho = config.rho
         self.static = config.trajectory == "static"
-        self.carry = None  # static: the rate kernel's amp of the next block's first slot
 
     def _rate(self, amp: np.ndarray) -> np.ndarray:
         return np.log2(1.0 + self.rho * np.square(amp) / self.m)
@@ -329,21 +333,25 @@ class _DirectionTracker:
     def _mse(self, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
         return 2.0 * self.m - 2.0 * (amp * np.cos(phase))
 
-    def metrics(self, est: np.ndarray, x: np.ndarray):
-        """The rates and channel MSEs, (B, T) each, of a block of B slots:
-        ``est`` (B+1, T) holds the estimates before the block's first slot
-        and after each of its slots, ``x`` (B, T) the slots' truths.  Blocks
-        come in slot order.  A static run's truth never moves, so slot n's
-        MSE kernel is slot n+1's rate kernel: each estimate's kernel is
-        evaluated once, and the last one of a block is carried to the next."""
-        amp, phase = _inner(self.geom, est[1:] - x)
-        if not self.static:
-            return self._rate(_inner(self.geom, est[:-1] - x)[0]), self._mse(amp, phase)
-        if self.carry is None:  # the first block: the estimate before slot 1
-            self.carry = _inner(self.geom, est[0] - x[0])[0]
-        before = np.concatenate((self.carry[None], amp[:-1]))
-        self.carry = amp[-1]
-        return self._rate(before), self._mse(amp, phase)
+    def _values(self, est: np.ndarray, x0: np.ndarray):
+        """The rates and channel MSEs of the estimates ``est`` (B, T) against
+        a static run's truths ``x0`` (T,)."""
+        amp, phase = _inner(self.geom, est - x0)
+        return self._rate(amp), self._mse(amp, phase)
+
+    def metrics(self, est: np.ndarray, x_traj: np.ndarray, lo: int, hi: int):
+        """The rates and channel MSEs, (hi - lo, T) each, of slots lo+1 to hi,
+        from the recorded estimates ``est`` (N+1, T), row n after slot n, and
+        the truths ``x_traj`` (T, N+1).  A static run's truth never moves, so
+        slot n's MSE kernel is slot n+1's rate kernel: ``_values`` takes each
+        of the block's hi - lo + 1 estimates once."""
+        block = est[lo:hi + 1]
+        if self.static:
+            rate, mse = self._values(block, x_traj[:, 0])
+            return rate[:-1], mse[1:]
+        x = np.ascontiguousarray(x_traj[:, lo + 1:hi + 1].T)
+        amp, phase = _inner(self.geom, block[1:] - x)
+        return self._rate(_inner(self.geom, block[:-1] - x)[0]), self._mse(amp, phase)
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -390,8 +398,8 @@ class _SweepRefine(_DirectionTracker):
     ever probes and steers toward codebook beams, so a static run, whose truth
     never moves, takes each beam's noiseless pilot, rate and channel MSE from
     ``table``, three (T, M_t) arrays built once per chunk.  A slot then adds
-    its noise to a gathered pilot, and ``metrics`` gathers the rates and MSEs
-    by each estimate's beam index; no kernel runs after the tables.  Every
+    its noise to a gathered pilot, and ``_values`` gathers the rates and
+    MSEs by each estimate's beam index; no kernel runs after the tables.  Every
     table entry is the same elementwise expression (``_pilot``, ``_rate``,
     ``_mse``) of the same delta as the kernels of a moving run, whose
     ``table`` is None."""
@@ -425,9 +433,7 @@ class _SweepRefine(_DirectionTracker):
         middle = np.minimum(np.maximum(best, 1), len(self.dirs) - 2)
         self.cand = middle[:, None] + np.array([-1, 0, 1])
 
-    def metrics(self, est, x):
-        if self.table is None:
-            return super().metrics(est, x)
+    def _values(self, est, x0):
         _, rates, mses = self.table
         # each estimate's flat table index: trial t's beam k, whose codebook
         # point (2k + 1 - M_t)/M_t the estimate is; rint undoes the rounding
@@ -435,7 +441,7 @@ class _SweepRefine(_DirectionTracker):
         m_t = len(self.dirs)
         flat = np.rint((est * m_t + (m_t - 1)) * 0.5).astype(np.intp)
         flat += self.rows * m_t
-        return rates.take(flat[:-1]), mses.take(flat[1:])
+        return rates.take(flat), mses.take(flat)
 
     def update(self, n, x_n, noise):
         # the pilot of the conjugate tracking-subarray beam toward the candidate
@@ -666,22 +672,21 @@ def _chunk_inputs(config: RunConfig, trials: range, tag: int):
 
 
 def _slot_metrics(tracker: _DirectionTracker, est: np.ndarray, x_traj: np.ndarray):
-    """A direction tracker's per-slot trial sums of rate and channel MSE, and
-    trial 0's values, (N,) each, from its recorded estimates ``est`` (T, N+1),
-    column 0 before slot 1 and column n after slot n, and the truths
+    """A direction tracker's per-slot trial sums of channel MSE and rate, and
+    trial 0's values, (2, N) each, from its recorded estimates ``est``
+    (N+1, T), row 0 before slot 1 and row n after slot n, and the truths
     ``x_traj``.  Slot n's rate is ``_rate(K(x_hat_(n-1) - x_n))`` and its MSE
     ``_mse(K(x_hat_n - x_n))``, taken by ``tracker.metrics`` in blocks of at
     most ``_METRIC_BLOCK`` values, each a C-contiguous (slots, trials) array:
     a slot's trial sum is then the same pairwise sum as a 1-D ``sum``."""
-    trials, slots = est.shape[0], est.shape[1] - 1
+    slots, trials = est.shape[0] - 1, est.shape[1]
     step = max(1, _METRIC_BLOCK // trials)
-    rate_sum, mse_sum, rate0, mse0 = out = np.empty((4, slots))
+    out = np.empty((4, slots))
     for lo in range(0, slots, step):
         hi = min(lo + step, slots)
-        rate, mse = tracker.metrics(np.ascontiguousarray(est[:, lo:hi + 1].T),
-                                    np.ascontiguousarray(x_traj[:, lo + 1:hi + 1].T))
-        out[:, lo:hi] = rate.sum(axis=1), mse.sum(axis=1), rate[:, 0], mse[:, 0]
-    return rate_sum, mse_sum, rate0, mse0
+        rate, mse = tracker.metrics(est, x_traj, lo, hi)
+        out[:, lo:hi] = mse.sum(axis=1), rate.sum(axis=1), mse[:, 0], rate[:, 0]
+    return out[:2], out[2:]
 
 
 def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _ChunkOut:
@@ -689,41 +694,36 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     trials = range(lo, hi)
     x_traj, noise, warm = _chunk_inputs(config, trials, _ALG_TAGS[algorithm])
     tracker = _TRACKERS[algorithm](config, trials, x_traj[:, 0], warm)
-    trace = TrialRecord(
-        x_traj[0, 1:].copy(), np.full(n_slots, np.nan), np.zeros(n_slots), np.zeros(n_slots)
-    )
+    x = x_traj[0, 1:].copy()  # trial 0's truths
 
     if not isinstance(tracker, _DirectionTracker):  # no direction estimate, so no lock either
-        mse_sum, rate_sum = np.zeros((2, n_slots))
+        sums = np.full((4, n_slots), np.nan)
+        first = np.empty((2, n_slots))  # trial 0's MSE and rate
         for n in range(1, n_slots + 1):
             rate_n, mse_n = tracker.step(n, x_traj[:, n], noise[:, n - 1])
-            mse_sum[n - 1] = mse_n.sum()
-            rate_sum[n - 1] = rate_n.sum()
-            trace.mse_h[n - 1], trace.rate[n - 1] = mse_n[0], rate_n[0]
-        nan = np.full(n_slots, np.nan)
-        return _ChunkOut(mse_sum, rate_sum, nan, nan.copy(), x_traj[:, -1].copy(),
-                         np.full(len(trials), np.nan), trace)
+            sums[:2, n - 1] = mse_n.sum(), rate_n.sum()
+            first[:, n - 1] = mse_n[0], rate_n[0]
+        trace = TrialRecord(x, np.full(n_slots, np.nan), *first)
+        return _ChunkOut(sums, x_traj[:, -1].copy(), np.full(len(trials), np.nan), trace)
 
-    # the estimates before slot 1, then each slot's, one column each
-    est_buf = np.empty((len(trials), n_slots + 1))
-    est_buf[:, 0] = tracker.direction
+    # the estimates before slot 1, then each slot's, one row each
+    est_buf = np.empty((n_slots + 1, len(trials)))
+    est_buf[0] = tracker.direction
     for n in range(1, n_slots + 1):
         tracker.update(n, x_traj[:, n], noise[:, n - 1])
-        est_buf[:, n] = tracker.direction
-    rate_sum, mse_sum, trace.rate, trace.mse_h = _slot_metrics(tracker, est_buf, x_traj)
-    est = est_buf[:, 1:]
-    trace.x_hat[:] = est[0]
-    final_est = tracker.direction
+        est_buf[n] = tracker.direction
+    metric_sums, first = _slot_metrics(tracker, est_buf, x_traj)
+    est = est_buf[1:]
+    trace = TrialRecord(x, est[:, 0].copy(), *first)
     # the errors, in place: the lock test |err| < half a mainlobe, then the
-    # squares; the (T, slots) mask lives only as long as its count
-    err = np.abs(np.subtract(est, x_traj[:, 1:], out=est), out=est)
+    # squares; the (slots, T) mask lives only as long as its count
+    err = np.abs(np.subtract(est, x_traj[:, 1:].T, out=est), out=est)
     lock_radius = 0.5 * mainlobe_halfwidth(config.track_geometry)
-    lock_sum = np.count_nonzero(err < lock_radius, axis=0).astype(float)
-    converged = err[:, -1] < lock_radius  # locked at the last slot
-    sqerr_conv_sum = np.square(err, out=err)[converged].sum(axis=0)
-    return _ChunkOut(
-        mse_sum, rate_sum, lock_sum, sqerr_conv_sum, x_traj[:, -1].copy(), final_est, trace
-    )
+    lock_sum = np.count_nonzero(err < lock_radius, axis=1)
+    converged = err[-1] < lock_radius  # locked at the last slot
+    sqerr_conv_sum = np.square(err, out=err).T[converged].sum(axis=0)
+    sums = np.vstack((metric_sums, lock_sum, sqerr_conv_sum))
+    return _ChunkOut(sums, x_traj[:, -1].copy(), tracker.direction, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +756,7 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
 
     n_slots = config.slots
     # deterministic reduction in chunk order
-    mse_sum, rate_sum, lock_sum, sqerr_conv = (
-        sum(getattr(out, name) for out in outs)
-        for name in ("mse_sum", "rate_sum", "lock_sum", "sqerr_conv_sum")
-    )
+    mse_sum, rate_sum, lock_sum, sqerr_conv = sum(out.sums for out in outs)
 
     trials = config.trials
     slots = np.arange(1, n_slots + 1)

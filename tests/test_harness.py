@@ -616,16 +616,18 @@ class TestDeterminism:
 class TestKernelCalls:
     """Kernel values per run, counted through ``harness._inner``, the name the
     engine calls the kernel by: ``np.size(delta)`` per array size, since the
-    calls depend on the metric block size and the values do not.  The slot
-    loop evaluates only pilots: ``recursive``'s along its estimate on the
-    tracking array every slot, and ``80211ad``'s toward a candidate beam in
-    moving runs; ``cs`` takes its pilots without the kernel.  The metrics
-    after the loop take, in a moving run, two full-array kernels per slot
-    and trial, the rate's and the MSE's.  A static run's truth never moves,
-    so slot n's MSE kernel is slot n+1's rate kernel: one per estimate, N+1
-    per trial.  Static ``80211ad`` takes every pilot, rate and MSE from its
-    per-chunk codebook tables, so its only kernels are the tables' own, M_t
-    per trial on each array size."""
+    calls depend on the metric block size.  The slot loop evaluates only
+    pilots: ``recursive``'s along its estimate on the tracking array every
+    slot, and ``80211ad``'s toward a candidate beam in moving runs; ``cs``
+    takes its pilots without the kernel.  The metrics after the loop take,
+    in a moving run, two full-array kernels per slot and trial, the rate's
+    and the MSE's.  A static run's truth never moves, so slot n's MSE kernel
+    is slot n+1's rate kernel: a block of B slots takes its B+1 estimates'
+    kernels once each, N plus the number of blocks per trial.  So a static
+    run's values depend on the block size, by one per block edge; every run
+    here but the multi-block one is one block.  Static ``80211ad`` takes
+    every pilot, rate and MSE from its per-chunk codebook tables, so its
+    only kernels are the tables' own, M_t per trial on each array size."""
 
     @staticmethod
     def _values(monkeypatch, cfg) -> dict:
@@ -649,6 +651,16 @@ class TestKernelCalls:
         cfg = RunConfig(slots=1000, trials=4, chunk_size=2, algorithms=(algorithm,), seed=3)
         pilots = 1000 if algorithm == "recursive" else 0
         assert self._values(monkeypatch, cfg) == {16: 4 * (1000 + 1 + pilots)}
+
+    @pytest.mark.parametrize("algorithm", ["recursive", "cs"])
+    def test_static_direction_tracker_one_kernel_per_block_edge(self, monkeypatch,
+                                                                algorithm):
+        # 10 blocks of 100 slots of a 2-trial chunk, each taking its 101
+        # estimates' kernels: the 9 estimates at block edges twice
+        monkeypatch.setattr(harness, "_METRIC_BLOCK", 200)
+        cfg = RunConfig(slots=1000, trials=4, chunk_size=2, algorithms=(algorithm,), seed=3)
+        pilots = 1000 if algorithm == "recursive" else 0
+        assert self._values(monkeypatch, cfg) == {16: 4 * (1000 + 10 + pilots)}
 
     def test_static_sweep_refine_kernels(self, monkeypatch):
         # per trial, one full-array value per codebook beam serves the pilot,
@@ -707,7 +719,7 @@ class TestMetricBlocks:
     """The rates and MSEs after the slot loop come in blocks of slots, of at
     most ``harness._METRIC_BLOCK`` values; a block's edge must not move a
     bit.  Each slot's rate takes the estimate before the slot, which a
-    block's first slot takes from the block before it."""
+    block's first slot takes from the row the block before it ends with."""
 
     @pytest.mark.parametrize("track_antennas", [None, 8])
     @pytest.mark.parametrize("trajectory", TRAJECTORIES)
@@ -723,6 +735,31 @@ class TestMetricBlocks:
         for values in (1, 7, 28):
             monkeypatch.setattr(harness, "_METRIC_BLOCK", values)
             assert _bits(run_experiment(cfg)[algorithm]) == default
+
+    @pytest.mark.parametrize("trajectory", ["static", "sinusoidal"])
+    @pytest.mark.parametrize("algorithm", ["recursive", "80211ad", "cs"])
+    def test_blocks_depend_on_their_arguments_alone(self, algorithm, trajectory):
+        # a chunk's blocks of at most 7 values (2 slots of its 3 trials),
+        # taken last to first and then first to last by the same tracker,
+        # give the same bytes
+        cfg = RunConfig(trajectory=trajectory, slots=40, trials=3,
+                        algorithms=(algorithm,), seed=5)
+        trials = range(cfg.trials)
+        x_traj, noise, warm = harness._chunk_inputs(cfg, trials, harness._ALG_TAGS[algorithm])
+        tracker = harness._TRACKERS[algorithm](cfg, trials, x_traj[:, 0], warm)
+        est = [tracker.direction]
+        for n in range(1, cfg.slots + 1):
+            tracker.update(n, x_traj[:, n], noise[:, n - 1])
+            est.append(tracker.direction)
+        est = np.array(est)
+        step = 7 // cfg.trials
+        spans = [(lo, min(lo + step, cfg.slots)) for lo in range(0, cfg.slots, step)]
+
+        def block_bytes(order):
+            return {(lo, hi): [m.tobytes() for m in tracker.metrics(est, x_traj, lo, hi)]
+                    for lo, hi in order}
+
+        assert block_bytes(spans[::-1]) == block_bytes(spans)
 
 
 class TestSummaryContents:
@@ -1167,9 +1204,10 @@ class TestSweepRefine:
     def test_static_tables_match_per_slot_kernels(self, m, track, snr_db, truths, slots,
                                                   seed):
         # a static chunk takes every slot's pilot from its codebook tables,
-        # and after the slot loop gathers each slot's rate and MSE from them
-        # by beam index; the same tracker with no table computes the kernels,
-        # and every slot must agree bit for bit, at edge beams too
+        # and after the slot loop gathers each estimate's rate and MSE from
+        # them by beam index; the same tracker with no table computes the
+        # pilot kernels, the base class's _values the metric kernels, and
+        # every slot must agree bit for bit, at edge beams too
         cfg = _config("80211ad", slots=slots, num_antennas=m, snr_db=snr_db,
                       track_antennas=None if track is None else min(track, m))
         track_geom = cfg.track_geometry
@@ -1194,10 +1232,12 @@ class TestSweepRefine:
             assert np.array_equal(tabled.mags[:, cursor], per_slot.mags[:, cursor])
             assert np.array_equal(tabled.direction, per_slot.direction)
             est.append(tabled.direction)
-        # every slot's rate and MSE, (slots, trials), in one block
-        est, x = np.array(est), np.broadcast_to(x0, (slots, len(x0)))
-        for got, want in zip(tabled.metrics(est, x), per_slot.metrics(est, x)):
-            assert got.shape == want.shape == x.shape
+        # every recorded estimate's rate and MSE, the initial one's too,
+        # (slots + 1, trials)
+        est = np.array(est)
+        kernels = harness._DirectionTracker._values(tabled, est, x0)
+        for got, want in zip(tabled._values(est, x0), kernels):
+            assert got.shape == want.shape == est.shape
             assert np.array_equal(got, want)
 
 
