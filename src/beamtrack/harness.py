@@ -30,19 +30,20 @@ Per-slot conventions, uniform across algorithms:
 The engine calls the array kernel through ``_inner`` in polar form, and each
 metric takes only its part: the rate ``amp**2``, the channel MSE
 ``amp * cos(phase)`` and the recursive step ``amp * sin(phase)``; only
-``80211ad``'s pilot builds the complex value.  The slot loop of a direction
-tracker only advances it and records its estimates.  After the loop,
-``_slot_metrics`` takes every slot's rate and MSE in blocks of slots, each a
-pure function of the recorded estimates, and the lock test and the squared
-sine errors run over all slots at once.  A moving run evaluates two
+``80211ad``'s pilot builds the complex value.  One slot loop serves every
+tracker: it only advances the tracker and records its direction estimates.
+After the loop, the tracker's ``tallies`` returns the chunk's per-slot sums.
+A direction tracker's takes every slot's rate and MSE in blocks of slots,
+each a pure function of the recorded estimates, and the lock test and the
+squared sine errors over all slots at once.  A moving run evaluates two
 full-array kernels per slot, the rate's and the MSE's; a static run's truth
 never moves, so slot n's MSE kernel is slot n+1's rate kernel, and a block
 of B slots evaluates the kernels of its B+1 estimates once each (both
 blocks at an edge evaluate the estimate they share).  Static sweep-and-refine
 runs no kernel after its per-chunk tables: it only ever probes and steers
 toward codebook beams, so each beam's pilot, rate and MSE come from tables,
-gathered by beam index.  Least squares has no direction estimate and returns
-its own rate and MSE every slot.
+gathered by beam index.  Least squares has no direction estimate: its
+``update`` takes its own rate and MSE every slot and records their sums.
 In dynamic scenarios the estimate-based baselines (least squares, sparse
 recovery) re-estimate once per full codebook frame; in static scenarios they
 re-estimate every slot from all pilots received so far.  Sparse recovery
@@ -140,7 +141,7 @@ class RunConfig:
     sweep_dictionary_size: int | None = None  # default 2x tracking antennas
     # recursive-tracker step: alpha/n in static runs, alpha in moving ones
     step_alpha: float | None = None  # default alpha_star of tracking array
-    init: str = "sweep"  # sweep | uniform | mainlobe
+    init: str = "sweep"  # sweep | uniform
     seed: int = 0
     chunk_size: int = 512
     jobs: int = 1
@@ -184,7 +185,7 @@ class RunConfig:
                              f"got {self.num_antennas}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.init not in ("sweep", "uniform", "mainlobe"):
+        if self.init not in ("sweep", "uniform"):
             raise ValueError(f"unknown init mode {self.init!r}")
         sub = self.track_antennas
         if sub is not None and not 2 <= sub <= self.num_antennas:
@@ -281,10 +282,10 @@ class RunSummary:
 
 @dataclass
 class _ChunkOut:
-    """A chunk's results; ``sums`` (4, N) holds each slot's trial sums of the
-    channel MSE, the rate, the lock indicator and the squared sine error of
-    the trials locked at the last slot (the last two NaN without a direction
-    estimate)."""
+    """A chunk's results, from its tracker's ``tallies``: ``sums`` (4, N)
+    holds each slot's trial sums of the channel MSE, the rate, the lock
+    indicator and the squared sine error of the trials locked at the last
+    slot (the last two NaN without a direction estimate)."""
 
     sums: np.ndarray
     final_x: np.ndarray
@@ -311,14 +312,13 @@ def _sweep_estimate(geom: ArrayGeometry, size: int, pilots: np.ndarray) -> np.nd
 
 class _DirectionTracker:
     """Base of the trackers with a direction estimate ``direction``.  The slot
-    loop only calls ``update`` and records ``direction``; ``metrics`` then
-    takes a block of slots after the loop, from the recorded estimates
-    alone.  A slot's rate uses the conjugate full-array beam toward the
-    estimate before the slot's ``update``, its channel MSE the estimate
-    after it.  Each kernel is the polar pair
-    ``(amp, phase)`` of ``_inner``, and each metric takes only its part: the
-    rate ``amp**2``, the MSE ``amp * cos(phase)``, the real part of
-    ``a(x_hat)^H a(x)``."""
+    loop only calls ``update`` and records ``direction``; after the loop,
+    ``tallies`` has ``metrics`` take a block of slots at a time, from the
+    recorded estimates alone.  A slot's rate uses the conjugate full-array
+    beam toward the estimate before the slot's ``update``, its channel MSE
+    the estimate after it.  Each kernel is the polar pair ``(amp, phase)`` of
+    ``_inner``, and each metric takes only its part: the rate ``amp**2``, the
+    MSE ``amp * cos(phase)``, the real part of ``a(x_hat)^H a(x)``."""
 
     def __init__(self, config: RunConfig):
         self.geom = config.geometry
@@ -353,11 +353,31 @@ class _DirectionTracker:
         amp, phase = _inner(self.geom, block[1:] - x)
         return self._rate(_inner(self.geom, block[:-1] - x)[0]), self._mse(amp, phase)
 
-
-def _clip_unit(x: np.ndarray) -> np.ndarray:
-    """``x`` clipped to [-1, 1] in place, as ``np.clip(x, -1, 1)`` would."""
-    np.maximum(x, -1.0, out=x)
-    return np.minimum(x, 1.0, out=x)
+    def tallies(self, est: np.ndarray, x_traj: np.ndarray):
+        """The per-slot trial sums (4, N) of ``_ChunkOut`` and trial 0's MSE
+        and rate (2, N), from the recorded estimates ``est`` (N+1, T), which
+        it overwrites, and the truths ``x_traj``.  ``metrics`` takes blocks
+        of at most ``_METRIC_BLOCK`` values, each a C-contiguous (slots,
+        trials) array: a slot's trial sum is then the same pairwise sum as a
+        1-D ``sum``.  The lock test and the squared errors run over all slots
+        at once, so their sums do not depend on the blocks."""
+        slots, trials = est.shape[0] - 1, est.shape[1]
+        step = max(1, _METRIC_BLOCK // trials)
+        sums, first = np.empty((4, slots)), np.empty((2, slots))
+        for lo in range(0, slots, step):
+            hi = min(lo + step, slots)
+            rate, mse = self.metrics(est, x_traj, lo, hi)
+            sums[:2, lo:hi] = mse.sum(axis=1), rate.sum(axis=1)
+            first[:, lo:hi] = mse[:, 0], rate[:, 0]
+        # the errors, in place: the lock test |err| < half a mainlobe, then the
+        # squares; the (slots, T) mask lives only as long as its count
+        err = est[1:]
+        np.abs(np.subtract(err, x_traj[:, 1:].T, out=err), out=err)
+        lock_radius = 0.5 * mainlobe_halfwidth(self.track)
+        sums[2] = np.count_nonzero(err < lock_radius, axis=1)
+        converged = err[-1] < lock_radius  # locked at the last slot
+        sums[3] = np.square(err, out=err).T[converged].sum(axis=0)
+        return sums, first
 
 
 class _Recursive(_DirectionTracker):
@@ -372,12 +392,8 @@ class _Recursive(_DirectionTracker):
         if config.init == "sweep":
             size = config.resolved_dictionary_size()
             self.direction = _sweep_estimate(self.track, size, warm)
-            return
-        # one draw within hw of a centre: over [-1, 1], or the anchor's mainlobe
-        uniform = config.init == "uniform"
-        centre, hw = (0.0, 1.0) if uniform else (x0, mainlobe_halfwidth(self.track))
-        offs = RngPlan(config.seed).uniform(trials, STREAM_INIT, -hw, hw)
-        self.direction = _clip_unit(centre + offs)
+        else:
+            self.direction = RngPlan(config.seed).uniform(trials, STREAM_INIT, -1.0, 1.0)
 
     def update(self, n, x_n, noise):
         a_n = self.alpha / n if self.static else self.alpha
@@ -389,7 +405,9 @@ class _Recursive(_DirectionTracker):
         step *= 1.0 / math.sqrt(self.track.num_antennas)
         step += noise.imag
         step *= a_n
-        self.direction = _clip_unit(np.subtract(self.direction, step, out=step))
+        # clipped to [-1, 1] in place, as np.clip would
+        x = np.subtract(self.direction, step, out=step)
+        self.direction = np.minimum(np.maximum(x, -1.0, out=x), 1.0, out=x)
 
 
 class _SweepRefine(_DirectionTracker):
@@ -478,12 +496,18 @@ class _LeastSquares:
     and noiseless codebook pilots are computed once per chunk (``x`` never
     moves), and a slot adds its noise to one of them.  The conjugate data
     beam ``conj(ls_data_beam(h_hat))`` is built with each estimate and kept
-    beside it: every slot in static runs, once per frame in dynamic runs."""
+    beside it: every slot in static runs, once per frame in dynamic runs.
+    It has no direction estimate, so ``direction`` stays NaN and it has no
+    lock either; ``update`` takes each slot's rate and channel MSE itself
+    and records their trial sums and trial 0's values in ``totals``."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         self.geom = config.geometry
         self.rho = config.rho
         self.static = config.trajectory == "static"
+        self.direction = np.full(len(trials), np.nan)
+        # per slot: the trial sums of MSE and rate, then trial 0's MSE and rate
+        self.totals = np.empty((4, config.slots))
         self.beams = dft_codebook(self.geom)  # rows of conj(beams) probe h
         self.sums, self.counts = warm.copy(), np.ones(len(self.beams))
         if self.static:
@@ -496,8 +520,7 @@ class _LeastSquares:
         self.h_hat = (self.sums / self.counts) @ self.beams
         self.w_conj = np.conj(ls_data_beam(self.h_hat))
 
-    def step(self, n: int, x_n: np.ndarray, noise: np.ndarray):
-        """Take slot n's pilot; returns the slot's rates and channel MSEs."""
+    def update(self, n: int, x_n: np.ndarray, noise: np.ndarray) -> None:
         m = len(self.beams)
         d = (n - 1) % m
         if self.static:
@@ -510,7 +533,14 @@ class _LeastSquares:
         rate = np.log2(1.0 + self.rho * np.abs((self.w_conj * a).sum(axis=1)) ** 2)
         if self.static or n % m == 0:
             self._estimate()
-        return rate, (np.abs(self.h_hat - a) ** 2).sum(axis=1)
+        mse = (np.abs(self.h_hat - a) ** 2).sum(axis=1)
+        self.totals[:, n - 1] = mse.sum(), rate.sum(), mse[0], rate[0]
+
+    def tallies(self, est: np.ndarray, x_traj: np.ndarray):
+        """The recorded sums with NaN lock rows (4, N), and trial 0's MSE and
+        rate (2, N)."""
+        no_lock = np.full_like(self.totals[:2], np.nan)
+        return np.vstack((self.totals[:2], no_lock)), self.totals[2:]
 
 
 def _cs_lag_atoms(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -642,8 +672,8 @@ class _CompressedSensing(_DirectionTracker):
 
 
 # built from (config, trials, anchor directions, warm-up pilots); each takes
-# slot n's pilot in update(n, x_n, noise), which moves a direction tracker's
-# direction, or in step(n, x_n, noise), which returns least squares' (rate, MSE)
+# slot n's pilot in update(n, x_n, noise), has a direction (T,) after it, and
+# returns its chunk's sums and trial 0's values from tallies(est, x_traj)
 _TRACKERS = dict(
     zip(ALGORITHMS, (_Recursive, _SweepRefine, _LeastSquares, _CompressedSensing))
 )
@@ -671,58 +701,20 @@ def _chunk_inputs(config: RunConfig, trials: range, tag: int):
     return x_traj, noise[:, m_t:], warm
 
 
-def _slot_metrics(tracker: _DirectionTracker, est: np.ndarray, x_traj: np.ndarray):
-    """A direction tracker's per-slot trial sums of channel MSE and rate, and
-    trial 0's values, (2, N) each, from its recorded estimates ``est``
-    (N+1, T), row 0 before slot 1 and row n after slot n, and the truths
-    ``x_traj``.  Slot n's rate is ``_rate(K(x_hat_(n-1) - x_n))`` and its MSE
-    ``_mse(K(x_hat_n - x_n))``, taken by ``tracker.metrics`` in blocks of at
-    most ``_METRIC_BLOCK`` values, each a C-contiguous (slots, trials) array:
-    a slot's trial sum is then the same pairwise sum as a 1-D ``sum``."""
-    slots, trials = est.shape[0] - 1, est.shape[1]
-    step = max(1, _METRIC_BLOCK // trials)
-    out = np.empty((4, slots))
-    for lo in range(0, slots, step):
-        hi = min(lo + step, slots)
-        rate, mse = tracker.metrics(est, x_traj, lo, hi)
-        out[:, lo:hi] = mse.sum(axis=1), rate.sum(axis=1), mse[:, 0], rate[:, 0]
-    return out[:2], out[2:]
-
-
 def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _ChunkOut:
     n_slots = config.slots
     trials = range(lo, hi)
     x_traj, noise, warm = _chunk_inputs(config, trials, _ALG_TAGS[algorithm])
     tracker = _TRACKERS[algorithm](config, trials, x_traj[:, 0], warm)
-    x = x_traj[0, 1:].copy()  # trial 0's truths
-
-    if not isinstance(tracker, _DirectionTracker):  # no direction estimate, so no lock either
-        sums = np.full((4, n_slots), np.nan)
-        first = np.empty((2, n_slots))  # trial 0's MSE and rate
-        for n in range(1, n_slots + 1):
-            rate_n, mse_n = tracker.step(n, x_traj[:, n], noise[:, n - 1])
-            sums[:2, n - 1] = mse_n.sum(), rate_n.sum()
-            first[:, n - 1] = mse_n[0], rate_n[0]
-        trace = TrialRecord(x, np.full(n_slots, np.nan), *first)
-        return _ChunkOut(sums, x_traj[:, -1].copy(), np.full(len(trials), np.nan), trace)
-
     # the estimates before slot 1, then each slot's, one row each
-    est_buf = np.empty((n_slots + 1, len(trials)))
-    est_buf[0] = tracker.direction
+    est = np.empty((n_slots + 1, len(trials)))
+    est[0] = tracker.direction
     for n in range(1, n_slots + 1):
         tracker.update(n, x_traj[:, n], noise[:, n - 1])
-        est_buf[n] = tracker.direction
-    metric_sums, first = _slot_metrics(tracker, est_buf, x_traj)
-    est = est_buf[1:]
-    trace = TrialRecord(x, est[:, 0].copy(), *first)
-    # the errors, in place: the lock test |err| < half a mainlobe, then the
-    # squares; the (slots, T) mask lives only as long as its count
-    err = np.abs(np.subtract(est, x_traj[:, 1:].T, out=est), out=est)
-    lock_radius = 0.5 * mainlobe_halfwidth(config.track_geometry)
-    lock_sum = np.count_nonzero(err < lock_radius, axis=1)
-    converged = err[-1] < lock_radius  # locked at the last slot
-    sqerr_conv_sum = np.square(err, out=err).T[converged].sum(axis=0)
-    sums = np.vstack((metric_sums, lock_sum, sqerr_conv_sum))
+        est[n] = tracker.direction
+    x_hat = est[1:, 0].copy()  # trial 0's, before tallies overwrites est
+    sums, first = tracker.tallies(est, x_traj)
+    trace = TrialRecord(x_traj[0, 1:].copy(), x_hat, *first)
     return _ChunkOut(sums, x_traj[:, -1].copy(), tracker.direction, trace)
 
 
@@ -801,6 +793,10 @@ def run_single_trial(config: RunConfig, algorithm: str, trial: int = 0) -> Trial
     that trial's trace in a full run for ``recursive`` and ``80211ad``; to
     about 1e-15 relative for ``ls`` and ``cs``, whose matrix products round by
     batch size, except where static ``cs`` breaks its slot-1 tie."""
+    if algorithm not in config.algorithms:
+        raise ValueError(f"algorithm must be one of {config.algorithms}, got {algorithm!r}")
+    if not (isinstance(trial, numbers.Integral) and 0 <= trial < config.trials):
+        raise ValueError(f"trial must be from 0 to {config.trials - 1}, got {trial!r}")
     return _simulate_chunk(config, algorithm, trial, trial + 1).trace
 
 

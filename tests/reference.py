@@ -25,7 +25,6 @@ import numpy as np
 from beamtrack import (
     alpha_star,
     dft_codebook,
-    mainlobe_halfwidth,
     sine_grid,
     steering_matrix,
 )
@@ -241,12 +240,8 @@ def recursive(cfg, trial):
     xs, noise = draws(cfg, trial, "recursive")
     if cfg.init == "sweep":
         x_hat = coarse_sweep(track, cfg.resolved_dictionary_size(), _warm_up(cfg, xs, noise))
-    elif cfg.init == "uniform":
-        x_hat = stream(cfg.seed, trial, STREAM_INIT).uniform(-1.0, 1.0)
     else:
-        hw = mainlobe_halfwidth(track)
-        offset = stream(cfg.seed, trial, STREAM_INIT).uniform(-hw, hw)
-        x_hat = min(max(xs[0] + offset, -1.0), 1.0)
+        x_hat = stream(cfg.seed, trial, STREAM_INIT).uniform(-1.0, 1.0)
     alpha = alpha_star(track) if cfg.step_alpha is None else cfg.step_alpha
     estimates = [x_hat]
     for n in range(1, len(xs)):

@@ -398,7 +398,7 @@ _SECOND = {
     "algorithms": [["recursive", "cs"]],
     "sweep_dictionary_size": [64],
     "step_alpha": [0.3],
-    "init": ["mainlobe", "uniform"],
+    "init": ["sweep", "uniform"],
     "chunk_size": [2],
     "trajectory": ["fixed-velocity"],
     "omega": [0.05],
@@ -653,11 +653,13 @@ class TestErrors:
             ({"num_antennas": 1}, "num_antennas must be at least 2, got 1"),
             # rejected before steering_matrix tries to allocate gigabytes
             ({"num_antennas": 30000}, "num_antennas must be at most 1024, got 30000"),
+            ({"init": "mainlobe"}, "unknown init mode 'mainlobe'"),
         ],
         ids=["trials", "step_alpha", "slots", "seed_null", "num_antennas_null",
              "chunk_size_null", "snr_db_null", "omega_null", "step_alpha_text",
              "track_antennas_range", "omega_infinite", "omega_negative", "omega_band",
-             "slots_zero", "trials_zero", "num_antennas_one", "num_antennas_huge"],
+             "slots_zero", "trials_zero", "num_antennas_one", "num_antennas_huge",
+             "init_mainlobe"],
     )
     def test_rejected_count_or_step_in_config_one_line(self, tmp_path, setting, message):
         cfg_path = tmp_path / "cfg.json"

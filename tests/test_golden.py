@@ -307,7 +307,7 @@ def _engine_digests(trajectory: str) -> dict:
     over the bytes of each of its fields, the trace's arrays included."""
     got = {}
     for track in (None, 8, 5):
-        for init in ("sweep", "uniform", "mainlobe"):
+        for init in ("sweep", "uniform"):
             others = ("80211ad", "cs") if track else ("80211ad", "ls", "cs")
             algorithms = ("recursive", *others) if init == "sweep" else ("recursive",)
             cfg = RunConfig(
@@ -361,8 +361,6 @@ ENGINE_DIGESTS = {
             "f5e5b02f8d2300772dcd8420e87bc4bba9ed596e2e501969d8942f6be0663640",
         "m16-ls":
             "6e4be406b5ce6e27b8e7924d9f742ec7b0901f4d31719b49d893de8156a859d4",
-        "m16-recursive-mainlobe":
-            "7043daa09b573716c09c017b865cc8dab78d6f5c7bece9341f544b03274a9a71",
         "m16-recursive-sweep":
             "c99c70a772d5491b469f1662cb05a2f137d4a9496cd092fd8f3efa9ffc195f63",
         "m16-recursive-uniform":
@@ -371,8 +369,6 @@ ENGINE_DIGESTS = {
             "6603666cf6b00fd86491f86ed0039d7ecc5740802a869dc66e91a642bb4e13d3",
         "m5-cs":
             "5d3f06f0e879189bd850334be74afffd0753660226010bb92696286b152a78ec",
-        "m5-recursive-mainlobe":
-            "5c21408133129c9aa466169a33f5baf2b313dc9afe8ea691289679ba520b785b",
         "m5-recursive-sweep":
             "1a59f4969f76871542dd18a6ae5ed25d2be65dcd6357d0ff7c285251f98c789e",
         "m5-recursive-uniform":
@@ -381,8 +377,6 @@ ENGINE_DIGESTS = {
             "70ccbebe00ecf1ae5d2aa435f1e23e00336d94b94dbcc29a6b43d7e5cb1031c8",
         "m8-cs":
             "949e27876c81ee6da300e5ed2b411567f4a2592669ba5956afc307ec37950a02",
-        "m8-recursive-mainlobe":
-            "03cf36ac99bedc7b954093071240bf160449caf6d1aaab608c01a6dd1d91942d",
         "m8-recursive-sweep":
             "0c3ed04c311f4ec4f001f98c124100c50cf120eb601efa180a92e2bdd521d170",
         "m8-recursive-uniform":
@@ -395,8 +389,6 @@ ENGINE_DIGESTS = {
             "f56cbd07fbad70905362d6d306f0da8c81e1d683dedb03673b0e841c6d6867f2",
         "m16-ls":
             "3fd1d63703ad9a0aff87bfca135bf52c106a2a671a171a9a27f9292a1a80a253",
-        "m16-recursive-mainlobe":
-            "561e97832d9b9bd8fc5b503b4756ed239beea51d7add46a48c13d6a9b5deb14e",
         "m16-recursive-sweep":
             "fe9efbaf9a94132995c6cb287a54184ec8e17fece693bf4fecdbf2d9dbb76c75",
         "m16-recursive-uniform":
@@ -405,8 +397,6 @@ ENGINE_DIGESTS = {
             "ebbddd05e92f53aa0c8bd69b3642ce7091f8ef4bb96d31005c1166f949878c60",
         "m5-cs":
             "3521352c6e04c2e107e3865e884516bdccb9dd7e3590d08531605ad263e660ff",
-        "m5-recursive-mainlobe":
-            "bc9526aa949b0e8c06068f584005cfcde00bc0fc27bfb6a4fa3e5b81b44f45ff",
         "m5-recursive-sweep":
             "be0f63728646ef9c89271958fd37f076abfec7af7b3368b19f9b58540279a36c",
         "m5-recursive-uniform":
@@ -415,8 +405,6 @@ ENGINE_DIGESTS = {
             "93ec5ec117755dea8cb4746c0abe15527b55078b99e37682e8cc195334728cf1",
         "m8-cs":
             "d93e16263febd47f1cedab999fa8a785f32911853f370716045f08e5d5ba9b8f",
-        "m8-recursive-mainlobe":
-            "7056199655a5e962e97acc7536ebc8ce49f939c55e6fa95f3f8cbb93e6cb3692",
         "m8-recursive-sweep":
             "7300d2a13e9712de9367ef2a42d3a6db8bf15daeb6386aa569e8e5bfc3ab359c",
         "m8-recursive-uniform":
@@ -429,8 +417,6 @@ ENGINE_DIGESTS = {
             "38aba7be8131e3d3450bba966bb5c96d38910f8aa798151df3300786f0a8c604",
         "m16-ls":
             "2f1d1bb21c105a94fdc67c9effc1b2a9922765b220c16e8fbc9328f69ca20061",
-        "m16-recursive-mainlobe":
-            "42b73b9e6f3ebd7f685f4ac73ae29ad6bd3f14a9b55fd91c394e6aae150407bc",
         "m16-recursive-sweep":
             "e3a3a871eddb86c5d4ee25329408a0ad976911595816b7a7b5c11b118d5cf192",
         "m16-recursive-uniform":
@@ -439,8 +425,6 @@ ENGINE_DIGESTS = {
             "e186c426d10cd1185b845ade61f68ffeff49bb3ea2f9ef760644242632039c22",
         "m5-cs":
             "0e6509409b8dc0d90acde205003b99d31d55914f58462b282e82a2f20e15667b",
-        "m5-recursive-mainlobe":
-            "410b083094e3c866e57d9f6595b4359ccca4696adf55eb290e5725cca102e487",
         "m5-recursive-sweep":
             "ec4a3991e33085ce4eedb2e8fc804f119ece23a4a4d63774c339b0e6c8b7a434",
         "m5-recursive-uniform":
@@ -449,8 +433,6 @@ ENGINE_DIGESTS = {
             "13c6d91977a3377c5fa79d80e678f081473f30c8ac9fadc082cbc0008677f3f1",
         "m8-cs":
             "e0ebd727f295aead0e6010e0abdf7ed804ada60fc07c3d6a402922f63feb422f",
-        "m8-recursive-mainlobe":
-            "169ce70213daef4b63fffb1c9fccbe1dcca71639bdc55caef9617091b0fd7d45",
         "m8-recursive-sweep":
             "cab3bae86508e7a9f81d03e3b0cf4dd012d4347767d73016779e9c2faa9a8161",
         "m8-recursive-uniform":

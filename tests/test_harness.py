@@ -14,7 +14,6 @@ from beamtrack import (
     alpha_star,
     channel_mse_limit,
     dft_codebook,
-    generate,
     h_prime_norm_sq,
     i_max,
     initialization_hit_rate,
@@ -37,7 +36,7 @@ from beamtrack.harness import (
     _sweep_estimate,
     ls_data_beam,
 )
-from beamtrack.scenarios import STREAM_INIT, STREAM_TRAJECTORY, TRAJECTORIES
+from beamtrack.scenarios import STREAM_INIT, TRAJECTORIES
 
 G16 = ArrayGeometry(16)
 G8 = ArrayGeometry(8)
@@ -289,7 +288,7 @@ class TestEngineAgainstScalarReplay:
     """The vectorized runner must reproduce the scalar replays of
     ``tests/reference.py``, noise draw for noise draw."""
 
-    @pytest.mark.parametrize("init", ["sweep", "uniform", "mainlobe"])
+    @pytest.mark.parametrize("init", ["sweep", "uniform"])
     @pytest.mark.parametrize("trial", [0, 5])
     def test_recursive_static_trace(self, trial, init):
         cfg = RunConfig(
@@ -318,7 +317,7 @@ class TestEngineAgainstScalarReplay:
         data=st.data(),
         kind=_KINDS,
         omega=st.floats(0.0, 0.1),
-        init=st.sampled_from(["sweep", "uniform", "mainlobe"]),
+        init=st.sampled_from(["sweep", "uniform"]),
         slots=st.integers(1, 40),
         seed=st.integers(0, 2**40),
     )
@@ -497,12 +496,12 @@ class TestDeterminism:
         trials=st.integers(5, 14),
         chunk=st.integers(1, 4),
         seed=st.integers(0, 2**40),
-        init=st.sampled_from(["sweep", "uniform", "mainlobe"]),
+        init=st.sampled_from(["sweep", "uniform"]),
     )
     @example(kind="static", algorithms=["recursive", "cs"], m=16, track=None, slots=20,
              omega=0.0, trials=14, chunk=4, seed=3, init="sweep")
     @example(kind="static", algorithms=["recursive"], m=16, track=8, slots=5,
-             omega=0.0, trials=14, chunk=3, seed=5, init="mainlobe")
+             omega=0.0, trials=14, chunk=3, seed=5, init="uniform")
     def test_worker_count_invariance(self, kind, algorithms, m, track, slots, omega,
                                      trials, chunk, seed, init):
         # two or more chunks, so that two workers share them; every trial
@@ -516,27 +515,18 @@ class TestDeterminism:
             for field in _SUMMARY_ARRAYS:
                 assert getattr(one[name], field).tobytes() == getattr(two[name], field).tobytes()
 
-    @pytest.mark.parametrize("init", ["uniform", "mainlobe"])
+    @pytest.mark.parametrize("init", ["uniform"])
     def test_one_draw_inits_across_chunks(self, init):
         # the recursive tracker's initial estimate in chunks of trials
-        # 500..1099 is each trial's own first draw: uniform on [-1, 1], or the
-        # anchor plus a draw uniform on the tracking mainlobe, clipped
+        # 500..1099 is each trial's own first draw, uniform on [-1, 1]
         cfg = RunConfig(trials=1100, algorithms=("recursive",), track_antennas=8,
                         init=init, seed=2024)
-        hw = mainlobe_halfwidth(cfg.track_geometry)
         edges = (500, 501, 737, 1024, 1100)
         got = []
         for lo, hi in zip(edges, edges[1:]):
-            anchors = generate(cfg, range(lo, hi))[:, 0]
-            got.append(_Recursive(cfg, range(lo, hi), anchors, None).direction)
-        expected = []
-        for trial in range(500, 1100):
-            draw = ref.stream(cfg.seed, trial, STREAM_INIT)
-            if init == "uniform":
-                expected.append(draw.uniform(-1.0, 1.0))
-            else:
-                anchor = ref.stream(cfg.seed, trial, STREAM_TRAJECTORY).uniform(-1.0, 1.0)
-                expected.append(min(max(anchor + draw.uniform(-hw, hw), -1.0), 1.0))
+            got.append(_Recursive(cfg, range(lo, hi), None, None).direction)
+        expected = [ref.stream(cfg.seed, trial, STREAM_INIT).uniform(-1.0, 1.0)
+                    for trial in range(500, 1100)]
         np.testing.assert_array_equal(
             np.concatenate(got).view(np.uint64), np.array(expected).view(np.uint64)
         )
@@ -962,6 +952,29 @@ class TestSummaryContents:
             with pytest.raises(TypeError, match="argument"):
                 build()
 
+    def test_mainlobe_init_is_unknown(self):
+        # the starts are the coarse sweep and a uniform draw
+        with pytest.raises(ValueError, match="^unknown init mode 'mainlobe'$"):
+            RunConfig(slots=5, init="mainlobe")
+
+    @pytest.mark.parametrize(
+        "setting, algorithm, trial, message",
+        [
+            # sweep-and-refine needs 3 beams, least squares the full array
+            ({"track_antennas": 2}, "80211ad", 0, "^algorithm must be one of "),
+            ({"track_antennas": 8}, "ls", 0, "^algorithm must be one of "),
+            ({}, "foo", 0, "^algorithm must be one of "),
+            ({}, "recursive", -1, "^trial must be from 0 to 2, got -1$"),
+            ({}, "recursive", 3, "^trial must be from 0 to 2, got 3$"),
+        ],
+        ids=["80211ad_two_beams", "ls_subarray", "unknown", "trial_negative", "trial_past_end"],
+    )
+    def test_single_trial_outside_config_rejected(self, setting, algorithm, trial, message):
+        # the config's checks hold only for its own algorithms and trials
+        cfg = RunConfig(slots=5, trials=3, algorithms=("recursive",), **setting)
+        with pytest.raises(ValueError, match=message):
+            run_single_trial(cfg, algorithm, trial)
+
     def test_chunk_arrays_numpy_cannot_address_rejected(self):
         # a chunk of min(trials, chunk_size) rows holds (slots + m_t) complex
         # noise values per row, and slots * m_t int8 probes when cs runs;
@@ -994,7 +1007,7 @@ class TestSummaryContents:
              {"omega", "step_alpha", "init", "sweep_dictionary_size"}),
             ({"algorithms": ("ls",)},
              {"omega", "step_alpha", "init", "sweep_dictionary_size", "track_antennas"}),
-            ({"algorithms": ("ls", "recursive"), "init": "mainlobe"},
+            ({"algorithms": ("ls", "recursive"), "init": "uniform"},
              {"omega", "sweep_dictionary_size"}),
         ],
     )
@@ -1051,19 +1064,6 @@ class TestStaticLandscape:
 
 
 class TestTrackingProperties:
-    def test_mainlobe_start_locks_in(self):
-        # starts drawn inside the mainlobe stay there with high probability
-        cfg = RunConfig(
-            slots=400,
-            trials=500,
-            algorithms=("recursive",),
-            init="mainlobe",
-            seed=17,
-        )
-        s = run_experiment(cfg)["recursive"]
-        frac = np.mean(np.abs(s.final_estimate - s.final_x) < mainlobe_halfwidth(G16))
-        assert frac >= 0.98
-
     def test_dynamic_estimate_follows_within_mainlobe(self):
         # sinusoidal motion at 10 dB: after warm-up the estimate stays within
         # half a mainlobe in nearly every slot

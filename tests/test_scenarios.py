@@ -179,8 +179,8 @@ class TestRngPlan:
     @example(seed=2**70 + 12345, start=2**32 - 2, count=4, stream_id=0, tag=1, m=64)
     def test_uniform_matches_stream(self, seed, start, count, stream_id, tag, m):
         # the closed-form first draw on [-1, 1] (m None: static truths and
-        # uniform inits) or on an m-antenna mainlobe [-hw, hw] (mainlobe
-        # inits) is the substream generator's, bit for bit
+        # uniform inits) or on an m-antenna mainlobe [-hw, hw] is the
+        # substream generator's, bit for bit
         hw = 1.0 if m is None else mainlobe_halfwidth(ArrayGeometry(m))
         trials = range(start, start + count)
         draws = RngPlan(seed).uniform(trials, stream_id, -hw, hw, tag)
