@@ -94,6 +94,7 @@ def array_kernel_polar(geom: ArrayGeometry, delta: np.ndarray) -> tuple[np.ndarr
     amp = np.sin(m * half)
     near_zero = np.abs(s) < 1e-8
     if np.count_nonzero(near_zero):
+        s, amp = np.asarray(s), np.asarray(amp)  # writable for a scalar delta too
         s[near_zero] = 1.0
         h = half[near_zero]
         amp[near_zero] = m * np.cos(m * h) / np.cos(h)
@@ -132,11 +133,13 @@ def surrogate_f(geom: ArrayGeometry, v: float | np.ndarray, x: float) -> float |
     Equals ``-Im{a(v)^H a(x)} / sqrt(M)``; for a noiseless pilot taken with the
     conjugate beam at ``v`` the observation satisfies ``Im{y} = -f(v, x)``.
     """
+    if np.ndim(x):
+        raise ValueError(f"x must be one direction sine, got shape {np.shape(x)}")
     _check_direction(v)
     _check_direction(x)
-    amp, phase = array_kernel_polar(geom, np.atleast_1d(np.subtract(v, x)))
+    amp, phase = array_kernel_polar(geom, np.subtract(v, x))
     f = -(amp * np.sin(phase)) / math.sqrt(geom.num_antennas)
-    return f if np.ndim(v) else float(f[0])
+    return f if np.ndim(v) else float(f)
 
 
 def stable_point_spacing(geom: ArrayGeometry) -> float:
@@ -149,6 +152,8 @@ def stable_points(geom: ArrayGeometry, x: float) -> np.ndarray:
     multiples of the stable-point spacing, each once.  Sorted ascending;
     ``x`` itself is the only attractor with full array gain; for x = -1 it
     is listed as its alias 1."""
+    if np.ndim(x):
+        raise ValueError(f"x must be one direction sine, got shape {np.shape(x)}")
     _check_direction(x)
     x = 1.0 if x == -1 else float(x)
     m = geom.num_antennas

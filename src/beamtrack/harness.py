@@ -393,7 +393,7 @@ class _Recursive(_DirectionTracker):
             size = config.resolved_dictionary_size()
             self.direction = _sweep_estimate(self.track, size, warm)
         else:
-            self.direction = RngPlan(config.seed).uniform(trials, STREAM_INIT, -1.0, 1.0)
+            self.direction = RngPlan(config.seed).uniform(trials, STREAM_INIT)
 
     def update(self, n, x_n, noise):
         a_n = self.alpha / n if self.static else self.alpha
@@ -497,15 +497,15 @@ class _LeastSquares:
     moves), and a slot adds its noise to one of them.  The conjugate data
     beam ``conj(ls_data_beam(h_hat))`` is built with each estimate and kept
     beside it: every slot in static runs, once per frame in dynamic runs.
-    It has no direction estimate, so ``direction`` stays NaN and it has no
-    lock either; ``update`` takes each slot's rate and channel MSE itself
+    It has no direction estimate, so ``direction`` is one NaN for all trials,
+    and no lock; ``update`` takes each slot's rate and channel MSE itself
     and records their trial sums and trial 0's values in ``totals``."""
 
     def __init__(self, config: RunConfig, trials: range, x0, warm):
         self.geom = config.geometry
         self.rho = config.rho
         self.static = config.trajectory == "static"
-        self.direction = np.full(len(trials), np.nan)
+        self.direction = np.full(1, np.nan)
         # per slot: the trial sums of MSE and rate, then trial 0's MSE and rate
         self.totals = np.empty((4, config.slots))
         self.beams = dft_codebook(self.geom)  # rows of conj(beams) probe h
@@ -672,8 +672,8 @@ class _CompressedSensing(_DirectionTracker):
 
 
 # built from (config, trials, anchor directions, warm-up pilots); each takes
-# slot n's pilot in update(n, x_n, noise), has a direction (T,) after it, and
-# returns its chunk's sums and trial 0's values from tallies(est, x_traj)
+# slot n's pilot in update(n, x_n, noise), has a direction, (T,) or shared (1,),
+# after it; tallies(est, x_traj) returns its chunk's sums and trial 0's values
 _TRACKERS = dict(
     zip(ALGORITHMS, (_Recursive, _SweepRefine, _LeastSquares, _CompressedSensing))
 )
@@ -707,7 +707,7 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     x_traj, noise, warm = _chunk_inputs(config, trials, _ALG_TAGS[algorithm])
     tracker = _TRACKERS[algorithm](config, trials, x_traj[:, 0], warm)
     # the estimates before slot 1, then each slot's, one row each
-    est = np.empty((n_slots + 1, len(trials)))
+    est = np.empty((n_slots + 1, len(tracker.direction)))
     est[0] = tracker.direction
     for n in range(1, n_slots + 1):
         tracker.update(n, x_traj[:, n], noise[:, n - 1])
@@ -715,7 +715,8 @@ def _simulate_chunk(config: RunConfig, algorithm: str, lo: int, hi: int) -> _Chu
     x_hat = est[1:, 0].copy()  # trial 0's, before tallies overwrites est
     sums, first = tracker.tallies(est, x_traj)
     trace = TrialRecord(x_traj[0, 1:].copy(), x_hat, *first)
-    return _ChunkOut(sums, x_traj[:, -1].copy(), tracker.direction, trace)
+    final_est = np.broadcast_to(tracker.direction, len(trials))
+    return _ChunkOut(sums, x_traj[:, -1].copy(), final_est, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -782,10 +783,7 @@ def _run_algorithm(config: RunConfig, algorithm: str) -> RunSummary:
 
 def run_experiment(config: RunConfig) -> dict[str, RunSummary]:
     """Run every configured algorithm and return per-algorithm summaries."""
-    summaries = {}
-    for name in config.algorithms:
-        summaries[name] = _run_algorithm(config, name)
-    return summaries
+    return {name: _run_algorithm(config, name) for name in config.algorithms}
 
 
 def run_single_trial(config: RunConfig, algorithm: str, trial: int = 0) -> TrialRecord:
@@ -795,7 +793,8 @@ def run_single_trial(config: RunConfig, algorithm: str, trial: int = 0) -> Trial
     batch size, except where static ``cs`` breaks its slot-1 tie."""
     if algorithm not in config.algorithms:
         raise ValueError(f"algorithm must be one of {config.algorithms}, got {algorithm!r}")
-    if not (isinstance(trial, numbers.Integral) and 0 <= trial < config.trials):
+    integer = isinstance(trial, numbers.Integral) and not isinstance(trial, bool)
+    if not (integer and 0 <= trial < config.trials):
         raise ValueError(f"trial must be from 0 to {config.trials - 1}, got {trial!r}")
     return _simulate_chunk(config, algorithm, trial, trial + 1).trace
 

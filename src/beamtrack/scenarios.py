@@ -59,36 +59,34 @@ def generate(config: RunConfig, trials: range) -> np.ndarray:
     """Direction sines of ``trials`` of a run, one row per trial: column 0 is
     the warm-up anchor, columns 1..slots are the tracked slots.  A row's
     draws come from its trial's ``STREAM_TRAJECTORY`` substream; a static
-    row is that substream's first ``uniform(-1, 1)`` draw, computed for the
-    whole chunk in closed form (``RngPlan.uniform``).  Static rows are a
-    read-only view of that one column (zero stride along the slots), so no
-    copy of it is filled."""
+    row is that substream's first draw, for the whole chunk in closed form
+    (``RngPlan.uniform``).  Only sinusoidal rows are filled: static rows are
+    a read-only view of one column, fixed-velocity rows (no draws) one of
+    one row, with zero stride along the slots and the trials respectively."""
     n = config.slots
     plan = RngPlan(config.seed)
     if config.trajectory == "static":
-        x0 = plan.uniform(trials, STREAM_TRAJECTORY, -1.0, 1.0)
+        x0 = plan.uniform(trials, STREAM_TRAJECTORY)
         return np.broadcast_to(x0[:, None], (len(trials), n + 1))
-    x = np.empty((len(trials), n + 1))
     if config.trajectory == "sinusoidal":
         # |angle| stays below pi/2: the jitter would need a 105-sigma draw;
         # built in place, as the chunk's largest array
+        x = np.empty((len(trials), n + 1))
         slots = np.arange(n + 1)
         theta = _SINE_AMPLITUDE * np.sin(2.0 * np.pi * slots / _SINE_PERIOD)
         for row, rng in zip(x, plan.batch(trials, STREAM_TRAJECTORY)):
             rng.standard_normal(out=row)
         x *= _SINE_JITTER
         x += theta
-        np.sin(x, out=x)
-    else:  # fixed-velocity draws nothing; reflect before a step would exit the band
-        theta = np.empty(n + 1)
-        theta[0] = 0.0
-        sign = 1.0
-        for i in range(1, n + 1):
-            if abs(theta[i - 1] + sign * config.omega) > ANGLE_BAND:
-                sign = -sign
-            theta[i] = theta[i - 1] + sign * config.omega
-        x[:] = np.sin(theta)
-    return x
+        return np.sin(x, out=x)
+    # fixed-velocity draws nothing; reflect before a step would exit the band
+    theta = np.zeros(n + 1)
+    sign = 1.0
+    for i in range(1, n + 1):
+        if abs(theta[i - 1] + sign * config.omega) > ANGLE_BAND:
+            sign = -sign
+        theta[i] = theta[i - 1] + sign * config.omega
+    return np.broadcast_to(np.sin(theta), (len(trials), n + 1))
 
 
 @dataclass(frozen=True)
@@ -123,17 +121,15 @@ class RngPlan:
             }
             yield rng
 
-    def uniform(
-        self, trials: range, stream_id: int, low: float, high: float, tag: int = 0
-    ) -> np.ndarray:
-        """Each trial's first ``uniform(low, high)`` draw of its substream,
+    def uniform(self, trials: range, stream_id: int) -> np.ndarray:
+        """Each trial's first ``uniform(-1, 1)`` draw of its tag-0 substream,
         bit for bit, in closed form: one more LCG step, PCG64's XSL-RR output
-        and numpy's ``low + (high - low) * (out >> 11) * 2**-53``."""
-        state_hi, state_lo, inc_hi, inc_lo = self._seeded(trials, stream_id, tag)
+        and numpy's ``low + (high - low) * (out >> 11) * 2**-53`` at -1, 1."""
+        state_hi, state_lo, inc_hi, inc_lo = self._seeded(trials, stream_id, 0)
         hi, lo = _lcg_step(state_hi, state_lo, inc_hi, inc_lo)
         xor, rot = hi ^ lo, hi >> 58
         out = (xor >> rot) | (xor << (-rot & 63))  # rotate right by rot
-        return low + (high - low) * ((out >> 11) * 2.0**-53)
+        return -1.0 + 2.0 * ((out >> 11) * 2.0**-53)
 
     def _seeded(self, trials: range, stream_id: int, tag: int) -> np.ndarray:
         """The seeded PCG64 state of each trial's substream, as 4 uint64

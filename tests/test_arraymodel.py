@@ -116,6 +116,18 @@ class TestKernel:
         step = amp * np.sin(phase) * (1.0 / math.sqrt(m)) + noise.imag
         assert pilot.imag.tobytes() == step.tobytes()
 
+    @pytest.mark.parametrize("m", [4, 16])
+    @pytest.mark.parametrize("delta", [0.0, 2.0, -2.0, 0.3])
+    def test_scalar_delta_matches_array(self, m, delta):
+        # a scalar delta, also at the singular points 0 and +-2, gives the
+        # amplitude and phase of a one-element array, bit for bit
+        geom = ArrayGeometry(m)
+        amp, phase = array_kernel_polar(geom, delta)
+        want_amp, want_phase = array_kernel_polar(geom, np.array([delta]))
+        assert np.ndim(amp) == np.ndim(phase) == 0
+        assert np.reshape(amp, 1).tobytes() == want_amp.tobytes()
+        assert np.reshape(phase, 1).tobytes() == want_phase.tobytes()
+
 
 class TestConjugateBeam:
     def test_matched_filter_gain(self):
@@ -259,6 +271,12 @@ class TestSurrogateDrift:
         with pytest.raises(ValueError):
             surrogate_f(G8, 0.0, -1.5)
 
+    def test_array_truth_rejected(self):
+        # the truth is one sine: an array of them once gave the drift toward
+        # its first entry alone
+        with pytest.raises(ValueError, match=r"^x must be one direction sine, got shape \(2,\)$"):
+            surrogate_f(G8, 0.2, np.array([0.1, 0.5]))
+
 
 class TestStablePoints:
     def test_spacing(self):
@@ -270,6 +288,12 @@ class TestStablePoints:
         for x in (-0.8, 0.0, 0.5):
             pts = stable_points(G16, x)
             assert np.min(np.abs(pts - x)) < 1e-12
+
+    def test_array_truth_rejected(self):
+        # the truth is one sine: an array of them once ended in numpy's
+        # ambiguous truth value
+        with pytest.raises(ValueError, match=r"^x must be one direction sine, got shape \(2,\)$"):
+            stable_points(G8, np.array([0.1, 0.2]))
 
     def test_range_is_half_open(self):
         pts = stable_points(G16, 0.2)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -966,8 +967,11 @@ class TestSummaryContents:
             ({}, "foo", 0, "^algorithm must be one of "),
             ({}, "recursive", -1, "^trial must be from 0 to 2, got -1$"),
             ({}, "recursive", 3, "^trial must be from 0 to 2, got 3$"),
+            # a bool is not a trial number, as for RunConfig's int fields
+            ({}, "recursive", True, "^trial must be from 0 to 2, got True$"),
         ],
-        ids=["80211ad_two_beams", "ls_subarray", "unknown", "trial_negative", "trial_past_end"],
+        ids=["80211ad_two_beams", "ls_subarray", "unknown", "trial_negative", "trial_past_end",
+             "trial_bool"],
     )
     def test_single_trial_outside_config_rejected(self, setting, algorithm, trial, message):
         # the config's checks hold only for its own algorithms and trials
@@ -991,6 +995,22 @@ class TestSummaryContents:
         # the rows are the smaller of trials and chunk_size
         with pytest.raises(ValueError, match="^slots must be at most .* chunks of 3 trials"):
             RunConfig(slots=10**18, trials=10**6, chunk_size=3)
+
+    def test_static_ls_chunk_keeps_one_estimate_column(self):
+        # least squares has no direction estimate, so a chunk records one NaN
+        # column, not one per trial: the chunk's peak stays near its noise
+        # array, where an (N+1, T) record would add half of it again
+        cfg = RunConfig(slots=20_000, trials=64, algorithms=("ls",), seed=1)
+        noise_bytes = cfg.trials * (16 + cfg.slots) * 16
+        tracemalloc.start()
+        try:
+            out = harness._simulate_chunk(cfg, "ls", 0, cfg.trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * noise_bytes
+        assert out.final_est.shape == (cfg.trials,) and np.isnan(out.final_est).all()
+        assert out.trace.x_hat.shape == (cfg.slots,) and np.isnan(out.trace.x_hat).all()
 
     def test_chunk_spans_are_yielded_one_at_a_time(self):
         spans = harness._chunks(10, 4)
